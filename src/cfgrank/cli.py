@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import features as feat
-from . import ingest, learn, report, sbc
+from . import graph, ingest, learn, report, sbc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,7 +126,7 @@ def _load_graph_dir(graph_dir: Path):
         raise InputError(f"no *.graph.json files in {graph_dir}")
     try:
         return [ingest.parse_canonical(p.read_bytes()) for p in paths]
-    except (ingest.IngestError, OSError) as e:
+    except (ingest.IngestError, graph.GraphError, OSError) as e:
         raise InputError(str(e)) from e
 
 

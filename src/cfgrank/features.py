@@ -71,11 +71,13 @@ def _stat_tuple(s: metrics.PathStats) -> tuple[float, ...]:
 def extract_features(g: Cfg) -> FeatureVector:
     """Compute the frozen 23-entry descriptor of one CFG."""
     largest = induced_subgraph(g, set(weak_components(g).largest_component))
+    adj = largest.undirected_adjacency()
+    swept = metrics.sweep(adj)
     values: list[float] = []
-    for scores in (metrics.betweenness(largest), metrics.closeness(largest),
-                   metrics.degree_centrality(largest)):
-        values.extend(_stat_tuple(metrics.summary_stats(list(scores.values()))))
-    values.extend(_stat_tuple(metrics.shortest_path_stats(largest)))
+    for scores in (swept.betweenness(), swept.closeness,
+                   metrics.degree_scores(adj, largest.self_loop_nodes())):
+        values.extend(_stat_tuple(metrics.summary_stats(scores)))
+    values.extend(_stat_tuple(swept.path_stats()))
     values.append(metrics.density(g))
     values.append(float(g.node_count))
     values.append(float(g.edge_count))

@@ -4,13 +4,17 @@ shortest-path statistics, and density.
 Centralities and path statistics operate on the undirected view of a
 connected graph; callers hand in the largest weak component. Density alone
 is defined on the full directed graph.
+
+Betweenness, closeness and the path statistics all come from sweep(), one
+Brandes pass per source over an adjacency the caller builds once; the
+per-Cfg functions are views over it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .graph import Cfg
 
@@ -29,103 +33,167 @@ class PathStats:
     std: float
 
 
-def _bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+@dataclass(frozen=True)
+class Sweep:
+    """What one Brandes pass from every source yields on a connected graph.
+
+    raw_betweenness counts every pair from both endpoints; hops[d] is the
+    number of unordered node pairs at hop distance d.
+    """
+    raw_betweenness: list[float]
+    closeness: list[float]
+    hops: list[int]
+
+    def betweenness(self) -> list[float]:
+        """Normalized to [0, 1], endpoints excluded; 0 below three nodes."""
+        n = len(self.raw_betweenness)
+        if n < 3:
+            return [0.0] * n
+        norm = (n - 1) * (n - 2)
+        return [r / norm for r in self.raw_betweenness]
+
+    def path_stats(self) -> PathStats:
+        """summary_stats of the list in which each d occurs hops[d] times.
+
+        Every step is the one summary_stats takes on the sorted list: the
+        sum of small integers is exact, and the squared deviations are
+        summed one by one in ascending order, so each field comes out bit
+        for bit the same.
+        """
+        hops = self.hops
+        k = sum(hops)
+        if not k:
+            return PathStats(0.0, 0.0, 0.0, 0.0, 0.0)
+        present = [d for d, count in enumerate(hops) if count]
+
+        def nth(i: int) -> float:
+            for d in present:
+                i -= hops[d]
+                if i < 0:
+                    return float(d)
+            raise IndexError(i)
+
+        mean = sum(d * hops[d] for d in present) / k
+        median = nth(k // 2) if k % 2 else (nth(k // 2 - 1) + nth(k // 2)) / 2
+        var = sum(chain.from_iterable(repeat((float(d) - mean) ** 2, hops[d])
+                                      for d in present)) / k
+        return PathStats(float(present[0]), float(present[-1]), mean, median,
+                         math.sqrt(var))
+
+
+def sweep(adj: list[list[int]]) -> Sweep:
+    """Brandes betweenness, closeness and the hop histogram in one pass.
+
+    Each source runs one level-synchronous BFS that counts shortest paths
+    (sigma, exact Python ints, since stacked branches double it per level);
+    the levels give the distance sum and the histogram. Dependencies are
+    then pushed from each node to its predecessors (neighbors one level up)
+    in reverse BFS order, so every delta[u] adds its terms in Brandes's order.
+    """
+    n = len(adj)
+    raw = [0.0] * n
+    close = [0.0] * n
+    hops = [0]
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order: list[int] = []
+        frontier = [s]
+        d = total = 0
+        while frontier:
+            d += 1
+            level: list[int] = []
+            for u in frontier:
+                su = sigma[u]
+                for v in adj[u]:
+                    dv = dist[v]
+                    if dv < 0:
+                        dist[v] = d
+                        sigma[v] = su
+                        level.append(v)
+                    elif dv == d:
+                        sigma[v] += su
+            if level:
+                order += level
+                total += d * len(level)
+                if d == len(hops):
+                    hops.append(0)
+                hops[d] += len(level)
+            frontier = level
+        if len(order) != n - 1:
+            raise DisconnectedGraphError()
+        if n > 1:
+            close[s] = (n - 1) / total
+        delta = [0.0] * n
+        for w in reversed(order):
+            sw = sigma[w]
+            dw = 1.0 + delta[w]
+            up = dist[w] - 1
+            for u in adj[w]:
+                if dist[u] == up:
+                    delta[u] += sigma[u] / sw * dw
+            raw[w] += delta[w]
+    # every unordered pair was counted once from each end
+    return Sweep(raw, close, [h // 2 for h in hops])
+
+
+def level_closeness(adj: list[list[int]]) -> list[float]:
+    """Closeness per node from a plain level BFS; sweep() without the
+    path counting, for callers that need nothing else."""
+    n = len(adj)
+    if n == 1:
+        return [0.0]
+    scores = []
+    for s in range(n):
+        seen = [False] * n
+        seen[s] = True
+        frontier = [s]
+        d = total = reached = 0
+        while frontier:
+            d += 1
+            level = []
+            for u in frontier:
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        level.append(v)
+            total += d * len(level)
+            reached += len(level)
+            frontier = level
+        if reached != n - 1:
+            raise DisconnectedGraphError()
+        scores.append((n - 1) / total)
+    return scores
+
+
+def degree_scores(adj: list[list[int]], loops: set[int]) -> list[float]:
+    """Undirected degree over n-1; a self-loop adds 1 to its node's degree."""
+    n = len(adj)
+    if n == 1:
+        return [0.0]
+    return [(len(adj[u]) + (1 if u in loops else 0)) / (n - 1) for u in range(n)]
 
 
 def closeness(g: Cfg) -> dict[int, float]:
     """Normalized closeness (n-1)/sum of hop distances, per node."""
-    n = g.node_count
-    if n == 1:
-        return {0: 0.0}
-    adj = g.undirected_adjacency()
-    scores: dict[int, float] = {}
-    for u in range(n):
-        dist = _bfs_distances(adj, u)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraphError()
-        scores[u] = (n - 1) / sum(dist)
-    return scores
+    return dict(enumerate(sweep(g.undirected_adjacency()).closeness))
 
 
 def betweenness(g: Cfg) -> dict[int, float]:
     """Brandes betweenness, endpoints excluded, normalized to [0, 1]."""
-    n = g.node_count
-    if n < 3:
-        scores = {u: 0.0 for u in range(n)}
-        if n > 1:
-            # still demand connectivity so the contract matches closeness
-            adj = g.undirected_adjacency()
-            if any(d < 0 for d in _bfs_distances(adj, 0)):
-                raise DisconnectedGraphError()
-        return scores
-    adj = g.undirected_adjacency()
-    raw = [0.0] * n
-    for s in range(n):
-        # single-source shortest-path counts
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraphError()
-        # dependency accumulation in reverse BFS order
-        delta = [0.0] * n
-        for v in reversed(order):
-            for u in preds[v]:
-                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
-            if v != s:
-                raw[v] += delta[v]
-    # undirected: every pair contributes from both endpoints
-    norm = (n - 1) * (n - 2)
-    return {u: raw[u] / norm for u in range(n)}
+    return dict(enumerate(sweep(g.undirected_adjacency()).betweenness()))
 
 
 def degree_centrality(g: Cfg) -> dict[int, float]:
     """Undirected degree over n-1; a self-loop adds 1 to its node's degree."""
-    n = g.node_count
-    if n == 1:
-        return {0: 0.0}
-    adj = g.undirected_adjacency()
-    loops = g.self_loop_nodes()
-    return {u: (len(adj[u]) + (1 if u in loops else 0)) / (n - 1) for u in range(n)}
+    return dict(enumerate(degree_scores(g.undirected_adjacency(), g.self_loop_nodes())))
 
 
 def shortest_path_stats(g: Cfg) -> PathStats:
     """Summary statistics of hop distances over all unordered node pairs."""
-    n = g.node_count
-    if n == 1:
-        return PathStats(0.0, 0.0, 0.0, 0.0, 0.0)
-    adj = g.undirected_adjacency()
-    distances: list[int] = []
-    for u in range(n):
-        dist = _bfs_distances(adj, u)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraphError()
-        distances.extend(dist[u + 1:])
-    return summary_stats([float(d) for d in distances])
+    return sweep(g.undirected_adjacency()).path_stats()
 
 
 def density(g: Cfg) -> float:

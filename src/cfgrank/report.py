@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics
-from .graph import Cfg, induced_subgraph, weak_components
+from .graph import Cfg, ComponentLabeling, induced_subgraph, weak_components
 
 CDF_METRICS = ("node_count", "edge_count", "avg_closeness", "component_count")
 
@@ -63,11 +63,16 @@ def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
     return points
 
 
-def average_closeness(g: Cfg) -> float:
-    """Mean closeness over the largest weak component; 0 for singletons."""
-    largest = induced_subgraph(g, set(weak_components(g).largest_component))
-    scores = metrics.closeness(largest)
-    return sum(scores.values()) / len(scores)
+def average_closeness(g: Cfg, labeling: ComponentLabeling | None = None) -> float:
+    """Mean closeness over the largest weak component; 0 for singletons.
+
+    Pass g's labeling when it is at hand, so components are not found twice.
+    """
+    if labeling is None:
+        labeling = weak_components(g)
+    largest = induced_subgraph(g, set(labeling.largest_component))
+    scores = metrics.level_closeness(largest.undirected_adjacency())
+    return sum(scores) / len(scores)
 
 
 def corpus_stats(graphs: list[Cfg], name: str,
@@ -81,7 +86,7 @@ def corpus_stats(graphs: list[Cfg], name: str,
             sample_id=g.sample_id,
             node_count=g.node_count,
             edge_count=g.edge_count,
-            avg_closeness=average_closeness(g),
+            avg_closeness=average_closeness(g, labeling),
             component_count=labeling.component_count,
             file_size=(file_sizes or {}).get(g.sample_id),
         ))

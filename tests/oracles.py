@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: union-find for components, all-pairs
 BFS for distances, exhaustive shortest-path enumeration for betweenness.
+The one exception is reference_brandes, a plain queue-based Brandes kept as
+the exact reference for graphs too large to enumerate.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
+from cfgrank.metrics import DisconnectedGraphError
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:
@@ -107,6 +111,56 @@ def brute_betweenness(g: Cfg) -> dict[int, float]:
                 scores[v] += 1.0 / len(paths)
     norm = (n - 1) * (n - 2) / 2
     return {u: scores[u] / norm for u in range(n)}
+
+
+def reference_brandes(g: Cfg) -> dict[int, float]:
+    """Queue-based Brandes with one BFS per source, exact Python-int path
+    counts and per-node predecessor lists; normalized like betweenness."""
+    n = g.node_count
+    adj = [sorted(s) for s in undirected_neighbors(g)]
+    raw = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for v in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+                if dist[v] == dist[u] + 1:
+                    sigma[v] += sigma[u]
+                    preds[v].append(u)
+        if any(d < 0 for d in dist):
+            raise DisconnectedGraphError()
+        delta = [0.0] * n
+        for v in reversed(order):
+            for u in preds[v]:
+                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
+            if v != s:
+                raw[v] += delta[v]
+    if n < 3:
+        return {u: 0.0 for u in range(n)}
+    norm = (n - 1) * (n - 2)
+    return {u: raw[u] / norm for u in range(n)}
+
+
+def diamond_chain(diamonds: int, sample_id: str = "diamonds") -> Cfg:
+    """Stacked if/else diamonds: the number of shortest paths from the
+    first block to the last doubles with every diamond."""
+    blocks = [BasicBlock(address=4 * i) for i in range(3 * diamonds + 1)]
+    edges = []
+    for i in range(diamonds):
+        top, left, right, join = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(4 * top, 4 * left), (4 * top, 4 * right),
+                  (4 * left, 4 * join), (4 * right, 4 * join)]
+    return build_cfg(sample_id, blocks, edges)
 
 
 def random_connected_cfg(rng: random.Random, n: int, extra_edges: int = 0,

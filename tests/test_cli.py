@@ -27,6 +27,16 @@ def write_cfg_json(path, sample_id="s", addr=0):
     path.write_text(json.dumps(payload))
 
 
+def write_dangling_graph(tmp_path):
+    """A canonical graph dir whose one edge points at no block."""
+    graphs_dir = tmp_path / "graphs"
+    graphs_dir.mkdir()
+    (graphs_dir / "d.graph.json").write_text(json.dumps({
+        "sample_id": "d", "nodes": [{"addr": 0, "size": 4, "ninstr": 1}],
+        "edges": [[0, 99]]}))
+    return graphs_dir
+
+
 def make_features_csv(path, n_pos=30, n_neg=30, shift=10.0, seed=5):
     rng = random.Random(seed)
     rows = []
@@ -147,6 +157,14 @@ class TestFeaturesCommand:
         (graphs_dir / "x.graph.json").write_text("{broken")
         assert run("features", str(graphs_dir), "-o", str(tmp_path / "f.csv")) == 2
 
+    def test_dangling_edge_exits_2(self, tmp_path, capsys):
+        graphs_dir = write_dangling_graph(tmp_path)
+        assert run("features", str(graphs_dir), "-o", str(tmp_path / "f.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "cfgrank: input error: edge endpoint address 99 does not match any block"]
+        assert not (tmp_path / "f.csv").exists()
+
 
 class TestAnalyzeCommand:
     def _gen_graph_dir(self, tmp_path, profile, name, count=10, seed=1):
@@ -175,6 +193,15 @@ class TestAnalyzeCommand:
                 fractions = [f for _, f in pts]
                 assert fractions == sorted(fractions)
                 assert fractions[-1] == 1.0
+
+    def test_dangling_edge_exits_2(self, tmp_path, capsys):
+        graphs_dir = write_dangling_graph(tmp_path)
+        assert run("analyze", "--names", "a", "-o", str(tmp_path / "r.json"),
+                   str(graphs_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "cfgrank: input error: edge endpoint address 99 does not match any block"]
+        assert not (tmp_path / "r.json").exists()
 
     def test_names_mismatch_usage_error(self, tmp_path):
         enm = self._gen_graph_dir(tmp_path, "enmeshed", "e2", count=2)

@@ -68,7 +68,8 @@ class TestExtractFeatures:
                 values = [float(dist[(u, v)]) for u in range(largest.node_count)
                           for v in range(u + 1, largest.node_count)]
                 stats = metrics.summary_stats(values)
-                assert fv.values[idx("shortest_path_mean")] == pytest.approx(stats.mean, abs=1e-12)
+                for stat in ("min", "max", "mean", "median", "std"):
+                    assert fv.values[idx(f"shortest_path_{stat}")] == getattr(stats, stat)
             assert fv.values[idx("density")] == pytest.approx(
                 len(g.edges) / (g.node_count * (g.node_count - 1))
                 if g.node_count > 1 else 0.0)

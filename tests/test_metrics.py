@@ -6,9 +6,11 @@ import pytest
 from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import (DisconnectedGraphError, PathStats, betweenness,
                              closeness, degree_centrality, density,
-                             shortest_path_stats, summary_stats)
+                             level_closeness, shortest_path_stats, summary_stats,
+                             sweep)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
-                     random_cfg, random_connected_cfg)
+                     diamond_chain, random_cfg, random_connected_cfg,
+                     reference_brandes)
 
 
 def path3():
@@ -158,6 +160,53 @@ class TestPathStats:
             for fieldname in ("min", "max", "mean", "median", "std"):
                 assert getattr(got, fieldname) == pytest.approx(
                     getattr(expected, fieldname), abs=1e-12)
+
+
+class TestSweep:
+    """The fused kernel against exact references, compared with ==."""
+
+    def test_diamond_chain_beyond_int64(self):
+        # 72 diamonds: 2**72 shortest paths from the first block to the last
+        g = diamond_chain(72)
+        assert betweenness(g) == reference_brandes(g)
+        assert closeness(g) == brute_closeness(g)
+
+    def test_random_graphs_match_reference_brandes(self):
+        rng = random.Random(2001)
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            g = random_connected_cfg(rng, n, rng.randint(0, n))
+            adj = g.undirected_adjacency()
+            swept = sweep(adj)
+            assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
+            assert dict(enumerate(swept.closeness)) == brute_closeness(g)
+            assert level_closeness(adj) == swept.closeness
+            dist = all_pairs_distances(g)
+            values = [float(dist[(u, v)]) for u in range(n) for v in range(u + 1, n)]
+            expected = summary_stats(values) if values else PathStats(0, 0, 0, 0, 0)
+            assert swept.path_stats() == expected
+
+    def test_disconnected_rejected(self):
+        adj = [[1], [0], []]
+        with pytest.raises(DisconnectedGraphError):
+            sweep(adj)
+        with pytest.raises(DisconnectedGraphError):
+            level_closeness(adj)
+
+    def test_networkx_at_300_nodes(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(300)
+        g = random_connected_cfg(rng, 300, 120)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.node_count))
+        h.add_edges_from((u, v) for u, v in g.edges if u != v)
+        want_b = nx.betweenness_centrality(h, normalized=True, endpoints=False)
+        want_c = nx.closeness_centrality(h)
+        got_b = betweenness(g)
+        got_c = closeness(g)
+        for u in range(g.node_count):
+            assert abs(got_b[u] - want_b[u]) <= 1e-12
+            assert abs(got_c[u] - want_c[u]) <= 1e-12
 
 
 class TestDensity:
