@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +40,25 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "finite and >= 0")
 
 
 def _default_jobs() -> int:
@@ -278,14 +298,14 @@ def build_parser() -> _Parser:
     def learner(p):
         p.add_argument("features_csv")
         p.add_argument("--kind", choices=learn.KINDS, required=True)
-        p.add_argument("--logreg-lr", dest="logreg_lr", type=float)
-        p.add_argument("--logreg-l2", dest="logreg_l2", type=float)
-        p.add_argument("--logreg-epochs", dest="logreg_epochs", type=int)
-        p.add_argument("--svm-lambda", dest="svm_lambda", type=float)
-        p.add_argument("--svm-steps", dest="svm_steps", type=int)
-        p.add_argument("--rf-trees", dest="rf_trees", type=int)
-        p.add_argument("--rf-min-leaf", dest="rf_min_leaf", type=int)
-        p.add_argument("--rf-max-depth", dest="rf_max_depth", type=int)
+        p.add_argument("--logreg-lr", dest="logreg_lr", type=_positive_float)
+        p.add_argument("--logreg-l2", dest="logreg_l2", type=_nonnegative_float)
+        p.add_argument("--logreg-epochs", dest="logreg_epochs", type=_positive_int)
+        p.add_argument("--svm-lambda", dest="svm_lambda", type=_positive_float)
+        p.add_argument("--svm-steps", dest="svm_steps", type=_positive_int)
+        p.add_argument("--rf-trees", dest="rf_trees", type=_positive_int)
+        p.add_argument("--rf-min-leaf", dest="rf_min_leaf", type=_positive_int)
+        p.add_argument("--rf-max-depth", dest="rf_max_depth", type=_positive_int)
         common(p)
 
     p = sub.add_parser("train", help="fit one classifier and save the model")

@@ -157,29 +157,32 @@ def document_to_cfg(doc: CfgDocument, include_call_edges: bool = True) -> Cfg:
 
     One node per block across all functions; jump/fail targets become edges.
     With include_call_edges, each calling block also gets an edge to every
-    callee entry that resolves to a known block; unresolvable calls are
-    counted and logged, not fatal.
+    callee entry that resolves to a known block. Calls and jump/fail edges
+    to addresses with no block are counted and logged, not fatal.
     """
     known = {b.addr for fn in doc.functions for b in fn.blocks}
     blocks: list[BasicBlock] = []
     edges: list[tuple[int, int]] = []
-    dropped_calls = 0
+    dropped_calls = dropped_branches = 0
     for fn in doc.functions:
         for b in fn.blocks:
             blocks.append(BasicBlock(address=b.addr, size=b.size, instr_count=b.ninstr))
-            if b.jump is not None and b.jump in known:
-                edges.append((b.addr, b.jump))
-            if b.fail is not None and b.fail in known:
-                edges.append((b.addr, b.fail))
+            for target in (b.jump, b.fail):
+                if target is None:
+                    continue
+                if target in known:
+                    edges.append((b.addr, target))
+                else:
+                    dropped_branches += 1
             if include_call_edges:
                 for callee in b.calls:
                     if callee in known:
                         edges.append((b.addr, callee))
                     else:
                         dropped_calls += 1
-    if dropped_calls:
-        log.warning("%s: dropped %d call(s) to addresses with no block",
-                    doc.sample_id, dropped_calls)
+    if dropped_calls or dropped_branches:
+        log.warning("%s: dropped %d call(s) and %d jump/fail edge(s) to addresses "
+                    "with no block", doc.sample_id, dropped_calls, dropped_branches)
     return build_cfg(doc.sample_id, blocks, edges)
 
 

@@ -41,6 +41,11 @@ class SchemaMismatchError(LearnError):
     pass
 
 
+class EmptyDatasetError(LearnError):
+    def __init__(self):
+        super().__init__("dataset has no labeled samples")
+
+
 class AllZeroMatrixError(LearnError):
     def __init__(self):
         super().__init__("confusion matrix is all zeros")
@@ -198,78 +203,89 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tup
     return w[:-1], float(w[-1])
 
 
-def _gini_best_split(
-    X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, min_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity) among the sampled features.
+def _best_split(
+    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, idx: np.ndarray,
+    feature_ids: np.ndarray, n: int, total_pos: float, min_leaf: int,
+) -> tuple[int, float] | None:
+    """Best (feature, threshold) among the sampled features, or None.
 
-    Threshold t splits into x <= t / x > t; candidates are midpoints of
-    consecutive distinct sorted values. Returns None when nothing splits.
+    Row j of idx lists the node's distinct rows in ascending order of
+    feature j; w holds bootstrap multiplicities and wy = w * y. A split
+    can only fall where the value changes, and there the weighted prefix
+    sums equal the per-position counts over the expanded bootstrap sample,
+    so the impurities match a sort of that sample bit for bit. Threshold t
+    splits into x <= t / x > t and is the midpoint of the two values.
     """
-    n = len(y)
-    best: tuple[int, float, float] | None = None
-    for f in feature_ids:
-        col = X[:, int(f)]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = y[order]
-        # positions where the value changes: splits between i-1 and i
-        change = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-        if change.size == 0:
-            continue
-        left_pos = np.cumsum(ys)[change - 1]
-        left_n = change.astype(float)
-        total_pos = float(ys.sum())
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not ok.any():
-            continue
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-        gini = np.where(ok, gini, np.inf)
-        i = int(np.argmin(gini))
-        score = float(gini[i])
-        if best is None or score < best[2]:
-            pos = change[i]
-            threshold = (xs[pos - 1] + xs[pos]) / 2.0
-            best = (int(f), float(threshold), score)
-    return best
+    sub = idx[feature_ids]
+    xs = XT[feature_ids[:, None], sub]
+    left_n = np.cumsum(w[sub], axis=1)[:, :-1].astype(float)
+    left_pos = np.cumsum(wy[sub], axis=1)[:, :-1]
+    right_n = n - left_n
+    right_pos = total_pos - left_pos
+    ok = (xs[:, 1:] != xs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+    gini = np.where(ok, gini, np.inf)
+    cols = np.argmin(gini, axis=1)
+    scores = gini[np.arange(len(feature_ids)), cols]
+    best = None
+    # draw order, strictly smaller wins: the first sampled feature keeps ties
+    for r in range(len(feature_ids)):
+        if scores[r] < np.inf and (best is None or scores[r] < scores[best]):
+            best = r
+    if best is None:
+        return None
+    j = cols[best]
+    return int(feature_ids[best]), float((xs[best, j] + xs[best, j + 1]) / 2.0)
 
 
-def _build_tree(
-    X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-    hyper: HyperParams, depth: int,
+def _grow_tree(
+    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, idx: np.ndarray,
+    rng: np.random.Generator, hyper: HyperParams, depth: int,
 ) -> dict:
-    n = len(y)
-    pos = float(y.sum())
+    rows = idx[0]
+    n = int(w[rows].sum())
+    pos = float(wy[rows].sum())
     if pos == 0 or pos == n or n < 2 * hyper.rf_min_leaf or \
             (hyper.rf_max_depth is not None and depth >= hyper.rf_max_depth):
         return {"leaf": pos / n}
-    d = X.shape[1]
+    d = XT.shape[0]
     k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     feature_ids = rng.choice(d, size=k, replace=False)
-    split = _gini_best_split(X, y, feature_ids, hyper.rf_min_leaf)
+    split = _best_split(XT, w, wy, idx, feature_ids, n, pos, hyper.rf_min_leaf)
     if split is None:
         return {"leaf": pos / n}
-    f, threshold, _ = split
-    mask = X[:, f] <= threshold
+    f, threshold = split
+    # a stable partition keeps every row of idx in value order
+    goes_left = (XT[f] <= threshold)[idx]
     return {
         "feature": f,
         "threshold": threshold,
-        "left": _build_tree(X[mask], y[mask], rng, hyper, depth + 1),
-        "right": _build_tree(X[~mask], y[~mask], rng, hyper, depth + 1),
+        "left": _grow_tree(XT, w, wy, idx[goes_left].reshape(d, -1),
+                           rng, hyper, depth + 1),
+        "right": _grow_tree(XT, w, wy, idx[~goes_left].reshape(d, -1),
+                            rng, hyper, depth + 1),
     }
 
 
 def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> list[dict]:
-    n = len(y)
+    """Breiman's forest grown on presorted columns (SLIQ-style).
+
+    Each column is sorted once per fit. A tree's bootstrap sample becomes
+    row weights, and its nodes partition the sorted index lists instead
+    of sorting again.
+    """
+    n, d = X.shape
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1)
     trees = []
     for ti in range(hyper.rf_trees):
         rng = np.random.default_rng(seed + ti)
         sample = rng.integers(0, n, size=n)
-        trees.append(_build_tree(X[sample], y[sample], rng, hyper, depth=0))
+        w = np.bincount(sample, minlength=n)
+        idx = order[w[order] > 0].reshape(d, -1)
+        trees.append(_grow_tree(XT, w, w * y, idx, rng, hyper, depth=0))
     return trees
 
 
@@ -285,6 +301,8 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
     """Fit one classifier; deterministic given (data order, hyper, seed)."""
     if kind not in KINDS:
         raise LearnError(f"unknown classifier kind {kind!r}")
+    if not len(data):
+        raise EmptyDatasetError()
     hyper = hyper or HyperParams()
     X, y = data.arrays()
     if y.min() == y.max():
@@ -341,6 +359,8 @@ def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = 
                    k: int = 10, seed: int = 42) -> tuple[ConfusionMatrix, MetricReport]:
     """k-fold CV; returns the fold-averaged confusion matrix and the rates
     computed from the summed (pre-averaging) counts."""
+    if not len(data):
+        raise EmptyDatasetError()
     hyper = hyper or HyperParams()
     splits = stratified_kfold(data, k=k, seed=seed)
     tp = fn = fp = tn = 0
@@ -378,19 +398,30 @@ def model_to_json(model: ModelParams) -> bytes:
 
 
 def model_from_json(data: bytes) -> ModelParams:
-    raw = json.loads(data.decode("utf-8"))
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise LearnError(f"model is not UTF-8 JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise LearnError("model is not a JSON object")
     if raw.get("version") != MODEL_FORMAT_VERSION:
         raise LearnError(f"unsupported model version {raw.get('version')!r}")
     kind = raw.get("kind")
     if kind not in KINDS:
         raise LearnError(f"unknown classifier kind {kind!r}")
+
+    def field(name: str):
+        if name not in raw:
+            raise LearnError(f"{kind} model is missing field {name!r}")
+        return raw[name]
+
     if kind == "rf":
-        return ModelParams(kind="rf", trees=raw["trees"])
+        return ModelParams(kind="rf", trees=field("trees"))
     return ModelParams(
         kind=kind,
-        weights=np.array(raw["weights"], dtype=float),
-        bias=float(raw["bias"]),
-        feat_mean=np.array(raw["feat_mean"], dtype=float),
-        feat_std=np.array(raw["feat_std"], dtype=float),
-        constant_features=tuple(raw["constant_features"]),
+        weights=np.array(field("weights"), dtype=float),
+        bias=float(field("bias")),
+        feat_mean=np.array(field("feat_mean"), dtype=float),
+        feat_std=np.array(field("feat_std"), dtype=float),
+        constant_features=tuple(field("constant_features")),
     )

@@ -2,17 +2,22 @@
 
 Everything here is deliberately naive: union-find for components, all-pairs
 BFS for distances, exhaustive shortest-path enumeration for betweenness.
-The one exception is reference_brandes, a plain queue-based Brandes kept as
-the exact reference for graphs too large to enumerate.
+The exceptions are reference_brandes, a plain queue-based Brandes kept as
+the exact reference for graphs too large to enumerate, and reference_forest,
+a random forest that re-sorts at every node.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
+from cfgrank.learn import HyperParams
 from cfgrank.metrics import DisconnectedGraphError
 
 
@@ -182,3 +187,81 @@ def random_cfg(rng: random.Random, n: int, m: int, sample_id: str = "rand") -> C
     blocks = [BasicBlock(address=4 * i, size=4, instr_count=1) for i in range(n)]
     edges = [(4 * rng.randrange(n), 4 * rng.randrange(n)) for _ in range(m)]
     return build_cfg(sample_id, blocks, edges)
+
+
+def _gini_best_split(
+    X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray, min_leaf: int,
+) -> tuple[int, float, float] | None:
+    """Best (feature, threshold, impurity) among the sampled features.
+
+    Threshold t splits into x <= t / x > t; candidates are midpoints of
+    consecutive distinct sorted values. Returns None when nothing splits.
+    """
+    n = len(y)
+    best: tuple[int, float, float] | None = None
+    for f in feature_ids:
+        col = X[:, int(f)]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        ys = y[order]
+        # positions where the value changes: splits between i-1 and i
+        change = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+        if change.size == 0:
+            continue
+        left_pos = np.cumsum(ys)[change - 1]
+        left_n = change.astype(float)
+        total_pos = float(ys.sum())
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        ok = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not ok.any():
+            continue
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+        gini = np.where(ok, gini, np.inf)
+        i = int(np.argmin(gini))
+        score = float(gini[i])
+        if best is None or score < best[2]:
+            pos = change[i]
+            threshold = (xs[pos - 1] + xs[pos]) / 2.0
+            best = (int(f), float(threshold), score)
+    return best
+
+
+def _build_tree(
+    X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+    hyper: HyperParams, depth: int,
+) -> dict:
+    n = len(y)
+    pos = float(y.sum())
+    if pos == 0 or pos == n or n < 2 * hyper.rf_min_leaf or \
+            (hyper.rf_max_depth is not None and depth >= hyper.rf_max_depth):
+        return {"leaf": pos / n}
+    d = X.shape[1]
+    k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
+    feature_ids = rng.choice(d, size=k, replace=False)
+    split = _gini_best_split(X, y, feature_ids, hyper.rf_min_leaf)
+    if split is None:
+        return {"leaf": pos / n}
+    f, threshold, _ = split
+    mask = X[:, f] <= threshold
+    return {
+        "feature": f,
+        "threshold": threshold,
+        "left": _build_tree(X[mask], y[mask], rng, hyper, depth + 1),
+        "right": _build_tree(X[~mask], y[~mask], rng, hyper, depth + 1),
+    }
+
+
+def reference_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> list[dict]:
+    """Random forest that sorts each sampled column again at every node
+    of the expanded bootstrap sample; the exact reference for the
+    presorted grower in cfgrank.learn."""
+    n = len(y)
+    trees = []
+    for ti in range(hyper.rf_trees):
+        rng = np.random.default_rng(seed + ti)
+        sample = rng.integers(0, n, size=n)
+        trees.append(_build_tree(X[sample], y[sample], rng, hyper, depth=0))
+    return trees

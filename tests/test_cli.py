@@ -255,6 +255,42 @@ class TestTrainEvaluateCommands:
             outputs[kind] = blobs[0]
         assert len(set(outputs.values())) >= 2  # kinds actually differ
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--rf-trees", "0"), ("--rf-min-leaf", "0"), ("--rf-max-depth", "-1"),
+        ("--svm-steps", "0"), ("--logreg-epochs", "-3"), ("--rf-trees", "x"),
+        ("--svm-lambda", "0"), ("--svm-lambda", "nan"), ("--logreg-lr", "-0.1"),
+        ("--logreg-lr", "inf"), ("--logreg-l2", "-1e-4"), ("--logreg-l2", "nan"),
+    ])
+    def test_bad_hyperparameter_usage_error(self, tmp_path, command, flag, value):
+        # the CSV does not exist: the flag must be rejected before it is read
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run(command, str(tmp_path / "missing.csv"), "--kind", "rf",
+                flag, value, "-o", str(out))
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    def test_boundary_hyperparameters_accepted(self, tmp_path):
+        csv_path = tmp_path / "features.csv"
+        make_features_csv(csv_path)
+        out = tmp_path / "model.json"
+        assert run("train", str(csv_path), "--kind", "logreg", "--logreg-l2", "0",
+                   "--logreg-epochs", "1", "-o", str(out)) == 0
+        assert run("train", str(csv_path), "--kind", "rf", "--rf-trees", "1",
+                   "--rf-min-leaf", "1", "--rf-max-depth", "1", "-o", str(out)) == 0
+        assert len(json.loads(out.read_text())["trees"]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_table_exits_3(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "features.csv"
+        csv_path.write_bytes(feat.write_feature_table([]))
+        out = tmp_path / "out.json"
+        assert run(command, str(csv_path), "--kind", "rf", "-o", str(out)) == 3
+        assert capsys.readouterr().err == \
+            "cfgrank: data error: dataset has no labeled samples\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_every_subcommand_byte_identical(self, tmp_path):

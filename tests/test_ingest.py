@@ -118,6 +118,16 @@ class TestDocumentToCfg:
         g = document_to_cfg(doc)
         assert g.edge_count == 0
 
+    def test_dangling_jump_counted_and_logged(self, caplog):
+        doc = parse_cfg_json(doc_bytes(sample_id="j", functions=[
+            fn("f1", 0, [blk(0, jump=400)]),
+        ]))
+        with caplog.at_level("WARNING", logger="cfgrank.ingest"):
+            g = document_to_cfg(doc)
+        assert (g.node_count, g.edge_count) == (1, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "j: dropped 0 call(s) and 1 jump/fail edge(s) to addresses with no block"]
+
     def test_three_functions_cross_calls_match_hand_enumeration(self):
         doc = parse_cfg_json(doc_bytes(functions=[
             fn("main", 0, [blk(0, jump=8, fail=4, calls=[100]),

@@ -1,15 +1,19 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
+from cfgrank import learn
 from cfgrank.features import FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
-                           ConfusionMatrix, HyperParams, LabeledDataset,
-                           ModelParams, SingleClassError, _fit_logreg,
+                           ConfusionMatrix, EmptyDatasetError, HyperParams,
+                           LabeledDataset, LearnError, ModelParams,
+                           SingleClassError, _fit_forest, _fit_logreg,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
                            model_to_json, predict, stratified_kfold, train)
+from oracles import reference_forest
 
 
 def vec(values, label, sid="s"):
@@ -93,6 +97,14 @@ class TestTrain:
         rows = tuple(vec([float(i)], "malicious", f"m{i}") for i in range(5))
         with pytest.raises(SingleClassError):
             train("logreg", LabeledDataset(rows))
+
+    def test_empty_dataset_rejected(self):
+        empty = LabeledDataset(())
+        for kind in ("logreg", "svm", "rf"):
+            with pytest.raises(EmptyDatasetError):
+                train(kind, empty)
+            with pytest.raises(EmptyDatasetError):
+                cross_validate(kind, empty)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -276,3 +288,60 @@ class TestModelSerialization:
     def test_bad_version_rejected(self):
         with pytest.raises(Exception):
             model_from_json(b'{"version": 99, "kind": "rf", "trees": []}')
+
+    @pytest.mark.parametrize("payload,missing", [
+        ({"version": 1, "kind": "logreg"}, "weights"),
+        ({"version": 1, "kind": "rf"}, "trees"),
+        ({"version": 1, "kind": "svm", "weights": [0.0], "feat_mean": [0.0],
+          "feat_std": [1.0], "constant_features": []}, "bias"),
+    ])
+    def test_missing_field_named(self, payload, missing):
+        with pytest.raises(LearnError, match=f"missing field '{missing}'"):
+            model_from_json(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("data", [b"[1]", b"{", b"\xff"])
+    def test_malformed_model_rejected(self, data):
+        with pytest.raises(LearnError):
+            model_from_json(data)
+
+
+def forest_table(rng, n, d, values):
+    """Seeded (X, y); "ties" mimics the small-integer CFG feature columns."""
+    if values == "ties":
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+    elif values == "rounded":
+        X = np.round(rng.normal(size=(n, d)), 1)
+    else:
+        X = rng.normal(size=(n, d))
+    y = (rng.random(n) < 0.4).astype(int)
+    return X, y
+
+
+class TestForest:
+    """The presorted grower against the grower that re-sorts at every node."""
+
+    @pytest.mark.parametrize("values", ["ties", "rounded", "continuous"])
+    @pytest.mark.parametrize("min_leaf", [1, 3, 7])
+    @pytest.mark.parametrize("max_depth", [None, 2, 4])
+    def test_trees_equal_reference(self, values, min_leaf, max_depth):
+        rng = np.random.default_rng(min_leaf * 10 + (max_depth or 0))
+        hyper = HyperParams(rf_trees=3, rf_min_leaf=min_leaf, rf_max_depth=max_depth)
+        for n, d in ((12, 1), (60, 4), (150, 23)):
+            X, y = forest_table(rng, n, d, values)
+            for seed in (0, 17):
+                assert _fit_forest(X, y, hyper, seed) == \
+                    reference_forest(X, y, hyper, seed)
+
+    def test_cross_validate_and_train_equal_reference(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X, y = forest_table(rng, 200, 23, "ties")
+        data = LabeledDataset(tuple(
+            FeatureVector(f"s{i}", tuple(X[i]), "malicious" if y[i] else "benign")
+            for i in range(len(y))))
+        hyper = HyperParams(rf_trees=5)
+        results = []
+        for fit in (_fit_forest, reference_forest):
+            monkeypatch.setattr(learn, "_fit_forest", fit)
+            results.append((cross_validate("rf", data, hyper, k=10, seed=4),
+                            model_to_json(train("rf", data, hyper, seed=4))))
+        assert results[0] == results[1]
