@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import features as feat
@@ -59,13 +57,7 @@ _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                               "finite and >= 0")
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("CFGRANK_JOBS")
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+_finite_float = _checked(float, math.isfinite, "finite")
 
 
 def _write(path: Path, data: bytes):
@@ -84,39 +76,36 @@ def _parse_one(path: Path, fmt: str, call_edges: bool = True):
     return sbc.recover_cfg(program, sample_id=path.stem)
 
 
-def _map_files(paths, fn, jobs: int):
-    """Apply fn over paths, preserving path order in the results."""
-    if jobs <= 1 or len(paths) <= 1:
-        return [fn(p) for p in paths]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, paths))
+def _output_name(sample_id: str, written: set[str]) -> str:
+    """The sample_id, if it is one path component inside the output
+    directory that this run has not written yet."""
+    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
+        raise ingest.SchemaError("sample_id", f"{sample_id!r} is not a safe file name")
+    if sample_id in written:
+        raise ingest.SchemaError("sample_id", f"{sample_id!r} was already written by this run")
+    return sample_id
 
 
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
     paths = [Path(p) for p in args.paths]
-    parsed = 0
+    written: set[str] = set()
     failures: list[tuple[Path, Exception]] = []
-
-    def worker(path: Path):
+    for path in paths:
         try:
-            return path, _parse_one(path, args.format, args.call_edges), None
+            cfg = _parse_one(path, args.format, args.call_edges)
+            name = _output_name(cfg.sample_id, written)
         except (ingest.IngestError, sbc.SbcError, OSError) as e:
-            return path, None, e
-
-    for path, cfg, err in _map_files(paths, worker, args.jobs):
-        if err is not None:
-            failures.append((path, err))
+            failures.append((path, e))
             if not args.keep_going:
-                print(f"error: {path}: {err}", file=sys.stderr)
+                print(f"error: {path}: {e}", file=sys.stderr)
                 return EXIT_INPUT
             continue
-        _write(out_dir / f"{cfg.sample_id or path.stem}.graph.json",
-               ingest.write_canonical(cfg))
-        parsed += 1
+        _write(out_dir / f"{name}.graph.json", ingest.write_canonical(cfg))
+        written.add(name)
     for path, err in failures:
         print(f"failed: {path}: {err}", file=sys.stderr)
-    print(f"parsed {parsed} failed {len(failures)}")
+    print(f"parsed {len(written)} failed {len(failures)}")
     return EXIT_OK
 
 
@@ -153,7 +142,7 @@ def _load_graph_dir(graph_dir: Path):
 def cmd_features(args) -> int:
     graphs = _load_graph_dir(Path(args.graph_dir))
     graphs.sort(key=lambda g: g.sample_id)
-    rows = _map_files(graphs, feat.extract_features, args.jobs)
+    rows = [feat.extract_features(g) for g in graphs]
     if args.label:
         rows = [feat.FeatureVector(r.sample_id, r.values, args.label) for r in rows]
     _write(Path(args.out), feat.write_feature_table(rows))
@@ -259,40 +248,33 @@ def build_parser() -> _Parser:
                      description="CFG-based binary analysis and classification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=_default_jobs())
-
     p = sub.add_parser("ingest", help="convert inputs to canonical graph files")
     p.add_argument("paths", nargs="+")
     p.add_argument("--format", choices=FORMATS, required=True)
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--keep-going", action="store_true")
     p.add_argument("--no-call-edges", dest="call_edges", action="store_false")
-    common(p)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("gen", help="generate a synthetic bytecode corpus")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--profile", choices=("enmeshed", "fragmented"), required=True)
     p.add_argument("-o", "--out", required=True, help="output directory")
-    common(p)
+    p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("features", help="extract feature vectors from graphs")
     p.add_argument("graph_dir")
     p.add_argument("--label", choices=(feat.LABEL_MALICIOUS, feat.LABEL_BENIGN))
     p.add_argument("-o", "--out", required=True, help="output CSV path")
-    common(p)
     p.set_defaults(fn=cmd_features)
 
     p = sub.add_parser("analyze", help="corpus statistics, CDFs, and comparison")
     p.add_argument("graph_dirs", nargs="+")
     p.add_argument("--names", required=True, help="comma-separated corpus names")
-    p.add_argument("--threshold", type=float, default=0.2,
+    p.add_argument("--threshold", type=_finite_float, default=0.2,
                    help="avg_closeness threshold for the comparison rule")
     p.add_argument("-o", "--out", required=True, help="output JSON path")
-    common(p)
     p.set_defaults(fn=cmd_analyze)
 
     def learner(p):
@@ -306,7 +288,7 @@ def build_parser() -> _Parser:
         p.add_argument("--rf-trees", dest="rf_trees", type=_positive_int)
         p.add_argument("--rf-min-leaf", dest="rf_min_leaf", type=_positive_int)
         p.add_argument("--rf-max-depth", dest="rf_max_depth", type=_positive_int)
-        common(p)
+        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("train", help="fit one classifier and save the model")
     learner(p)

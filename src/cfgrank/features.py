@@ -102,7 +102,10 @@ def write_feature_table(rows: list[FeatureVector]) -> bytes:
 
 def parse_feature_table(data: bytes) -> list[FeatureVector]:
     """Parse and validate a feature CSV written by write_feature_table."""
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FeatureTableError(f"not valid UTF-8 at byte {e.start}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

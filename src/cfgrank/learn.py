@@ -51,26 +51,29 @@ class AllZeroMatrixError(LearnError):
         super().__init__("confusion matrix is all zeros")
 
 
-@dataclass(frozen=True)
 class LabeledDataset:
-    vectors: tuple[FeatureVector, ...]
+    """Labeled feature rows, with X (rows x N_FEATURES, float64) and y
+    (1 = malicious, 0 = benign) built once; a subset slices the arrays."""
 
-    def __post_init__(self):
+    def __init__(self, vectors: tuple[FeatureVector, ...]):
+        self.vectors = tuple(vectors)
         for v in self.vectors:
             if v.label is None:
                 raise LearnError(f"sample {v.sample_id!r} has no label")
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, y) with y=1 for malicious, 0 for benign."""
-        X = np.array([v.values for v in self.vectors], dtype=float)
-        y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in self.vectors])
-        return X, y
+        self.X = np.array([v.values for v in self.vectors],
+                          dtype=float).reshape(-1, N_FEATURES)
+        self.y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in self.vectors],
+                          dtype=np.int64)
 
     def subset(self, indices: list[int]) -> "LabeledDataset":
-        return LabeledDataset(tuple(self.vectors[i] for i in indices))
+        part = LabeledDataset.__new__(LabeledDataset)
+        part.vectors = tuple(self.vectors[i] for i in indices)
+        part.X = self.X[indices]
+        part.y = self.y[indices]
+        return part
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.y)
 
 
 @dataclass
@@ -149,30 +152,37 @@ def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, 
     return mean, std, constant
 
 
-def logreg_loss_and_grad(
+def _logreg_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean L2-regularized log loss with its gradient (bias unregularized)."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(z, grad_w, grad_b) of the mean L2-regularized log loss (bias unregularized)."""
     z = X @ w + b
-    # stable log(1 + e^-|z|) formulation
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w @ w)
     p = 1.0 / (1.0 + np.exp(-z))
     residual = p - y
     grad_w = X.T @ residual / len(y) + l2 * w
     grad_b = float(residual.mean())
+    return z, grad_w, grad_b
+
+
+def logreg_loss_and_grad(
+    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float,
+) -> tuple[float, np.ndarray, float]:
+    """Mean L2-regularized log loss with its gradient (bias unregularized)."""
+    z, grad_w, grad_b = _logreg_grad(w, b, X, y, l2)
+    # stable log(1 + e^-|z|) formulation
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w @ w)
     return loss, grad_w, grad_b
 
 
-def _fit_logreg(X: np.ndarray, y: np.ndarray, hyper: HyperParams) -> tuple[np.ndarray, float, list[float]]:
+def _fit_logreg(X: np.ndarray, y: np.ndarray, hyper: HyperParams) -> tuple[np.ndarray, float]:
+    """Full-batch gradient descent; no epoch computes the loss."""
     w = np.zeros(X.shape[1])
     b = 0.0
-    losses = []
     for _ in range(hyper.logreg_epochs):
-        loss, grad_w, grad_b = logreg_loss_and_grad(w, b, X, y, hyper.logreg_l2)
-        losses.append(loss)
+        _, grad_w, grad_b = _logreg_grad(w, b, X, y, hyper.logreg_l2)
         w = w - hyper.logreg_lr * grad_w
         b = b - hyper.logreg_lr * grad_b
-    return w, b, losses
+    return w, b
 
 
 def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tuple[np.ndarray, float]:
@@ -289,7 +299,7 @@ def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> 
     return trees
 
 
-def _tree_prob(tree: dict, x: np.ndarray) -> float:
+def _tree_prob(tree: dict, x: list[float]) -> float:
     node = tree
     while "leaf" not in node:
         node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
@@ -304,7 +314,7 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
     if not len(data):
         raise EmptyDatasetError()
     hyper = hyper or HyperParams()
-    X, y = data.arrays()
+    X, y = data.X, data.y
     if y.min() == y.max():
         raise SingleClassError(LABEL_MALICIOUS if y[0] == 1 else LABEL_BENIGN)
     if kind == "rf":
@@ -312,23 +322,34 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
     mean, std, constant = _standardize_fit(X)
     Xs = (X - mean) / std
     if kind == "logreg":
-        w, b, _ = _fit_logreg(Xs, y, hyper)
+        w, b = _fit_logreg(Xs, y, hyper)
     else:
         w, b = _fit_svm(Xs, y, hyper, seed)
     return ModelParams(kind=kind, weights=w, bias=b, feat_mean=mean,
                        feat_std=std, constant_features=constant)
 
 
+def predict_many(model: ModelParams, X: np.ndarray) -> list[str]:
+    """Classify each row of X (rows x N_FEATURES); score ties go to benign."""
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise SchemaMismatchError(f"expected rows of {N_FEATURES} features, got shape {X.shape}")
+    if model.kind == "rf":
+        # rows x trees, C order: each row's mean is the same pairwise sum
+        # as np.mean over that row's list of tree probabilities
+        probs = np.array([[_tree_prob(t, row) for t in model.trees] for row in X.tolist()],
+                         dtype=float).reshape(len(X), len(model.trees))
+        return [LABEL_MALICIOUS if p > 0.5 else LABEL_BENIGN for p in probs.mean(axis=1)]
+    Xs = (X - model.feat_mean) / model.feat_std
+    # one dot per row: a matrix-vector product may round z differently
+    return [LABEL_MALICIOUS if row @ model.weights + model.bias > 0 else LABEL_BENIGN
+            for row in Xs]
+
+
 def predict(model: ModelParams, x: FeatureVector) -> str:
     """Classify one sample; score ties go to benign."""
     if len(x.values) != N_FEATURES:
         raise SchemaMismatchError(f"expected {N_FEATURES} features, got {len(x.values)}")
-    vec = np.array(x.values, dtype=float)
-    if model.kind == "rf":
-        prob = float(np.mean([_tree_prob(t, vec) for t in model.trees]))
-        return LABEL_MALICIOUS if prob > 0.5 else LABEL_BENIGN
-    z = ((vec - model.feat_mean) / model.feat_std) @ model.weights + model.bias
-    return LABEL_MALICIOUS if z > 0 else LABEL_BENIGN
+    return predict_many(model, np.array([x.values], dtype=float))[0]
 
 
 def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
@@ -339,8 +360,8 @@ def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
     # one dealing position carried across classes, so the per-class
     # remainders spread over different folds and totals stay within 1
     pos = 0
-    for label in (LABEL_MALICIOUS, LABEL_BENIGN):
-        indices = [i for i, v in enumerate(data.vectors) if v.label == label]
+    for label, value in ((LABEL_MALICIOUS, 1), (LABEL_BENIGN, 0)):
+        indices = np.flatnonzero(data.y == value).tolist()
         if len(indices) < k:
             raise ClassTooSmallError(label, len(indices), k)
         shuffled = [indices[j] for j in rng.permutation(len(indices))]
@@ -366,16 +387,15 @@ def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = 
     tp = fn = fp = tn = 0
     for fold, (train_idx, test_idx) in enumerate(splits):
         model = train(kind, data.subset(train_idx), hyper, seed=seed + fold)
-        for i in test_idx:
-            sample = data.vectors[i]
-            predicted = predict(model, sample)
-            if sample.label == LABEL_MALICIOUS:
-                if predicted == LABEL_MALICIOUS:
+        predicted = predict_many(model, data.X[test_idx])
+        for actual, label in zip(data.y[test_idx].tolist(), predicted):
+            if actual == 1:
+                if label == LABEL_MALICIOUS:
                     tp += 1
                 else:
                     fn += 1
             else:
-                if predicted == LABEL_MALICIOUS:
+                if label == LABEL_MALICIOUS:
                     fp += 1
                 else:
                     tn += 1

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: union-find for components, all-pairs
 BFS for distances, exhaustive shortest-path enumeration for betweenness.
 The exceptions are reference_brandes, a plain queue-based Brandes kept as
-the exact reference for graphs too large to enumerate, and reference_forest,
-a random forest that re-sorts at every node.
+the exact reference for graphs too large to enumerate, reference_forest,
+a random forest that re-sorts at every node, and reference_predict, which
+classifies one sample at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
-from cfgrank.learn import HyperParams
+from cfgrank.features import LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES, FeatureVector
+from cfgrank.learn import HyperParams, ModelParams, SchemaMismatchError
 from cfgrank.metrics import DisconnectedGraphError
 
 
@@ -265,3 +267,23 @@ def reference_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int
         sample = rng.integers(0, n, size=n)
         trees.append(_build_tree(X[sample], y[sample], rng, hyper, depth=0))
     return trees
+
+
+def reference_tree_prob(tree: dict, x: np.ndarray) -> float:
+    node = tree
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["leaf"]
+
+
+def reference_predict(model: ModelParams, x: FeatureVector) -> str:
+    """Classify one sample on its own 1-D vector; the exact reference for
+    cfgrank.learn.predict_many. Score ties go to benign."""
+    if len(x.values) != N_FEATURES:
+        raise SchemaMismatchError(f"expected {N_FEATURES} features, got {len(x.values)}")
+    vec = np.array(x.values, dtype=float)
+    if model.kind == "rf":
+        prob = float(np.mean([reference_tree_prob(t, vec) for t in model.trees]))
+        return LABEL_MALICIOUS if prob > 0.5 else LABEL_BENIGN
+    z = ((vec - model.feat_mean) / model.feat_std) @ model.weights + model.bias
+    return LABEL_MALICIOUS if z > 0 else LABEL_BENIGN

@@ -92,6 +92,39 @@ class TestIngestCommand:
         assert (out / "g.graph.json").exists()
         assert (out / "p.graph.json").exists()
 
+    @pytest.mark.parametrize("sample_id", [
+        "../escaped", "", ".", "..", "a/b", "a\\b", "a\0b", "/abs"])
+    def test_unsafe_sample_id_exits_2(self, tmp_path, capsys, sample_id):
+        write_cfg_json(tmp_path / "in.json", sample_id=sample_id)
+        out = tmp_path / "out" / "graphs"
+        assert run("ingest", "--format", "cfg-json", "-o", str(out),
+                   str(tmp_path / "in.json")) == 2
+        assert "is not a safe file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.json"]
+
+    def test_unsafe_sample_id_keep_going(self, tmp_path, capsys):
+        write_cfg_json(tmp_path / "bad.json", sample_id="../escaped")
+        write_cfg_json(tmp_path / "good.json", sample_id="good")
+        out = tmp_path / "graphs"
+        assert run("ingest", "--format", "cfg-json", "-o", str(out), "--keep-going",
+                   str(tmp_path / "bad.json"), str(tmp_path / "good.json")) == 0
+        assert "parsed 1 failed 1" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.rglob("*.graph.json")) == ["good.graph.json"]
+
+    def test_duplicate_sample_id_exits_2(self, tmp_path, capsys):
+        write_cfg_json(tmp_path / "a.json", sample_id="same")
+        write_cfg_json(tmp_path / "b.json", sample_id="same", addr=100)
+        out = tmp_path / "graphs"
+        assert run("ingest", "--format", "cfg-json", "-o", str(out),
+                   str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 2
+        err = capsys.readouterr().err
+        assert "b.json" in err and "already written by this run" in err
+        first = json.loads((out / "same.graph.json").read_text())
+        assert first["nodes"][0]["addr"] == 0
+        assert run("ingest", "--format", "cfg-json", "-o", str(tmp_path / "kg"),
+                   "--keep-going", str(tmp_path / "a.json"), str(tmp_path / "b.json")) == 0
+        assert "parsed 1 failed 1" in capsys.readouterr().out
+
     def test_bad_format_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("ingest", "--format", "elf", "-o", str(tmp_path), "x")
@@ -203,6 +236,15 @@ class TestAnalyzeCommand:
             "cfgrank: input error: edge endpoint address 99 does not match any block"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_threshold_usage_error(self, tmp_path, value):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run("analyze", "--names", "a,b", "--threshold", value, "-o", str(out),
+                str(tmp_path / "a"), str(tmp_path / "b"))
+        assert exc.value.code == 1
+        assert not out.exists()
+
     def test_names_mismatch_usage_error(self, tmp_path):
         enm = self._gen_graph_dir(tmp_path, "enmeshed", "e2", count=2)
         assert run("analyze", "--names", "a,b", "-o",
@@ -282,6 +324,16 @@ class TestTrainEvaluateCommands:
         assert len(json.loads(out.read_text())["trees"]) == 1
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_non_utf8_table_exits_2(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "features.csv"
+        csv_path.write_bytes(b"sample_id,label\n\xff\n")
+        out = tmp_path / "out.json"
+        assert run(command, str(csv_path), "--kind", "rf", "-o", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "cfgrank: input error: not valid UTF-8 at byte 16\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_empty_table_exits_3(self, tmp_path, capsys, command):
         csv_path = tmp_path / "features.csv"
         csv_path.write_bytes(feat.write_feature_table([]))
@@ -290,6 +342,22 @@ class TestTrainEvaluateCommands:
         assert capsys.readouterr().err == \
             "cfgrank: data error: dataset has no labeled samples\n"
         assert not out.exists()
+
+
+class TestRemovedFlags:
+    @pytest.mark.parametrize("argv", [
+        ("features", "graphs", "--jobs", "2", "-o", "f.csv"),
+        ("analyze", "graphs", "--names", "a", "--seed", "1", "-o", "r.json"),
+        ("features", "graphs", "--seed", "1", "-o", "f.csv"),
+        ("ingest", "x.json", "--format", "cfg-json", "--seed", "1", "-o", "out"),
+        ("evaluate", "f.csv", "--kind", "rf", "--jobs", "2"),
+    ])
+    def test_usage_error(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -12,8 +12,9 @@ from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            SingleClassError, _fit_forest, _fit_logreg,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
-                           model_to_json, predict, stratified_kfold, train)
-from oracles import reference_forest
+                           model_to_json, predict, predict_many,
+                           stratified_kfold, train)
+from oracles import reference_forest, reference_predict, reference_tree_prob
 
 
 def vec(values, label, sid="s"):
@@ -127,13 +128,34 @@ class TestTrain:
         assert abs(grad_b - fd_b) <= 1e-6 * max(1.0, abs(fd_b))
 
     def test_logreg_loss_nonincreasing(self):
+        # _fit_logreg computes no loss: replay its epochs with the loss
+        # function, which must land on the very same weights
         rng = np.random.default_rng(8)
+        hyper = HyperParams(logreg_epochs=200)
         for _ in range(5):
             X = rng.normal(size=(30, 5))
             X = (X - X.mean(axis=0)) / X.std(axis=0)
             y = rng.integers(0, 2, size=30)
-            _, _, losses = _fit_logreg(X, y, HyperParams(logreg_epochs=200))
+            w, b = np.zeros(5), 0.0
+            losses = []
+            for _ in range(hyper.logreg_epochs):
+                loss, grad_w, grad_b = logreg_loss_and_grad(w, b, X, y, hyper.logreg_l2)
+                losses.append(loss)
+                w = w - hyper.logreg_lr * grad_w
+                b = b - hyper.logreg_lr * grad_b
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+            fit_w, fit_b = _fit_logreg(X, y, hyper)
+            assert fit_w.tolist() == w.tolist() and fit_b == b
+
+    def test_subset_slices_the_arrays(self):
+        data = gaussian_dataset(random.Random(12), 15, 15)
+        idx = [0, 3, 4, 17, 29]
+        part = data.subset(idx)
+        rebuilt = LabeledDataset(tuple(data.vectors[i] for i in idx))
+        assert part.vectors == rebuilt.vectors
+        assert part.X.tolist() == rebuilt.X.tolist() and part.X.shape == (5, 23)
+        assert part.y.tolist() == rebuilt.y.tolist() == [1, 1, 1, 0, 0]
+        assert len(part) == 5
 
     def test_feature_scale_invariance(self):
         rng = random.Random(9)
@@ -150,6 +172,10 @@ class TestTrain:
             model_b = train(kind, scaled, seed=3)
             for r_a, r_b in zip(data.vectors, scaled.vectors):
                 assert predict(model_a, r_a) == predict(model_b, r_b)
+
+
+def stump(f, t, lo, hi):
+    return {"feature": f, "threshold": t, "left": {"leaf": lo}, "right": {"leaf": hi}}
 
 
 class TestPredict:
@@ -171,10 +197,6 @@ class TestPredict:
             assert predict(model, x) == "benign"
 
     def test_hand_built_stumps(self):
-        def stump(f, t, lo, hi):
-            return {"feature": f, "threshold": t,
-                    "left": {"leaf": lo}, "right": {"leaf": hi}}
-
         model = ModelParams(kind="rf", trees=[
             stump(0, 0.5, 0.0, 1.0),
             stump(1, 0.5, 0.0, 1.0),
@@ -207,6 +229,108 @@ class TestPredict:
             if forest_acc >= best_single:
                 wins += 1
         assert wins >= 0.9 * trials
+
+
+def as_vectors(X):
+    return [FeatureVector(f"s{i}", tuple(r), None) for i, r in enumerate(X.tolist())]
+
+
+class TestPredictMany:
+    """Whole-table prediction against reference_predict, one sample at a time."""
+
+    def check(self, model, X):
+        expected = [reference_predict(model, v) for v in as_vectors(X)]
+        assert predict_many(model, X) == expected
+        return expected
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 8, 9, 100])
+    def test_trained_forest(self, n_trees):
+        rng = np.random.default_rng(n_trees)
+        X, y = forest_table(rng, 200, 23, "rounded")
+        hyper = HyperParams(rf_trees=n_trees, rf_max_depth=4)
+        model = ModelParams(kind="rf", trees=_fit_forest(X, y, hyper, seed=n_trees))
+        labels = self.check(model, np.vstack([X, np.round(rng.normal(size=(200, 23)), 1)]))
+        assert len(set(labels)) == 2
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 8, 9, 100])
+    def test_forest_probability_exactly_half(self, n_trees):
+        # leaves 0, 1/2 and 1 sum exactly, so many rows score exactly 0.5
+        rng = np.random.default_rng(50 + n_trees)
+        trees = [stump(0, 0.0, 0.5, 1.0)] if n_trees % 2 else []
+        for f, g in rng.integers(0, 23, size=(n_trees // 2, 2)).tolist():
+            trees += [stump(f, 0.0, 1.0, 0.0), stump(g, 0.0, 0.0, 1.0)]
+        model = ModelParams(kind="rf", trees=trees)
+        X = rng.normal(size=(300, 23))
+        probs = [np.mean([reference_tree_prob(t, row) for t in trees]) for row in X]
+        assert 0.5 in probs and any(p > 0.5 for p in probs)
+        self.check(model, X)
+
+    @pytest.mark.parametrize("n_trees", [8, 9, 100])
+    def test_forest_mean_is_pairwise(self, n_trees):
+        # constant trees whose np.mean (a pairwise sum) and left-to-right
+        # sum fall on different sides of 0.5
+        rng = np.random.default_rng(n_trees)
+        for _ in range(1000):
+            v = rng.random(n_trees)
+            leaves = np.clip(v - v.mean() + 0.5, 0.0, 1.0)
+            if (np.mean(leaves) > 0.5) != (sum(leaves.tolist()) / n_trees > 0.5):
+                break
+        else:
+            pytest.fail("no leaf values found")
+        model = ModelParams(kind="rf", trees=[{"leaf": v} for v in leaves.tolist()])
+        self.check(model, np.zeros((5, 23)))
+
+    def test_linear_margin_is_one_dot_per_row(self):
+        # a bias that makes one row's margin exactly 0 under a 1-D dot; a
+        # matrix-vector product may round that margin to either side
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(200, 23))
+        w = rng.normal(size=23)
+        dots = np.array([row @ w for row in X])
+        differ = np.flatnonzero(X @ w > dots)
+        i = int(differ[0]) if differ.size else 0
+        model = ModelParams(kind="logreg", weights=w, bias=-float(dots[i]),
+                            feat_mean=np.zeros(23), feat_std=np.ones(23))
+        assert self.check(model, X)[i] == "benign"
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm"])
+    def test_linear(self, kind):
+        rng = np.random.default_rng(7)
+        X, y = forest_table(rng, 120, 23, "continuous")
+        data = LabeledDataset(tuple(
+            FeatureVector(f"s{i}", tuple(X[i]), "malicious" if y[i] else "benign")
+            for i in range(len(y))))
+        model = train(kind, data, seed=2)
+        labels = self.check(model, np.vstack([X, rng.normal(size=(200, 23))]))
+        assert len(set(labels)) == 2
+        # margin exactly 0: unweighted features vary, weighted ones sit at the mean
+        model.weights[::2] = 0.0
+        model.bias = 0.0
+        X0 = np.tile(model.feat_mean, (50, 1))
+        X0[:, ::2] = rng.normal(size=(50, 12))
+        assert self.check(model, X0) == ["benign"] * 50
+
+    def test_wrong_width_rejected(self):
+        model = ModelParams(kind="rf", trees=[{"leaf": 1.0}])
+        for shape in ((3, 22), (23,)):
+            with pytest.raises(learn.SchemaMismatchError):
+                predict_many(model, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm", "rf"])
+    def test_cross_validate_equals_per_sample_loop(self, kind):
+        data = gaussian_dataset(random.Random(21), 40, 30, shift=1.0)
+        hyper = HyperParams(rf_trees=5)
+        counts = {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
+        for fold, (train_idx, test_idx) in enumerate(stratified_kfold(data, k=5, seed=3)):
+            model = train(kind, LabeledDataset(tuple(data.vectors[i] for i in train_idx)),
+                          hyper, seed=3 + fold)
+            for i in test_idx:
+                malicious = reference_predict(model, data.vectors[i]) == "malicious"
+                actual = data.vectors[i].label == "malicious"
+                counts[("t" if malicious == actual else "f")
+                       + ("p" if malicious else "n")] += 1
+        matrix, _ = cross_validate(kind, data, hyper, k=5, seed=3)
+        assert matrix == ConfusionMatrix(**{key: v / 5 for key, v in counts.items()})
 
 
 class TestStratifiedKfold:
