@@ -10,11 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-from . import features as feat
-from . import graph, ingest, learn, report, sbc
+# numpy's OpenBLAS starts a spinning worker thread per core as it loads; the
+# feature matrices are 23 columns wide, so one thread is all they can use.
+# Set before the package imports below load numpy; a value set by the user wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import features as feat  # noqa: E402
+from . import graph, ingest, learn, report, sbc  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1

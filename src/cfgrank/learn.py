@@ -417,11 +417,55 @@ def model_to_json(model: ModelParams) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _feature_index(value) -> bool:
+    return type(value) is int and 0 <= value < N_FEATURES
+
+
+def _check_forest(trees) -> None:
+    """Every node of every tree is a leaf with a probability, or a split on
+    a feature index with a finite threshold and two children. An explicit
+    stack, so a deep tree cannot exhaust the recursion limit."""
+    if not isinstance(trees, list) or not trees:
+        raise LearnError("rf model needs a non-empty list of trees")
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            raise LearnError("rf tree node is not an object")
+        if "leaf" in node:
+            if not (_finite(node["leaf"]) and 0 <= node["leaf"] <= 1):
+                raise LearnError(f"rf leaf value {node['leaf']!r} is not a number in [0, 1]")
+            continue
+        if not _feature_index(node.get("feature")):
+            raise LearnError(f"rf split feature {node.get('feature')!r} is not an index "
+                             f"below {N_FEATURES}")
+        if not _finite(node.get("threshold")):
+            raise LearnError(f"rf split threshold {node.get('threshold')!r} is not finite")
+        for side in ("left", "right"):
+            if side not in node:
+                raise LearnError(f"rf split node has no {side!r} child")
+            stack.append(node[side])
+
+
 def model_from_json(data: bytes) -> ModelParams:
+    """Read a model_to_json payload; anything predict could not use raises
+    a LearnError."""
     try:
         raw = json.loads(data.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
         raise LearnError(f"model is not UTF-8 JSON: {e}") from None
+    except RecursionError:
+        raise LearnError("model JSON is nested too deeply") from None
     if not isinstance(raw, dict):
         raise LearnError("model is not a JSON object")
     if raw.get("version") != MODEL_FORMAT_VERSION:
@@ -436,12 +480,29 @@ def model_from_json(data: bytes) -> ModelParams:
         return raw[name]
 
     if kind == "rf":
-        return ModelParams(kind="rf", trees=field("trees"))
+        trees = field("trees")
+        _check_forest(trees)
+        return ModelParams(kind="rf", trees=trees)
+    fields = {name: field(name) for name in
+              ("weights", "bias", "feat_mean", "feat_std", "constant_features")}
+    for name in ("weights", "feat_mean", "feat_std"):
+        values = fields[name]
+        if not (isinstance(values, list) and len(values) == N_FEATURES
+                and all(_finite(v) for v in values)):
+            raise LearnError(f"{kind} model field {name!r} is not {N_FEATURES} finite numbers")
+    if not all(v > 0 for v in fields["feat_std"]):
+        raise LearnError(f"{kind} model field 'feat_std' has a value <= 0")
+    if not _finite(fields["bias"]):
+        raise LearnError(f"{kind} model field 'bias' is not a finite number")
+    constant = fields["constant_features"]
+    if not (isinstance(constant, list) and all(_feature_index(i) for i in constant)):
+        raise LearnError(f"{kind} model field 'constant_features' is not a list of "
+                         f"indices below {N_FEATURES}")
     return ModelParams(
         kind=kind,
-        weights=np.array(field("weights"), dtype=float),
-        bias=float(field("bias")),
-        feat_mean=np.array(field("feat_mean"), dtype=float),
-        feat_std=np.array(field("feat_std"), dtype=float),
-        constant_features=tuple(field("constant_features")),
+        weights=np.array(fields["weights"], dtype=float),
+        bias=float(fields["bias"]),
+        feat_mean=np.array(fields["feat_mean"], dtype=float),
+        feat_std=np.array(fields["feat_std"], dtype=float),
+        constant_features=tuple(constant),
     )

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfgrank
 from cfgrank import features as feat
 from cfgrank import ingest, sbc
 from cfgrank.cli import main
@@ -381,3 +386,28 @@ class TestDeterminism:
         assert files1 == files2
         for rel in files1:
             assert (r1 / rel).read_bytes() == (r2 / rel).read_bytes()
+
+
+class TestBlasThreads:
+    """Importing the CLI caps OpenBLAS at one thread unless the user chose."""
+
+    def import_cli(self, **env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = str(Path(cfgrank.__file__).resolve().parents[1])
+        code = ("import os, cfgrank.cli; "
+                "task = '/proc/self/task'; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                "len(os.listdir(task)) if os.path.isdir(task) else -1)")
+        done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                              capture_output=True, text=True, timeout=60, check=True)
+        value, threads = done.stdout.split()
+        return value, int(threads)
+
+    def test_unset_becomes_one_thread(self):
+        value, threads = self.import_cli()
+        assert value == "1"
+        assert threads in (1, -1)  # -1: no /proc to count threads in
+
+    def test_user_value_kept(self):
+        value, _ = self.import_cli(OPENBLAS_NUM_THREADS="3")
+        assert value == "3"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cfgrank import learn
-from cfgrank.features import FeatureVector
+from cfgrank.features import LABEL_MALICIOUS, N_FEATURES, FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, LearnError, ModelParams,
@@ -427,6 +427,90 @@ class TestModelSerialization:
     def test_malformed_model_rejected(self, data):
         with pytest.raises(LearnError):
             model_from_json(data)
+
+
+def rf_payload(trees):
+    return json.dumps({"version": 1, "kind": "rf", "trees": trees}).encode()
+
+
+def linear_payload(**changes):
+    payload = {"version": 1, "kind": "logreg", "weights": [0.5] * N_FEATURES,
+               "bias": 0.25, "feat_mean": [0.0] * N_FEATURES,
+               "feat_std": [1.0] * N_FEATURES, "constant_features": [3]}
+    payload.update(changes)
+    return json.dumps(payload).encode()
+
+
+LEAF = {"leaf": 0.5}
+
+
+class TestModelValidation:
+    """model_from_json rejects every model predict could not use."""
+
+    @pytest.mark.parametrize("trees", [
+        [],
+        "abc",
+        [{"feature": 99, "threshold": 0.0, "left": LEAF, "right": LEAF}],
+        [{"feature": -1, "threshold": 0.0, "left": LEAF, "right": LEAF}],
+        [{"feature": True, "threshold": 0.0, "left": LEAF, "right": LEAF}],
+        [{"feature": 1.0, "threshold": 0.0, "left": LEAF, "right": LEAF}],
+        [{"feature": 0, "threshold": "x", "left": LEAF, "right": LEAF}],
+        [{"feature": 0, "threshold": 0.0, "left": LEAF}],
+        [{"leaf": "x"}],
+        [{"leaf": 1.5}],
+        [{"leaf": True}],
+        [LEAF, "leaf"],
+        [{"feature": 0, "threshold": 0.0, "left": LEAF,
+          "right": {"feature": 0, "threshold": 1.0, "left": LEAF, "right": {"leaf": -0.1}}}],
+    ], ids=["empty", "not-a-list", "feature-99", "feature-negative", "feature-bool",
+            "feature-float", "threshold-str", "no-right", "leaf-str", "leaf-above-1",
+            "leaf-bool", "node-not-object", "deep-bad-leaf"])
+    def test_bad_forest(self, trees):
+        with pytest.raises(LearnError):
+            model_from_json(rf_payload(trees))
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_threshold(self, text):
+        data = rf_payload([{"feature": 0, "threshold": 0, "left": LEAF, "right": LEAF}])
+        with pytest.raises(LearnError):
+            model_from_json(data.replace(b'"threshold": 0', f'"threshold": {text}'.encode()))
+
+    def test_deeply_nested_json(self):
+        node = "{\"feature\": 0, \"threshold\": 0, \"left\": " * 5000 + "{\"leaf\": 0}" + "}" * 5000
+        with pytest.raises(LearnError):
+            model_from_json(b'{"version": 1, "kind": "rf", "trees": [' + node.encode() + b"]}")
+
+    @pytest.mark.parametrize("changes", [
+        {"weights": [0.5]},
+        {"weights": [0.5] * (N_FEATURES - 1) + ["x"]},
+        {"weights": "abc"},
+        {"feat_mean": [0.0] * (N_FEATURES + 1)},
+        {"feat_std": [1.0] * (N_FEATURES - 1) + [0.0]},
+        {"feat_std": [1.0] * (N_FEATURES - 1) + [-2.0]},
+        {"bias": "x"},
+        {"bias": True},
+        {"constant_features": [N_FEATURES]},
+        {"constant_features": [False]},
+        {"constant_features": 3},
+    ], ids=["one-weight", "weight-str", "weights-str", "mean-long", "std-zero",
+            "std-negative", "bias-str", "bias-bool", "constant-out-of-range",
+            "constant-bool", "constant-not-list"])
+    def test_bad_linear_model(self, changes):
+        with pytest.raises(LearnError):
+            model_from_json(linear_payload(**changes))
+
+    def test_non_finite_linear_values(self):
+        with pytest.raises(LearnError):
+            model_from_json(linear_payload().replace(b'"bias": 0.25', b'"bias": Infinity'))
+        with pytest.raises(LearnError):
+            model_from_json(linear_payload().replace(b"[0.0, ", b"[NaN, ", 1))
+
+    def test_valid_hand_written_models_load(self):
+        rf = model_from_json(rf_payload(
+            [{"feature": 0, "threshold": 0, "left": {"leaf": 0}, "right": {"leaf": 1}}]))
+        assert predict_many(rf, np.array([[1.0] * N_FEATURES])) == [LABEL_MALICIOUS]
+        linear = model_from_json(linear_payload())
+        assert linear.constant_features == (3,)
 
 
 def forest_table(rng, n, d, values):

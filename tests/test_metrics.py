@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import (DisconnectedGraphError, PathStats, betweenness,
-                             closeness, degree_centrality, density,
-                             level_closeness, shortest_path_stats, summary_stats,
-                             sweep)
+                             closeness, closeness_many, degree_centrality,
+                             density, shortest_path_stats, summary_stats, sweep)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      diamond_chain, random_cfg, random_connected_cfg,
                      reference_brandes)
@@ -180,7 +180,7 @@ class TestSweep:
             swept = sweep(adj)
             assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
             assert dict(enumerate(swept.closeness)) == brute_closeness(g)
-            assert level_closeness(adj) == swept.closeness
+            assert closeness_many([adj]) == [swept.closeness]
             dist = all_pairs_distances(g)
             values = [float(dist[(u, v)]) for u in range(n) for v in range(u + 1, n)]
             expected = summary_stats(values) if values else PathStats(0, 0, 0, 0, 0)
@@ -191,7 +191,7 @@ class TestSweep:
         with pytest.raises(DisconnectedGraphError):
             sweep(adj)
         with pytest.raises(DisconnectedGraphError):
-            level_closeness(adj)
+            closeness_many([adj])
 
     def test_networkx_at_300_nodes(self):
         nx = pytest.importorskip("networkx")
@@ -204,9 +204,80 @@ class TestSweep:
         want_c = nx.closeness_centrality(h)
         got_b = betweenness(g)
         got_c = closeness(g)
+        [got_many] = closeness_many([g.undirected_adjacency()])
         for u in range(g.node_count):
             assert abs(got_b[u] - want_b[u]) <= 1e-12
             assert abs(got_c[u] - want_c[u]) <= 1e-12
+            assert abs(got_many[u] - want_c[u]) <= 1e-12
+
+
+def path_adj(n):
+    return [[v for v in (u - 1, u + 1) if 0 <= v < n] for u in range(n)]
+
+
+class TestClosenessMany:
+    """The bit-parallel kernel against the per-source sweep and brute force,
+    compared with ==."""
+
+    def test_batch_of_random_graphs_in_input_order(self):
+        # 1..200 nodes: word widths 1 to 4 share one call, interleaved
+        rng = random.Random(2002)
+        graphs = []
+        for _ in range(200):
+            n = rng.randint(1, 200)
+            graphs.append(random_connected_cfg(rng, n, rng.randint(0, n)))
+        adjs = [g.undirected_adjacency() for g in graphs]
+        got = closeness_many(adjs)
+        assert len(got) == len(graphs)
+        for g, adj, scores in zip(graphs, adjs, got):
+            assert scores == sweep(adj).closeness
+            assert dict(enumerate(scores)) == brute_closeness(g)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129])
+    def test_word_boundaries(self, n):
+        rng = random.Random(n)
+        g = random_connected_cfg(rng, n, n // 2)
+        adjs = [path_adj(n), g.undirected_adjacency()]
+        got = closeness_many(adjs)
+        assert got == [sweep(adj).closeness for adj in adjs]
+        assert got[1] == list(brute_closeness(g).values())
+
+    def test_diamond_chain(self):
+        g = diamond_chain(72)
+        assert closeness_many([g.undirected_adjacency()]) == [
+            list(brute_closeness(g).values())]
+
+    def test_singleton_in_a_batch(self):
+        assert closeness_many([path_adj(3), [[]], path_adj(2)]) == [
+            [2 / 3, 1.0, 2 / 3], [0.0], [1.0, 1.0]]
+
+    def test_batches_of_a_word_group_agree(self, monkeypatch):
+        rng = random.Random(2003)
+        graphs = [random_connected_cfg(rng, n, n) for n in rng.choices(range(2, 150), k=40)]
+        adjs = [g.undirected_adjacency() for g in graphs]
+        whole = closeness_many(adjs)
+        # a few small graphs per pass, every graph of 65 nodes or more alone
+        monkeypatch.setattr(metrics, "BATCH_WORDS", 100)
+        assert closeness_many(adjs) == whole
+        assert whole == [sweep(adj).closeness for adj in adjs]
+
+    def test_accepts_a_generator(self):
+        assert closeness_many(path_adj(n) for n in (1, 3)) == [[0.0], [2 / 3, 1.0, 2 / 3]]
+
+    @pytest.mark.parametrize("adj", [
+        [[], [2], [1]],  # isolated node first
+        [[1], [0], []],  # isolated node last
+        [[1], [0], [3], [2]],  # two edged components
+    ], ids=["isolated-first", "isolated-last", "two-components"])
+    def test_disconnected_rejected(self, adj):
+        with pytest.raises(DisconnectedGraphError):
+            closeness_many([adj])
+
+    def test_one_bad_graph_in_a_batch(self):
+        good = [path_adj(n) for n in (2, 5, 70)]
+        bad = path_adj(3) + [[4], [3]]
+        with pytest.raises(DisconnectedGraphError):
+            closeness_many(good[:2] + [bad] + good[2:])
 
 
 class TestDensity:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgrank.graph import BasicBlock, build_cfg, weak_components
+from cfgrank.graph import BasicBlock, build_cfg, induced_subgraph, weak_components
+from cfgrank.metrics import sweep
 from cfgrank.report import (ComparisonSummary, ReportError, UnknownMetricError,
                             cdf_csv, compare, corpus_stats, empirical_cdf,
                             stats_to_dict)
@@ -79,6 +80,16 @@ class TestCorpusStats:
         stats = corpus_stats(graphs, "frag")
         multi = sum(1 for r in stats.per_sample if r.component_count >= 2)
         assert multi == len(stats.per_sample)
+
+    def test_avg_closeness_is_mean_sweep_closeness(self):
+        graphs = [recover_cfg(p, f"{profile}-{i}")
+                  for profile in ("enmeshed", "fragmented")
+                  for i, p in enumerate(generate_corpus(400, profile, 11))]
+        stats = corpus_stats(graphs, "both")
+        for g, row in zip(graphs, stats.per_sample):
+            largest = induced_subgraph(g, set(weak_components(g).largest_component))
+            scores = sweep(largest.undirected_adjacency()).closeness
+            assert row.avg_closeness == sum(scores) / len(scores)
 
     def test_file_sizes_carried(self):
         stats = corpus_stats([singleton("a")], "c", file_sizes={"a": 123})
