@@ -38,6 +38,10 @@ class InputError(Exception):
     pass
 
 
+class DataError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for parse errors
     def error(self, message):
@@ -69,6 +73,16 @@ _finite_float = _checked(float, math.isfinite, "finite")
 def _write(path: Path, data: bytes):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
+
+
+def _json_line(payload) -> bytes:
+    """Compact JSON with sorted keys on one line; a NaN or an infinity,
+    which JSON cannot hold, is a data error."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise DataError(str(e)) from None
+    return (text + "\n").encode("utf-8")
 
 
 def _parse_one(path: Path, fmt: str, call_edges: bool = True):
@@ -128,9 +142,8 @@ def cmd_gen(args) -> int:
         manifest.append({"sample_id": sample_id, "seed": args.seed + i,
                          "file": f"{sample_id}.sbc"})
     _write(out_dir / "manifest.json",
-           (json.dumps({"profile": args.profile, "count": args.count,
-                        "seed": args.seed, "samples": manifest},
-                       sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
+           _json_line({"profile": args.profile, "count": args.count,
+                       "seed": args.seed, "samples": manifest}))
     print(f"generated {args.count} {args.profile} sample(s) in {out_dir}")
     return EXIT_OK
 
@@ -148,7 +161,7 @@ def _load_graph_dir(graph_dir: Path):
 def cmd_features(args) -> int:
     graphs = _load_graph_dir(Path(args.graph_dir))
     graphs.sort(key=lambda g: g.sample_id)
-    rows = [feat.extract_features(g) for g in graphs]
+    rows = feat.extract_features_many(graphs)
     if args.label:
         rows = [feat.FeatureVector(r.sample_id, r.values, args.label) for r in rows]
     _write(Path(args.out), feat.write_feature_table(rows))
@@ -183,8 +196,7 @@ def cmd_analyze(args) -> int:
         "corpora": [report.stats_to_dict(s) for s in all_stats],
         "comparisons": comparisons,
     }
-    _write(Path(args.out),
-           (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
+    _write(Path(args.out), _json_line(payload))
     print(f"analyzed {len(all_stats)} corpus(es) into {args.out}")
     return EXIT_OK
 
@@ -244,8 +256,7 @@ def cmd_evaluate(args) -> int:
             },
             "metrics": dict(zip(("fnr", "fpr", "fdr", "for", "f1", "ar"), values)),
         }
-        _write(Path(args.out),
-               (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8"))
+        _write(Path(args.out), _json_line(payload))
     return EXIT_OK
 
 
@@ -321,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ingest.IngestError, sbc.SbcError) as e:
         print(f"cfgrank: input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except learn.LearnError as e:
+    except (DataError, learn.LearnError) as e:
         print(f"cfgrank: data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import metrics
@@ -68,20 +70,45 @@ def _stat_tuple(s: metrics.PathStats) -> tuple[float, ...]:
     return (s.min, s.max, s.mean, s.median, s.std)
 
 
-def extract_features(g: Cfg) -> FeatureVector:
-    """Compute the frozen 23-entry descriptor of one CFG."""
+def _largest_component(g: Cfg) -> tuple[list[list[int]], set[int]]:
+    """The undirected adjacency and the self-loop nodes of g's largest weak
+    component."""
     largest = induced_subgraph(g, set(weak_components(g).largest_component))
-    adj = largest.undirected_adjacency()
-    swept = metrics.sweep(adj)
+    return largest.undirected_adjacency(), largest.self_loop_nodes()
+
+
+def extract_features(g: Cfg, component: tuple[list[list[int]], set[int]] | None = None,
+                     swept: metrics.Sweep | None = None) -> FeatureVector:
+    """Compute the frozen 23-entry descriptor of one CFG.
+
+    component is _largest_component(g) and swept is metrics.sweep of its
+    adjacency; each is computed here unless the caller already has it.
+    """
+    adj, loops = component or _largest_component(g)
+    swept = swept or metrics.sweep(adj)
     values: list[float] = []
-    for scores in (swept.betweenness(), swept.closeness,
-                   metrics.degree_scores(adj, largest.self_loop_nodes())):
+    for scores in (swept.betweenness(), swept.closeness, metrics.degree_scores(adj, loops)):
         values.extend(_stat_tuple(metrics.summary_stats(scores)))
     values.extend(_stat_tuple(swept.path_stats()))
     values.append(metrics.density(g))
     values.append(float(g.node_count))
     values.append(float(g.edge_count))
     return FeatureVector(sample_id=g.sample_id, values=tuple(values))
+
+
+def extract_features_many(graphs: Iterable[Cfg]) -> list[FeatureVector]:
+    """extract_features of each CFG, in input order, from one
+    metrics.sweep_many call over their largest components; a component is
+    kept only until its sweep comes back."""
+    pending: deque[tuple[Cfg, tuple[list[list[int]], set[int]]]] = deque()
+
+    def adjacencies():
+        for g in graphs:
+            pending.append((g, _largest_component(g)))
+            yield pending[-1][1][0]
+
+    return [extract_features(*pending.popleft(), swept)
+            for swept in metrics.sweep_many(adjacencies())]
 
 
 def _header() -> list[str]:

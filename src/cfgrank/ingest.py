@@ -233,7 +233,8 @@ def write_canonical(g: Cfg) -> bytes:
             [g.blocks[u].address, g.blocks[v].address] for u, v in g.edges
         ),
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def parse_canonical(data: bytes) -> Cfg:

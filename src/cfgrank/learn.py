@@ -51,6 +51,12 @@ class AllZeroMatrixError(LearnError):
         super().__init__("confusion matrix is all zeros")
 
 
+class NonFiniteModelError(LearnError):
+    def __init__(self, kind: str):
+        super().__init__(f"{kind} model has a NaN or infinite parameter; "
+                         "JSON cannot hold it")
+
+
 class LabeledDataset:
     """Labeled feature rows, with X (rows x N_FEATURES, float64) and y
     (1 = malicious, 0 = benign) built once; a subset slices the arrays."""
@@ -414,7 +420,11 @@ def model_to_json(model: ModelParams) -> bytes:
         payload["feat_mean"] = list(model.feat_mean)
         payload["feat_std"] = list(model.feat_std)
         payload["constant_features"] = list(model.constant_features)
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NonFiniteModelError(model.kind) from None
+    return (text + "\n").encode("utf-8")
 
 
 def _finite(value) -> bool:

@@ -7,15 +7,15 @@ is defined on the full directed graph.
 
 Betweenness, closeness and the path statistics all come from sweep(), one
 Brandes pass per source over an adjacency the caller builds once; the
-per-Cfg functions are views over it. closeness_many() gives the same
-closeness for many graphs at once, from a bit-parallel BFS with no path
-counts.
+per-Cfg functions are views over it. sweep_many() gives the same Sweep for
+many graphs at once, many sources per numpy pass; closeness_many() gives
+the same closeness from a bit-parallel BFS with no path counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -28,6 +28,16 @@ from .graph import Cfg
 # (16 MiB) in one pass, unless a single graph needs more; a corpus of large
 # graphs takes several passes instead of gigabytes
 BATCH_WORDS = 1 << 21
+
+# one sweep_many pass holds at most this many slots, sources x (n + 2m)
+# summed over its graphs: one per (source, node) pair and one per (source,
+# edge end), so the largest BFS level's candidates are bounded too; a graph
+# too big for it is swept in blocks of sources (one source at the least)
+SWEEP_SLOTS = 1 << 18
+
+# float64 counts shortest paths exactly below this; sweep() takes any graph
+# with more
+_EXACT_SIGMA = 2.0 ** 53
 
 
 class DisconnectedGraphError(ValueError):
@@ -150,6 +160,159 @@ def sweep(adj: list[list[int]]) -> Sweep:
     return Sweep(raw, close, [h // 2 for h in hops])
 
 
+def sweep_many(adjs: Iterable[list[list[int]]]) -> Iterator[Sweep]:
+    """sweep() of each connected graph, bit for bit, in input order.
+
+    Source-batched Brandes (McLaughlin & Bader, SC 2014): graphs are packed
+    into int arrays as they arrive and gathered into groups of at most
+    SWEEP_SLOTS slots; each group is searched one BFS level at a time for
+    all its sources together, and its Sweeps are yielded as it finishes, so
+    adjs may be a generator that is read at most one graph past the group.
+    A graph whose path counts reach 2**53, where float64 stops counting
+    exactly, is swept again by sweep().
+    """
+    group: list[tuple[np.ndarray, np.ndarray]] = []
+    slots = 0
+    for adj in adjs:
+        deg, nbrs = _pack(adj)
+        size = len(deg) * (len(deg) + len(nbrs))
+        if group and slots + size > SWEEP_SLOTS:
+            yield from _sweep_group(group)
+            group, slots = [], 0
+        group.append((deg, nbrs))
+        slots += size
+    if group:
+        yield from _sweep_group(group)
+
+
+def _pack(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """An adjacency as int32 arrays: the degrees, and the lists end to end."""
+    return (np.fromiter(map(len, adj), np.int32, len(adj)),
+            np.fromiter(chain.from_iterable(adj), np.int32))
+
+
+def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
+    """Sweeps of packed graphs that fit SWEEP_SLOTS together, or of one graph
+    that does not, taken in blocks of sources that do."""
+    sizes = [len(deg) for deg, _ in graphs]
+    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    deg = np.concatenate([deg for deg, _ in graphs])
+    # one node numbering for the group: graph j's nodes start at firsts[j]
+    csr = (np.concatenate(([0], np.cumsum(deg))), deg,
+           np.concatenate([nbrs + first for (_, nbrs), first in zip(graphs, firsts)]))
+    if len(graphs) > 1:
+        blocks = [[(first, size, 0, size) for first, size in zip(firsts, sizes)]]
+    else:
+        n = sizes[0]
+        step = max(1, SWEEP_SLOTS // (n + len(csr[2])))
+        blocks = [[(0, n, s, min(s + step, n))] for s in range(0, n, step)]
+    raw = np.zeros(len(deg))
+    close = np.zeros(len(deg))
+    hists = [np.zeros(1, np.intp) for _ in graphs]
+    exact = [True] * len(graphs)
+    for segs in blocks:
+        for j, (hist, top) in enumerate(_brandes_block(csr, segs, raw, close)):
+            exact[j] = exact[j] and top < _EXACT_SIGMA
+            if len(hist) > len(hists[j]):
+                hist[:len(hists[j])] += hists[j]
+                hists[j] = hist
+            else:
+                hists[j][:len(hist)] += hist
+        if not all(exact):  # a lone graph bound for sweep() needs no more blocks
+            break
+    for (own_deg, own_nbrs), first, size, hist, ok in zip(graphs, firsts, sizes, hists, exact):
+        if ok:
+            hist[0] = 0
+            yield Sweep(raw[first:first + size].tolist(),
+                        close[first:first + size].tolist(), (hist // 2).tolist())
+        else:
+            ends = np.cumsum(own_deg).tolist()
+            flat = own_nbrs.tolist()
+            yield sweep([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
+
+
+def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   segs: list[tuple[int, int, int, int]],
+                   raw: np.ndarray, close: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """One level-synchronous Brandes pass from the sources s0 <= s < s1 of
+    each segment (first, n, s0, s1), an n-node graph whose nodes are
+    numbered from first in csr; writes their closeness and adds their
+    dependencies into raw, both indexed by node number. Returns, per
+    segment, the number of pairs at each distance and the largest path
+    count; a lone segment whose counts are inexact gets no backward pass.
+
+    Each (source, node) pair is one slot of flat arrays, row by row, so a
+    pair is its row's base plus the node's number. A BFS level keeps each
+    source's nodes in the order in which sweep() finds them: candidates are
+    listed by (frontier position, neighbor slot), and np.minimum.at marks
+    the first candidate of each new pair, using its dist slot as scratch.
+    The backward pass walks each level in reverse, and np.add.at adds the
+    dependency terms in array order, so each sum is taken in sweep()'s order.
+    """
+    rows = [s1 - s0 for _, _, s0, s1 in segs]
+    width = np.repeat([n for _, n, _, _ in segs], rows)
+    start = np.cumsum(width) - width
+    base = (start - np.repeat([first for first, _, _, _ in segs], rows)).astype(np.int32)
+    pairs = start + np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in segs])
+    size = len(width) and int(start[-1] + width[-1])
+    unseen = np.iinfo(np.int32).max
+    dist = np.full(size, unseen, np.int32)
+    sigma = np.zeros(size)
+    dist[pairs] = 0
+    sigma[pairs] = 1.0
+    sources, bases, levels = pairs, base, []
+    while True:
+        at, found = _expand(csr, pairs, bases)
+        fresh = np.flatnonzero(dist[found] == unseen)
+        if not len(fresh):
+            break
+        at, found = at[fresh], found[fresh]
+        rank = np.arange(len(found), dtype=np.int32)
+        np.minimum.at(dist, found, rank)
+        np.add.at(sigma, found, sigma[pairs][at])
+        first = dist[found] == rank
+        dist[found] = len(levels) + 1
+        pairs, bases = found[first], bases[at[first]]
+        levels.append(pairs)
+    if (dist == unseen).any():
+        raise DisconnectedGraphError()
+    ends = np.cumsum([n * row for (_, n, _, _), row in zip(segs, rows)]).tolist()
+    stats = [(np.bincount(dist[a:b], minlength=1), sigma[a:b].max(initial=0.0))
+             for a, b in zip([0] + ends[:-1], ends)]
+    if len(segs) == 1 and stats[0][1] >= _EXACT_SIGMA:
+        return stats
+    if size:
+        close[sources - base] = (width - 1) / np.maximum(
+            np.add.reduceat(dist, start, dtype=np.int64), 1)
+    delta = np.zeros(size)
+    # level 1 would push only into the sources, whose own dependency is not
+    # part of their betweenness
+    while len(levels) > 1:
+        pairs = levels.pop()[::-1]
+        at, up = _expand(csr, pairs, base[np.searchsorted(start, pairs, "right") - 1])
+        keep = np.flatnonzero(dist[up] == len(levels))
+        up, w = up[keep], pairs[at[keep]]
+        np.add.at(delta, up, sigma[up] / sigma[w] * (1.0 + delta[w]))
+    del dist, sigma, levels
+    nodes = np.arange(size, dtype=np.int32)
+    nodes -= np.repeat(base, width)
+    np.add.at(raw, nodes, delta)
+    return stats
+
+
+def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,
+            bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every neighbor slot of each pair's node, in (pair, slot) order: the
+    position in pairs that it comes from, and the neighbor's pair."""
+    indptr, deg, indices = csr
+    nodes = pairs - bases
+    counts = deg[nodes]
+    at = np.repeat(np.arange(len(pairs), dtype=np.int32), counts)
+    pos = np.repeat(indptr[nodes] - np.cumsum(counts) + counts, counts)
+    pos += np.arange(len(pos))
+    return at, indices[pos] + bases[at]
+
+
 def closeness_many(adjs: Iterable[list[list[int]]]) -> list[list[float]]:
     """Closeness per node of each connected graph, in input order.
 
@@ -160,8 +323,7 @@ def closeness_many(adjs: Iterable[list[list[int]]]) -> list[list[float]]:
     source gives. Each adjacency is packed into int arrays as it arrives,
     so adjs may be a generator that never holds the lists of the others.
     """
-    packed = [(np.fromiter(map(len, adj), np.intp, len(adj)),
-               np.fromiter(chain.from_iterable(adj), np.intp)) for adj in adjs]
+    packed = [_pack(adj) for adj in adjs]
     scores: list[list[float]] = [[0.0] * len(deg) for deg, _ in packed]
     groups: dict[int, list[int]] = {}
     for i, (deg, _) in enumerate(packed):

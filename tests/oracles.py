@@ -158,15 +158,16 @@ def reference_brandes(g: Cfg) -> dict[int, float]:
     return {u: raw[u] / norm for u in range(n)}
 
 
-def diamond_chain(diamonds: int, sample_id: str = "diamonds") -> Cfg:
-    """Stacked if/else diamonds: the number of shortest paths from the
-    first block to the last doubles with every diamond."""
-    blocks = [BasicBlock(address=4 * i) for i in range(3 * diamonds + 1)]
+def diamond_chain(diamonds: int, sample_id: str = "diamonds", ways: int = 2) -> Cfg:
+    """Stacked if/else diamonds, or switches of `ways` arms: the number of
+    shortest paths from the first block to the last is ways**diamonds."""
+    stride = ways + 1
+    blocks = [BasicBlock(address=4 * i) for i in range(stride * diamonds + 1)]
     edges = []
     for i in range(diamonds):
-        top, left, right, join = 3 * i, 3 * i + 1, 3 * i + 2, 3 * i + 3
-        edges += [(4 * top, 4 * left), (4 * top, 4 * right),
-                  (4 * left, 4 * join), (4 * right, 4 * join)]
+        top, join = stride * i, stride * (i + 1)
+        for arm in range(top + 1, join):
+            edges += [(4 * top, 4 * arm), (4 * arm, 4 * join)]
     return build_cfg(sample_id, blocks, edges)
 
 

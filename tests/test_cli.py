@@ -9,8 +9,8 @@ import pytest
 
 import cfgrank
 from cfgrank import features as feat
-from cfgrank import ingest, sbc
-from cfgrank.cli import main
+from cfgrank import ingest, metrics, sbc
+from cfgrank.cli import DataError, _json_line, main
 from cfgrank.graph import BasicBlock, build_cfg
 from oracles import random_cfg
 
@@ -189,6 +189,17 @@ class TestFeaturesCommand:
             assert row.values == direct.values
             assert row.label == "malicious"
 
+    def test_same_bytes_under_any_sweep_budget(self, tmp_path, monkeypatch):
+        # one source per block, every graph its own group, against the default
+        assert run("gen", "--count", "12", "--profile", "enmeshed", "--seed", "7",
+                   "-o", str(tmp_path / "gen")) == 0
+        assert run("ingest", "--format", "sbc", "-o", str(tmp_path / "graphs"),
+                   *sorted(str(p) for p in (tmp_path / "gen").glob("*.sbc"))) == 0
+        assert run("features", str(tmp_path / "graphs"), "-o", str(tmp_path / "a.csv")) == 0
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 1)
+        assert run("features", str(tmp_path / "graphs"), "-o", str(tmp_path / "b.csv")) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_invalid_graph_exits_2(self, tmp_path):
         graphs_dir = tmp_path / "graphs"
         graphs_dir.mkdir()
@@ -347,6 +358,25 @@ class TestTrainEvaluateCommands:
         assert capsys.readouterr().err == \
             "cfgrank: data error: dataset has no labeled samples\n"
         assert not out.exists()
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_model_exits_3(self, tmp_path, capsys):
+        # a learning rate this large overflows the weights to NaN
+        csv_path = tmp_path / "features.csv"
+        make_features_csv(csv_path)
+        out = tmp_path / "model.json"
+        assert run("train", str(csv_path), "--kind", "logreg", "--logreg-lr", "1e300",
+                   "-o", str(out)) == 3
+        assert capsys.readouterr().err == ("cfgrank: data error: logreg model has a NaN "
+                                           "or infinite parameter; JSON cannot hold it\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_report_writer_refuses_non_finite(self, value):
+        # the JSON that gen, analyze and evaluate write would not parse
+        with pytest.raises(DataError, match="Out of range float"):
+            _json_line({"metrics": {"ar": value}})
 
 
 class TestRemovedFlags:

@@ -8,7 +8,8 @@ from cfgrank import metrics
 from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
                               HeaderMismatchError, N_FEATURES,
                               NonFiniteValueError, extract_features,
-                              parse_feature_table, write_feature_table)
+                              extract_features_many, parse_feature_table,
+                              write_feature_table)
 from cfgrank.graph import BasicBlock, build_cfg, induced_subgraph, weak_components
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      random_cfg)
@@ -75,6 +76,15 @@ class TestExtractFeatures:
                 if g.node_count > 1 else 0.0)
             assert fv.values[idx("node_count")] == g.node_count
             assert fv.values[idx("edge_count")] == g.edge_count
+
+    def test_batch_equals_one_graph_at_a_time(self):
+        rng = random.Random(29)
+        graphs = [random_cfg(rng, rng.randint(1, 30), rng.randint(0, 40), sample_id=f"g{i}")
+                  for i in range(60)]
+        batch = extract_features_many(graphs)
+        assert batch == [extract_features(g) for g in graphs]
+        for g, row in zip(graphs, batch):
+            assert extract_features_many([g])[0] == row
 
     def test_no_edges_implies_zero_centrality_block(self):
         rng = random.Random(23)

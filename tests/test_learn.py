@@ -9,7 +9,7 @@ from cfgrank.features import LABEL_MALICIOUS, N_FEATURES, FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, LearnError, ModelParams,
-                           SingleClassError, _fit_forest, _fit_logreg,
+                           NonFiniteModelError, SingleClassError, _fit_forest, _fit_logreg,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
                            model_to_json, predict, predict_many,
@@ -422,6 +422,14 @@ class TestModelSerialization:
     def test_missing_field_named(self, payload, missing):
         with pytest.raises(LearnError, match=f"missing field '{missing}'"):
             model_from_json(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("bias,weight", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_parameter_not_written(self, bias, weight):
+        # json.dumps would write NaN or Infinity, which model_from_json rejects
+        model = ModelParams(kind="logreg", weights=np.full(N_FEATURES, weight), bias=bias,
+                            feat_mean=np.zeros(N_FEATURES), feat_std=np.ones(N_FEATURES))
+        with pytest.raises(NonFiniteModelError, match="logreg model has a NaN"):
+            model_to_json(model)
 
     @pytest.mark.parametrize("data", [b"[1]", b"{", b"\xff"])
     def test_malformed_model_rejected(self, data):

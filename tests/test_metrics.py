@@ -5,9 +5,10 @@ import pytest
 
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
-from cfgrank.metrics import (DisconnectedGraphError, PathStats, betweenness,
+from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, betweenness,
                              closeness, closeness_many, degree_centrality,
-                             density, shortest_path_stats, summary_stats, sweep)
+                             density, shortest_path_stats, summary_stats, sweep,
+                             sweep_many)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      diamond_chain, random_cfg, random_connected_cfg,
                      reference_brandes)
@@ -278,6 +279,113 @@ class TestClosenessMany:
         bad = path_adj(3) + [[4], [3]]
         with pytest.raises(DisconnectedGraphError):
             closeness_many(good[:2] + [bad] + good[2:])
+
+
+def slots(adj):
+    """What one graph takes of SWEEP_SLOTS: n x (n + 2m)."""
+    return len(adj) * (len(adj) + sum(map(len, adj)))
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Records the segments (first, n, s0, s1) of every block swept."""
+    seen = []
+    kernel = metrics._brandes_block
+
+    def spy(csr, segs, raw, close):
+        seen.append(list(segs))
+        return kernel(csr, segs, raw, close)
+
+    monkeypatch.setattr(metrics, "_brandes_block", spy)
+    return seen
+
+
+class TestSweepMany:
+    """The batched kernel against the per-graph sweep and exact references,
+    compared with ==."""
+
+    def test_one_call_on_random_graphs_in_input_order(self):
+        rng = random.Random(2004)
+        graphs = []
+        for _ in range(200):
+            n = rng.randint(1, 40)
+            graphs.append(random_connected_cfg(rng, n, rng.randint(0, n)))
+        adjs = [g.undirected_adjacency() for g in graphs]
+        got = list(sweep_many(adjs))
+        assert len(got) == len(graphs)
+        for g, adj, swept in zip(graphs, adjs, got):
+            assert swept == sweep(adj)
+            assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
+            assert dict(enumerate(swept.closeness)) == brute_closeness(g)
+
+    def test_graph_split_across_source_blocks(self, monkeypatch, blocks):
+        rng = random.Random(2005)
+        adj = random_connected_cfg(rng, 30, 12).undirected_adjacency()
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj) // 4)
+        assert list(sweep_many([adj])) == [sweep(adj)]
+        # the most sources whose rows fit the budget, in ascending order
+        step = metrics.SWEEP_SLOTS // (slots(adj) // 30)
+        assert blocks == [[(0, 30, s, min(s + step, 30))] for s in range(0, 30, step)]
+        assert len(blocks) >= 4
+
+    def test_block_holds_several_graphs(self, monkeypatch, blocks):
+        rng = random.Random(2006)
+        graphs = [random_connected_cfg(rng, n, n // 3) for n in (5, 9, 7, 12, 6, 8)]
+        adjs = [g.undirected_adjacency() for g in graphs]
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
+        assert list(sweep_many(adjs)) == [sweep(adj) for adj in adjs]
+        assert [len(segs) for segs in blocks][0] == 3
+        assert sum(len(segs) for segs in blocks) == len(adjs)
+
+    def test_graph_of_exactly_the_budget_is_one_block(self, monkeypatch, blocks):
+        adj = diamond_chain(3).undirected_adjacency()
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj))
+        assert list(sweep_many([adj, adj])) == [sweep(adj)] * 2
+        n = len(adj)
+        assert blocks == [[(0, n, 0, n)], [(0, n, 0, n)]]
+
+    @pytest.mark.parametrize("budget", [1 << 18, 5000])
+    def test_exact_fallback_beside_ordinary_graphs(self, monkeypatch, budget):
+        # 2**72 and 5**30 paths end to end go to sweep(); float64 would count
+        # the powers of two exactly, but not 5**30, and 24 scores would differ
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
+        rng = random.Random(2007)
+        chains = [diamond_chain(72), diamond_chain(30, ways=5)]
+        graphs = [random_connected_cfg(rng, 20, 8), chains[0],
+                  random_connected_cfg(rng, 9, 2), chains[1]]
+        adjs = [g.undirected_adjacency() for g in graphs]
+        got = list(sweep_many(adjs))
+        assert got == [sweep(adj) for adj in adjs]
+        for chain, swept in zip(chains, got[1::2]):
+            assert dict(enumerate(swept.betweenness())) == reference_brandes(chain)
+
+    def test_singleton(self):
+        lone = Sweep([0.0], [0.0], [0])
+        assert list(sweep_many([[[]]])) == [lone] == [sweep([[]])]
+        assert list(sweep_many([path_adj(3), [[]], path_adj(2)])) == [
+            sweep(path_adj(3)), lone, sweep(path_adj(2))]
+
+    def test_reads_a_generator_at_most_one_group_ahead(self, monkeypatch):
+        # groups of three graphs: the fourth is read to learn that the
+        # first group is full, and nothing past it
+        adjs = [path_adj(n) for n in (5, 6, 7, 5, 6, 7, 5)]
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
+        pulled = []
+
+        def source():
+            for adj in adjs:
+                pulled.append(adj)
+                yield adj
+
+        for i, swept in enumerate(sweep_many(source())):
+            assert swept == sweep(adjs[i])
+            assert len(pulled) <= min(len(adjs), 3 * (i // 3 + 1) + 1)
+
+    def test_one_bad_graph_in_a_batch(self):
+        good = [path_adj(n) for n in (2, 5, 30)]
+        bad = path_adj(3) + [[4], [3]]
+        with pytest.raises(DisconnectedGraphError):
+            list(sweep_many(good[:2] + [bad] + good[2:]))
 
 
 class TestDensity:
