@@ -71,8 +71,11 @@ _finite_float = _checked(float, math.isfinite, "finite")
 
 
 def _write(path: Path, data: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _json_line(payload) -> bytes:

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import metrics
-from .graph import Cfg, induced_subgraph, weak_components
+from .graph import Cfg, largest_component
 
 _STATS = ("min", "max", "mean", "median", "std")
 _FAMILIES = ("betweenness", "closeness", "degree", "shortest_path")
@@ -70,21 +70,14 @@ def _stat_tuple(s: metrics.PathStats) -> tuple[float, ...]:
     return (s.min, s.max, s.mean, s.median, s.std)
 
 
-def _largest_component(g: Cfg) -> tuple[list[list[int]], set[int]]:
-    """The undirected adjacency and the self-loop nodes of g's largest weak
-    component."""
-    largest = induced_subgraph(g, set(weak_components(g).largest_component))
-    return largest.undirected_adjacency(), largest.self_loop_nodes()
-
-
-def extract_features(g: Cfg, component: tuple[list[list[int]], set[int]] | None = None,
+def extract_features(g: Cfg, component: tuple[list[list[int]], set[int], int] | None = None,
                      swept: metrics.Sweep | None = None) -> FeatureVector:
     """Compute the frozen 23-entry descriptor of one CFG.
 
-    component is _largest_component(g) and swept is metrics.sweep of its
+    component is largest_component(g) and swept is metrics.sweep of its
     adjacency; each is computed here unless the caller already has it.
     """
-    adj, loops = component or _largest_component(g)
+    adj, loops, _ = component or largest_component(g)
     swept = swept or metrics.sweep(adj)
     values: list[float] = []
     for scores in (swept.betweenness(), swept.closeness, metrics.degree_scores(adj, loops)):
@@ -100,11 +93,11 @@ def extract_features_many(graphs: Iterable[Cfg]) -> list[FeatureVector]:
     """extract_features of each CFG, in input order, from one
     metrics.sweep_many call over their largest components; a component is
     kept only until its sweep comes back."""
-    pending: deque[tuple[Cfg, tuple[list[list[int]], set[int]]]] = deque()
+    pending: deque[tuple[Cfg, tuple[list[list[int]], set[int], int]]] = deque()
 
     def adjacencies():
         for g in graphs:
-            pending.append((g, _largest_component(g)))
+            pending.append((g, largest_component(g)))
             yield pending[-1][1][0]
 
     return [extract_features(*pending.popleft(), swept)

@@ -1,4 +1,4 @@
-"""Canonical in-memory control-flow graph and component decomposition.
+"""Canonical in-memory control-flow graph and its largest weak component.
 
 A Cfg is an immutable directed graph whose nodes are basic blocks, indexed
 densely 0..n-1 in ascending address order. Edges are deduplicated pairs of
@@ -7,8 +7,8 @@ node ids; self-loops are kept.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -23,12 +23,6 @@ class DanglingEdgeError(GraphError):
     def __init__(self, address: int):
         super().__init__(f"edge endpoint address {address} does not match any block")
         self.address = address
-
-
-class UnknownNodeError(GraphError):
-    def __init__(self, node: int):
-        super().__init__(f"node id {node} is not in the graph")
-        self.node = node
 
 
 @dataclass(frozen=True)
@@ -68,13 +62,6 @@ class Cfg:
         return {u for u, v in self.edges if u == v}
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    component_of: dict[int, int]
-    component_count: int
-    largest_component: frozenset[int]
-
-
 def build_cfg(
     sample_id: str,
     blocks: list[BasicBlock],
@@ -104,51 +91,43 @@ def build_cfg(
     return Cfg(sample_id=sample_id, blocks=ordered, edges=tuple(sorted(edge_set)))
 
 
-def weak_components(g: Cfg) -> ComponentLabeling:
-    """Label connected components of the undirected view of g.
+class _Component(NamedTuple):
+    adj: list[list[int]]
+    loops: set[int]
+    count: int
 
-    Component indices are dense and ordered by their smallest node id, so
-    the labeling is deterministic. The largest component breaks size ties
-    toward the lowest index.
+
+def largest_component(g: Cfg) -> _Component:
+    """g's largest weak component and g's number of weak components.
+
+    The component comes as the undirected adjacency and the self-loop nodes
+    of the subgraph it induces, its nodes renumbered densely in id order,
+    so each neighbor list stays sorted. Of equal-size components the one
+    holding the lowest node id wins.
     """
     adj = g.undirected_adjacency()
-    component_of: dict[int, int] = {}
-    members: list[list[int]] = []
-    for start in range(g.node_count):
-        if start in component_of:
+    seen = [False] * len(adj)
+    largest: list[int] = []
+    count = 0
+    for start in range(len(adj)):
+        if seen[start]:
             continue
-        label = len(members)
-        queue = deque([start])
-        component_of[start] = label
+        count += 1
+        seen[start] = True
         found = [start]
-        while queue:
-            u = queue.popleft()
+        for u in found:  # a breadth-first search: found grows as it is read
             for v in adj[u]:
-                if v not in component_of:
-                    component_of[v] = label
+                if not seen[v]:
+                    seen[v] = True
                     found.append(v)
-                    queue.append(v)
-        members.append(found)
-    largest = max(members, key=len) if members else []
-    # max() keeps the first of equal-size components, i.e. the lowest index
-    return ComponentLabeling(
-        component_of=component_of,
-        component_count=len(members),
-        largest_component=frozenset(largest),
-    )
-
-
-def induced_subgraph(g: Cfg, nodes: set[int]) -> Cfg:
-    """Subgraph on `nodes` with ids re-densified in the original order."""
-    for n in nodes:
-        if not 0 <= n < g.node_count:
-            raise UnknownNodeError(n)
-    if not nodes:
-        raise EmptyGraphError("induced subgraph needs at least one node")
-    kept = sorted(nodes)
-    new_id = {old: new for new, old in enumerate(kept)}
-    blocks = tuple(g.blocks[i] for i in kept)
-    edges = tuple(
-        sorted((new_id[u], new_id[v]) for u, v in g.edges if u in nodes and v in nodes)
-    )
-    return Cfg(sample_id=g.sample_id, blocks=blocks, edges=edges)
+        if len(found) > len(largest):
+            largest = found
+    loops = g.self_loop_nodes()
+    if len(largest) < len(adj):
+        largest.sort()
+        new_id = dict(zip(largest, range(len(largest))))
+        adj = [adj[u] for u in largest]
+        for nbrs in adj:
+            nbrs[:] = map(new_id.__getitem__, nbrs)
+        loops = {new_id[u] for u in loops if u in new_id}
+    return _Component(adj, loops, count)

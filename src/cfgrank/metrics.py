@@ -6,10 +6,11 @@ connected graph; callers hand in the largest weak component. Density alone
 is defined on the full directed graph.
 
 Betweenness, closeness and the path statistics all come from sweep(), one
-Brandes pass per source over an adjacency the caller builds once; the
-per-Cfg functions are views over it. sweep_many() gives the same Sweep for
-many graphs at once, many sources per numpy pass; closeness_many() gives
-the same closeness from a bit-parallel BFS with no path counts.
+Brandes pass per source over an adjacency the caller builds once
+(graph.largest_component), and degree centrality from degree_scores() over
+the same adjacency. sweep_many() gives the same Sweep for many graphs at
+once, many sources per numpy pass; closeness_many() gives the same
+closeness from a bit-parallel BFS with no path counts.
 """
 
 from __future__ import annotations
@@ -400,26 +401,6 @@ def degree_scores(adj: list[list[int]], loops: set[int]) -> list[float]:
     if n == 1:
         return [0.0]
     return [(len(adj[u]) + (1 if u in loops else 0)) / (n - 1) for u in range(n)]
-
-
-def closeness(g: Cfg) -> dict[int, float]:
-    """Normalized closeness (n-1)/sum of hop distances, per node."""
-    return dict(enumerate(sweep(g.undirected_adjacency()).closeness))
-
-
-def betweenness(g: Cfg) -> dict[int, float]:
-    """Brandes betweenness, endpoints excluded, normalized to [0, 1]."""
-    return dict(enumerate(sweep(g.undirected_adjacency()).betweenness()))
-
-
-def degree_centrality(g: Cfg) -> dict[int, float]:
-    """Undirected degree over n-1; a self-loop adds 1 to its node's degree."""
-    return dict(enumerate(degree_scores(g.undirected_adjacency(), g.self_loop_nodes())))
-
-
-def shortest_path_stats(g: Cfg) -> PathStats:
-    """Summary statistics of hop distances over all unordered node pairs."""
-    return sweep(g.undirected_adjacency()).path_stats()
 
 
 def density(g: Cfg) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics
-from .graph import Cfg, induced_subgraph, weak_components
+from .graph import Cfg, largest_component
 
 CDF_METRICS = ("node_count", "edge_count", "avg_closeness", "component_count")
 
@@ -73,9 +73,9 @@ def corpus_stats(graphs: list[Cfg], name: str,
 
     def largest_components():
         for g in graphs:
-            labeling = weak_components(g)
-            component_counts.append(labeling.component_count)
-            yield induced_subgraph(g, set(labeling.largest_component)).undirected_adjacency()
+            adj, _, count = largest_component(g)
+            component_counts.append(count)
+            yield adj
 
     # one kernel call for the corpus; it packs each adjacency as it arrives
     closeness = metrics.closeness_many(largest_components())

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately naive: union-find for components, all-pairs
+Everything here is deliberately naive: union-find for components (and
+largest_component_cfg, the subgraph the largest one induces), all-pairs
 BFS for distances, exhaustive shortest-path enumeration for betweenness.
 The exceptions are reference_brandes, a plain queue-based Brandes kept as
 the exact reference for graphs too large to enumerate, reference_forest,
@@ -40,6 +41,19 @@ def union_find_components(n: int, edges) -> list[set[int]]:
     for x in range(n):
         groups.setdefault(find(x), set()).add(x)
     return list(groups.values())
+
+
+def largest_component_cfg(g: Cfg) -> Cfg:
+    """The subgraph induced by g's largest weak component, found by
+    union-find, its nodes renumbered in id order; of equal-size components
+    the one holding the lowest node id."""
+    comps = union_find_components(g.node_count, [(u, v) for u, v in g.edges if u != v])
+    largest = min(comps, key=lambda c: (-len(c), min(c)))
+    kept = sorted(largest)
+    new_id = {old: new for new, old in enumerate(kept)}
+    edges = sorted((new_id[u], new_id[v]) for u, v in g.edges
+                   if u in largest and v in largest)
+    return Cfg(g.sample_id, tuple(g.blocks[u] for u in kept), tuple(edges))
 
 
 def undirected_neighbors(g: Cfg) -> list[set[int]]:

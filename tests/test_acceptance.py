@@ -13,7 +13,7 @@ import pytest
 from cfgrank import features as feat
 from cfgrank import ingest, learn, metrics, report, sbc
 from cfgrank.cli import main as cli_main
-from cfgrank.graph import weak_components
+from cfgrank.graph import largest_component
 from cfgrank.sbc import Opcode, SbcInstruction, SbcProgram
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      random_cfg, random_connected_cfg)
@@ -79,14 +79,16 @@ class TestCriterion2OracleEquivalence:
             n = rng.randint(1, 9)
             g = random_connected_cfg(rng, n, rng.randint(0, 6),
                                      sample_id=f"t{trial}")
-            got_b = metrics.betweenness(g)
+            adj = g.undirected_adjacency()
+            swept = metrics.sweep(adj)
+            got_b = swept.betweenness()
             exp_b = brute_betweenness(g)
-            got_c = metrics.closeness(g)
+            got_c = swept.closeness
             exp_c = brute_closeness(g)
             for u in range(n):
                 assert abs(got_b[u] - exp_b[u]) <= 1e-12
                 assert abs(got_c[u] - exp_c[u]) <= 1e-12
-            got_d = metrics.degree_centrality(g)
+            got_d = metrics.degree_scores(adj, g.self_loop_nodes())
             nbrs = [set() for _ in range(n)]
             for u, v in g.edges:
                 if u != v:
@@ -97,7 +99,7 @@ class TestCriterion2OracleEquivalence:
                 direct = 0.0 if n == 1 else \
                     (len(nbrs[u]) + (1 if u in loops else 0)) / (n - 1)
                 assert abs(got_d[u] - direct) <= 1e-12
-            got_s = metrics.shortest_path_stats(g)
+            got_s = swept.path_stats()
             if n == 1:
                 assert got_s == metrics.PathStats(0, 0, 0, 0, 0)
             else:
@@ -119,8 +121,8 @@ class TestCriterion3ComponentPhenomenon:
                 for i, p in enumerate(sbc.generate_corpus(100, "fragmented", 71))]
         enm = [sbc.recover_cfg(p, f"e{i}")
                for i, p in enumerate(sbc.generate_corpus(100, "enmeshed", 71))]
-        assert all(weak_components(g).component_count >= 2 for g in frag)
-        assert all(weak_components(g).component_count == 1 for g in enm)
+        assert all(largest_component(g).count >= 2 for g in frag)
+        assert all(largest_component(g).count == 1 for g in enm)
         stats_f = report.corpus_stats(frag, "fragmented")
         stats_e = report.corpus_stats(enm, "enmeshed")
         summary = report.compare(stats_e, stats_f, "avg_closeness", 0.2)
@@ -247,7 +249,7 @@ class TestCriterion7SbcHandTraces:
             [(0, 1), (1, 2), (3, 1), (4, 1)]
         assert set(g.edges) == {(0, 2), (0, 1), (1, 3), (2, 3)}
         assert (g.node_count, g.edge_count) == (4, 4)
-        assert weak_components(g).component_count == 1
+        assert largest_component(g).count == 1
 
     def test_dead_code_program(self):
         p = SbcProgram(tuple([
@@ -258,7 +260,7 @@ class TestCriterion7SbcHandTraces:
         g = sbc.recover_cfg(p)
         assert [(b.address, b.instr_count) for b in g.blocks] == [(0, 1), (1, 2)]
         assert g.edges == ()
-        assert weak_components(g).component_count == 2
+        assert largest_component(g).count == 2
 
     def test_minimal_program(self):
         g = sbc.recover_cfg(SbcProgram((SbcInstruction(0, Opcode.RET),)))

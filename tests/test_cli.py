@@ -150,11 +150,11 @@ class TestGenCommand:
         out = tmp_path / "c"
         assert run("gen", "--count", "1", "--profile", "fragmented",
                    "--seed", "7", "-o", str(out)) == 0
-        from cfgrank.graph import weak_components
+        from cfgrank.graph import largest_component
         sbc_files = list(out.glob("*.sbc"))
         assert len(sbc_files) == 1
         g = sbc.recover_cfg(sbc.decode(sbc_files[0].read_bytes()))
-        assert weak_components(g).component_count >= 2
+        assert largest_component(g).count >= 2
 
     def test_zero_count_usage_error(self, tmp_path):
         assert run("gen", "--count", "0", "--profile", "enmeshed",
@@ -393,6 +393,37 @@ class TestRemovedFlags:
             run(*argv)
         assert exc.value.code == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestUnwritableOutput:
+    """An -o that cannot be written is an input error on one stderr line."""
+
+    @pytest.mark.parametrize("command",
+                             ["gen", "ingest", "features", "analyze", "train", "evaluate"])
+    def test_exits_2(self, tmp_path, command):
+        src = tmp_path / "src.json"
+        write_cfg_json(src)
+        graphs = tmp_path / "graphs"
+        assert run("ingest", "--format", "cfg-json", "-o", str(graphs), str(src)) == 0
+        table = tmp_path / "features.csv"
+        make_features_csv(table)
+        (tmp_path / "file").write_text("")
+        under_file = str(tmp_path / "file" / "out")
+        argv = {
+            "gen": ["gen", "--count", "1", "--profile", "enmeshed", "-o", under_file],
+            "ingest": ["ingest", "--format", "cfg-json", "-o", under_file, str(src)],
+            "features": ["features", str(graphs), "-o", str(graphs)],
+            "analyze": ["analyze", str(graphs), "--names", "a", "-o", str(graphs)],
+            "train": ["train", str(table), "--kind", "logreg", "-o", str(graphs)],
+            "evaluate": ["evaluate", str(table), "--kind", "logreg", "-o", str(graphs)],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(cfgrank.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "cfgrank.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("cfgrank: input error: cannot write ")
+        assert "Traceback" not in done.stderr
 
 
 class TestDeterminism:

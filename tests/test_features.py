@@ -10,9 +10,9 @@ from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
                               NonFiniteValueError, extract_features,
                               extract_features_many, parse_feature_table,
                               write_feature_table)
-from cfgrank.graph import BasicBlock, build_cfg, induced_subgraph, weak_components
+from cfgrank.graph import BasicBlock, build_cfg
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
-                     random_cfg)
+                     largest_component_cfg, random_cfg)
 
 
 def idx(name):
@@ -55,7 +55,7 @@ class TestExtractFeatures:
         for _ in range(30):
             g = random_cfg(rng, rng.randint(1, 9), rng.randint(0, 12))
             fv = extract_features(g)
-            largest = induced_subgraph(g, set(weak_components(g).largest_component))
+            largest = largest_component_cfg(g)
             for base, oracle in (("betweenness", brute_betweenness),
                                  ("closeness", brute_closeness)):
                 stats = metrics.summary_stats(list(oracle(largest).values()))

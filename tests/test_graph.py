@@ -3,9 +3,8 @@ import random
 import pytest
 
 from cfgrank.graph import (BasicBlock, DanglingEdgeError, EmptyGraphError,
-                           UnknownNodeError, build_cfg, induced_subgraph,
-                           weak_components)
-from oracles import random_cfg, union_find_components
+                           build_cfg, largest_component)
+from oracles import largest_component_cfg, random_cfg, union_find_components
 
 
 def blocks_at(*addrs):
@@ -57,70 +56,69 @@ class TestBuildCfg:
             assert all(0 <= u < n and 0 <= v < n for u, v in g.edges)
 
 
+def random_pieces_cfg(rng):
+    """Disjoint random pieces spread over shuffled node ids: many of equal
+    size, isolated nodes, and nodes whose one edge is a self-loop."""
+    sizes = [rng.choice((1, 1, 2, 3, 3, 4)) for _ in range(rng.randint(1, 6))]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    edges = []
+    for size in sizes:
+        piece, ids = ids[:size], ids[size:]
+        edges += [(rng.choice(piece[:i]), piece[i]) for i in range(1, size)]
+        edges += [(u, u) for u in piece if rng.random() < 0.3]
+    return build_cfg("pieces", blocks_at(*(4 * i for i in range(sum(sizes)))),
+                     [(4 * u, 4 * v) for u, v in edges])
+
+
 class TestWeakComponents:
+    """largest_component against hand values and the union-find oracle."""
+
     def test_edge_plus_isolated(self):
         g = build_cfg("s", blocks_at(0, 4, 8), [(0, 4)])
-        labeling = weak_components(g)
-        assert labeling.component_count == 2
-        assert labeling.largest_component == frozenset({0, 1})
+        assert largest_component(g) == ([[1], [0]], set(), 2)
 
     def test_singleton(self):
-        g = build_cfg("s", blocks_at(0), [])
-        assert weak_components(g).component_count == 1
+        g = build_cfg("s", blocks_at(0), [(0, 0)])
+        assert largest_component(g) == ([[]], {0}, 1)
+
+    def test_tie_goes_to_lowest_id(self):
+        # a path 0-3-4 and a star 5-{1, 2}: equal size, the path holds node 0
+        g = build_cfg("s", blocks_at(*range(0, 24, 4)),
+                      [(0, 12), (12, 16), (4, 20), (8, 20), (8, 8)])
+        assert largest_component(g) == ([[1], [0, 2], [1]], set(), 2)
+        # without node 0's piece the star wins, its loop renumbered
+        g = build_cfg("s", blocks_at(*range(4, 24, 4)),
+                      [(12, 16), (4, 20), (8, 20), (8, 8)])
+        assert largest_component(g) == ([[2], [2], [0, 1]], {1}, 2)
 
     def test_matches_union_find(self):
         rng = random.Random(11)
-        for _ in range(50):
-            g = random_cfg(rng, rng.randint(1, 10), rng.randint(0, 12))
-            labeling = weak_components(g)
-            expected = union_find_components(
+        graphs = [random_pieces_cfg(rng) for _ in range(200)]
+        graphs += [random_cfg(rng, rng.randint(1, 10), rng.randint(0, 12)) for _ in range(50)]
+        ties = 0
+        for g in graphs:
+            adj, loops, count = largest_component(g)
+            comps = union_find_components(
                 g.node_count, [(u, v) for u, v in g.edges if u != v])
-            assert labeling.component_count == len(expected)
-            got = {}
-            for node, comp in labeling.component_of.items():
-                got.setdefault(comp, set()).add(node)
-            assert sorted(map(sorted, got.values())) == sorted(map(sorted, expected))
+            sizes = sorted(map(len, comps))
+            ties += sizes[-2:] == [len(adj)] * 2
+            assert sum(sizes) == g.node_count
+            assert count == len(comps)
+            assert len(adj) == sizes[-1]
+            expected = largest_component_cfg(g)
+            assert adj == expected.undirected_adjacency()
+            assert loops == expected.self_loop_nodes()
+        assert ties >= 50
 
     def test_partition_property(self):
         rng = random.Random(5)
         for _ in range(30):
             g = random_cfg(rng, rng.randint(1, 12), rng.randint(0, 15))
-            labeling = weak_components(g)
-            sizes = {}
-            for comp in labeling.component_of.values():
-                sizes[comp] = sizes.get(comp, 0) + 1
-            assert sum(sizes.values()) == g.node_count
-            assert sorted(sizes) == list(range(labeling.component_count))
-            assert len(labeling.largest_component) == max(sizes.values())
-
-
-class TestInducedSubgraph:
-    def test_path_prefix(self):
-        g = build_cfg("s", blocks_at(0, 4, 8), [(0, 4), (4, 8)])
-        sub = induced_subgraph(g, {0, 1})
-        assert sub.node_count == 2
-        assert sub.edges == ((0, 1),)
-
-    def test_identity(self):
-        g = build_cfg("s", blocks_at(0, 4, 8), [(0, 4), (4, 8), (8, 0)])
-        sub = induced_subgraph(g, {0, 1, 2})
-        assert sub.node_count == g.node_count
-        assert sub.edges == g.edges
-
-    def test_unknown_node(self):
-        g = build_cfg("s", blocks_at(0), [])
-        with pytest.raises(UnknownNodeError):
-            induced_subgraph(g, {5})
-
-    def test_matches_edge_filter(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            g = random_cfg(rng, 8, rng.randint(0, 14))
-            kept = {i for i in range(8) if rng.random() < 0.6} or {0}
-            sub = induced_subgraph(g, kept)
-            order = sorted(kept)
-            relabel = {old: new for new, old in enumerate(order)}
-            expected = sorted((relabel[u], relabel[v]) for u, v in g.edges
-                              if u in kept and v in kept)
-            assert list(sub.edges) == expected
-            assert [b.address for b in sub.blocks] == [g.blocks[i].address for i in order]
+            adj, loops, count = largest_component(g)
+            n = len(adj)
+            # count components of at most n nodes cover the graph
+            assert 1 <= count <= g.node_count <= count * n
+            assert all(v != u and u in adj[v] for u in range(n) for v in adj[u])
+            assert all(nbrs == sorted(set(nbrs)) for nbrs in adj)
+            assert loops <= set(range(n))

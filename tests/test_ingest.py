@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cfgrank.graph import weak_components
+from cfgrank.graph import largest_component
 from cfgrank.ingest import (DuplicateAddressError, EdgeListError,
                             JsonSyntaxError, SchemaError, document_to_cfg,
                             parse_canonical, parse_cfg_json, parse_edge_list,
@@ -92,7 +92,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert (g.node_count, g.edge_count) == (3, 1)
-        assert weak_components(g).component_count == 2
+        assert largest_component(g).count == 2
 
     def test_call_edge_merges_components(self):
         doc = parse_cfg_json(doc_bytes(functions=[
@@ -101,7 +101,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert g.edge_count == 2
-        assert weak_components(g).component_count == 1
+        assert largest_component(g).count == 1
 
     def test_call_edges_can_be_disabled(self):
         doc = parse_cfg_json(doc_bytes(functions=[

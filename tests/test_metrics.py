@@ -5,9 +5,8 @@ import pytest
 
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
-from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, betweenness,
-                             closeness, closeness_many, degree_centrality,
-                             density, shortest_path_stats, summary_stats, sweep,
+from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, closeness_many,
+                             degree_scores, density, summary_stats, sweep,
                              sweep_many)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      diamond_chain, random_cfg, random_connected_cfg,
@@ -34,99 +33,106 @@ def singleton():
     return build_cfg("one", [BasicBlock(address=0)], [])
 
 
+def swept(g):
+    return sweep(g.undirected_adjacency())
+
+
+def degrees(g):
+    return degree_scores(g.undirected_adjacency(), g.self_loop_nodes())
+
+
 class TestCloseness:
     def test_path3(self):
-        c = closeness(path3())
+        c = swept(path3()).closeness
         assert c[1] == 1.0
         assert c[0] == pytest.approx(2 / 3)
         assert c[2] == pytest.approx(2 / 3)
 
     def test_k4_all_ones(self):
-        assert all(v == 1.0 for v in closeness(k4()).values())
+        assert all(v == 1.0 for v in swept(k4()).closeness)
 
     def test_singleton_zero(self):
-        assert closeness(singleton()) == {0: 0.0}
+        assert swept(singleton()).closeness == [0.0]
 
     def test_disconnected_rejected(self):
         g = build_cfg("d", [BasicBlock(address=a) for a in (0, 4)], [])
         with pytest.raises(DisconnectedGraphError):
-            closeness(g)
+            swept(g)
 
     def test_matches_bfs_oracle(self):
         rng = random.Random(101)
         for _ in range(60):
             g = random_connected_cfg(rng, rng.randint(1, 10), rng.randint(0, 6))
-            got = closeness(g)
+            got = swept(g).closeness
             expected = brute_closeness(g)
-            for u in got:
-                assert got[u] == pytest.approx(expected[u], abs=1e-12)
+            for u, score in enumerate(got):
+                assert score == pytest.approx(expected[u], abs=1e-12)
 
     def test_adding_edge_never_decreases(self):
         rng = random.Random(55)
         for _ in range(25):
             n = rng.randint(3, 9)
             g = random_connected_cfg(rng, n, rng.randint(0, 4))
-            before = closeness(g)
+            before = swept(g).closeness
             u, v = rng.randrange(n), rng.randrange(n)
             g2 = build_cfg("aug", list(g.blocks),
                            [(g.blocks[a].address, g.blocks[b].address)
                             for a, b in g.edges] + [(4 * u, 4 * v)])
-            after = closeness(g2)
-            for node in before:
-                assert after[node] >= before[node] - 1e-12
+            after = swept(g2).closeness
+            for a, b in zip(after, before, strict=True):
+                assert a >= b - 1e-12
 
 
 class TestBetweenness:
     def test_path3_center(self):
-        b = betweenness(path3())
+        b = swept(path3()).betweenness()
         assert b[1] == 1.0
         assert b[0] == 0.0 and b[2] == 0.0
 
     def test_star_center(self):
-        b = betweenness(star4())
+        b = swept(star4()).betweenness()
         assert b[0] == 1.0
         assert all(b[i] == 0.0 for i in range(1, 5))
 
     def test_small_graphs_all_zero(self):
-        assert betweenness(singleton()) == {0: 0.0}
+        assert swept(singleton()).betweenness() == [0.0]
         g2 = build_cfg("two", [BasicBlock(address=0), BasicBlock(address=4)], [(0, 4)])
-        assert betweenness(g2) == {0: 0.0, 1: 0.0}
+        assert swept(g2).betweenness() == [0.0, 0.0]
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(77)
         for _ in range(40):
             g = random_connected_cfg(rng, rng.randint(3, 9), rng.randint(0, 5))
-            got = betweenness(g)
+            got = swept(g).betweenness()
             expected = brute_betweenness(g)
-            for u in got:
-                assert got[u] == pytest.approx(expected[u], abs=1e-12)
+            for u, score in enumerate(got):
+                assert score == pytest.approx(expected[u], abs=1e-12)
 
     def test_values_in_unit_interval(self):
         rng = random.Random(6)
         for _ in range(30):
             g = random_connected_cfg(rng, rng.randint(1, 10), rng.randint(0, 8))
-            for v in betweenness(g).values():
+            for v in swept(g).betweenness():
                 assert 0.0 <= v <= 1.0 + 1e-12
 
 
 class TestDegreeCentrality:
     def test_path3(self):
-        d = degree_centrality(path3())
-        assert d == {0: 0.5, 1: 1.0, 2: 0.5}
+        assert degrees(path3()) == [0.5, 1.0, 0.5]
 
     def test_k4(self):
-        assert all(v == 1.0 for v in degree_centrality(k4()).values())
+        assert all(v == 1.0 for v in degrees(k4()))
 
     def test_self_loop_adds_one(self):
         g = build_cfg("l", [BasicBlock(address=0), BasicBlock(address=4)],
                       [(0, 4), (0, 0)])
-        assert degree_centrality(g)[0] == 2.0
+        assert degrees(g)[0] == 2.0
 
     def test_matches_direct_count(self):
         rng = random.Random(31)
         for _ in range(40):
             g = random_cfg(rng, rng.randint(2, 10), rng.randint(0, 15))
-            got = degree_centrality(g)
+            got = degrees(g)
             n = g.node_count
             for u in range(n):
                 nbrs = {v for a, v in g.edges if a == u and v != u}
@@ -137,17 +143,17 @@ class TestDegreeCentrality:
 
 class TestPathStats:
     def test_path3(self):
-        s = shortest_path_stats(path3())
+        s = swept(path3()).path_stats()
         assert s.min == 1 and s.max == 2
         assert s.mean == pytest.approx(4 / 3)
         assert s.median == 1
         assert s.std == pytest.approx(math.sqrt(2 / 9), abs=1e-4)
 
     def test_k4(self):
-        assert shortest_path_stats(k4()) == PathStats(1, 1, 1, 1, 0)
+        assert swept(k4()).path_stats() == PathStats(1, 1, 1, 1, 0)
 
     def test_singleton_zeros(self):
-        assert shortest_path_stats(singleton()) == PathStats(0, 0, 0, 0, 0)
+        assert swept(singleton()).path_stats() == PathStats(0, 0, 0, 0, 0)
 
     def test_matches_bfs_oracle(self):
         rng = random.Random(41)
@@ -157,7 +163,7 @@ class TestPathStats:
             values = [float(dist[(u, v)]) for u in range(g.node_count)
                       for v in range(u + 1, g.node_count)]
             expected = summary_stats(values)
-            got = shortest_path_stats(g)
+            got = swept(g).path_stats()
             for fieldname in ("min", "max", "mean", "median", "std"):
                 assert getattr(got, fieldname) == pytest.approx(
                     getattr(expected, fieldname), abs=1e-12)
@@ -169,8 +175,9 @@ class TestSweep:
     def test_diamond_chain_beyond_int64(self):
         # 72 diamonds: 2**72 shortest paths from the first block to the last
         g = diamond_chain(72)
-        assert betweenness(g) == reference_brandes(g)
-        assert closeness(g) == brute_closeness(g)
+        chain = swept(g)
+        assert dict(enumerate(chain.betweenness())) == reference_brandes(g)
+        assert dict(enumerate(chain.closeness)) == brute_closeness(g)
 
     def test_random_graphs_match_reference_brandes(self):
         rng = random.Random(2001)
@@ -203,8 +210,8 @@ class TestSweep:
         h.add_edges_from((u, v) for u, v in g.edges if u != v)
         want_b = nx.betweenness_centrality(h, normalized=True, endpoints=False)
         want_c = nx.closeness_centrality(h)
-        got_b = betweenness(g)
-        got_c = closeness(g)
+        got_b = swept(g).betweenness()
+        got_c = swept(g).closeness
         [got_many] = closeness_many([g.undirected_adjacency()])
         for u in range(g.node_count):
             assert abs(got_b[u] - want_b[u]) <= 1e-12
@@ -424,7 +431,8 @@ class TestIsomorphismInvariance:
             blocks = [BasicBlock(address=4 * perm[i]) for i in range(n)]
             edges = [(4 * perm[u], 4 * perm[v]) for u, v in g.edges]
             h = build_cfg("perm", blocks, edges)
-            for fn in (closeness, betweenness, degree_centrality):
+            for fn in (lambda cfg: swept(cfg).closeness, lambda cfg: swept(cfg).betweenness(),
+                       degrees):
                 a = fn(g)
                 b = fn(h)
                 for i in range(n):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgrank.graph import BasicBlock, build_cfg, induced_subgraph, weak_components
+from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import sweep
 from cfgrank.report import (ComparisonSummary, ReportError, UnknownMetricError,
                             cdf_csv, compare, corpus_stats, empirical_cdf,
                             stats_to_dict)
 from cfgrank.sbc import generate_corpus, recover_cfg
+from oracles import largest_component_cfg, union_find_components
 
 
 def path3():
@@ -72,7 +73,8 @@ class TestCorpusStats:
         for g, row in zip(graphs, stats.per_sample):
             assert row.node_count == g.node_count
             assert row.edge_count == g.edge_count
-            assert row.component_count == weak_components(g).component_count
+            assert row.component_count == len(union_find_components(
+                g.node_count, [(u, v) for u, v in g.edges if u != v]))
 
     def test_fragmented_corpus_all_multi_component(self):
         graphs = [recover_cfg(p, f"s{i}")
@@ -87,8 +89,7 @@ class TestCorpusStats:
                   for i, p in enumerate(generate_corpus(400, profile, 11))]
         stats = corpus_stats(graphs, "both")
         for g, row in zip(graphs, stats.per_sample):
-            largest = induced_subgraph(g, set(weak_components(g).largest_component))
-            scores = sweep(largest.undirected_adjacency()).closeness
+            scores = sweep(largest_component_cfg(g).undirected_adjacency()).closeness
             assert row.avg_closeness == sum(scores) / len(scores)
 
     def test_file_sizes_carried(self):
