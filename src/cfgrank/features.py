@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import metrics
-from .graph import Cfg, largest_component
+from .graph import Cfg, Component, largest_component, largest_components
 
 _STATS = ("min", "max", "mean", "median", "std")
 _FAMILIES = ("betweenness", "closeness", "degree", "shortest_path")
@@ -70,17 +69,18 @@ def _stat_tuple(s: metrics.PathStats) -> tuple[float, ...]:
     return (s.min, s.max, s.mean, s.median, s.std)
 
 
-def extract_features(g: Cfg, component: tuple[list[list[int]], set[int], int] | None = None,
+def extract_features(g: Cfg, component: Component | None = None,
                      swept: metrics.Sweep | None = None) -> FeatureVector:
     """Compute the frozen 23-entry descriptor of one CFG.
 
-    component is largest_component(g) and swept is metrics.sweep of its
-    adjacency; each is computed here unless the caller already has it.
+    component is largest_component(g) and swept is the metrics.sweep_many
+    Sweep of its CSR; each is computed here unless the caller already has it.
     """
-    adj, loops, _ = component or largest_component(g)
-    swept = swept or metrics.sweep(adj)
+    component = component or largest_component(g)
+    swept = swept or next(metrics.sweep_many([(component.indptr, component.indices)]))
     values: list[float] = []
-    for scores in (swept.betweenness(), swept.closeness, metrics.degree_scores(adj, loops)):
+    for scores in (swept.betweenness(), swept.closeness,
+                   metrics.degree_scores(component.indptr, component.loops)):
         values.extend(_stat_tuple(metrics.summary_stats(scores)))
     values.extend(_stat_tuple(swept.path_stats()))
     values.append(metrics.density(g))
@@ -89,19 +89,12 @@ def extract_features(g: Cfg, component: tuple[list[list[int]], set[int], int] | 
     return FeatureVector(sample_id=g.sample_id, values=tuple(values))
 
 
-def extract_features_many(graphs: Iterable[Cfg]) -> list[FeatureVector]:
+def extract_features_many(graphs: Sequence[Cfg]) -> list[FeatureVector]:
     """extract_features of each CFG, in input order, from one
-    metrics.sweep_many call over their largest components; a component is
-    kept only until its sweep comes back."""
-    pending: deque[tuple[Cfg, tuple[list[list[int]], set[int], int]]] = deque()
-
-    def adjacencies():
-        for g in graphs:
-            pending.append((g, largest_component(g)))
-            yield pending[-1][1][0]
-
-    return [extract_features(*pending.popleft(), swept)
-            for swept in metrics.sweep_many(adjacencies())]
+    largest_components call and one metrics.sweep_many call over its CSRs."""
+    components = largest_components(graphs)
+    swept = metrics.sweep_many((c.indptr, c.indices) for c in components)
+    return [extract_features(g, c, s) for g, c, s in zip(graphs, components, swept)]
 
 
 def _header() -> list[str]:

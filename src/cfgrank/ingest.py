@@ -69,6 +69,11 @@ class CfgDocument:
     functions: tuple[FunctionRecord, ...]
 
 
+# json.loads recurses once per nesting level; the offset of the level at
+# which it gave up is lost
+_TOO_DEEP = "nested too deeply to parse"
+
+
 def _require(obj: dict, fieldname: str, kind, context: str):
     if fieldname not in obj:
         raise SchemaError(f"{context}.{fieldname}", "missing")
@@ -102,6 +107,8 @@ def parse_cfg_json(data: bytes) -> CfgDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise JsonSyntaxError(e.msg, e.pos) from e
+    except RecursionError:
+        raise JsonSyntaxError(_TOO_DEEP, 0) from None
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
 
@@ -238,12 +245,61 @@ def write_canonical(g: Cfg) -> bytes:
 
 
 def parse_canonical(data: bytes) -> Cfg:
-    """Parse the canonical graph serialization back into a Cfg."""
+    """Parse the canonical graph serialization back into a Cfg.
+
+    The schema is checked a column at a time: the types of all node fields
+    and all edge endpoints, their minima, and duplicate and dangling
+    addresses through set sizes and containment. Only a document that fails
+    one of these is checked again field by field, so that the error names
+    its first offender.
+    """
     try:
         raw = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         offset = getattr(e, "pos", 0) if isinstance(e, json.JSONDecodeError) else e.start
         raise JsonSyntaxError(str(getattr(e, "msg", e)), offset) from e
+    except RecursionError:
+        raise JsonSyntaxError(_TOO_DEEP, 0) from None
+    columns = _bulk_checked(raw)
+    if columns is None:
+        return _parse_canonical_checked(raw)
+    sample_id, addrs, sizes, ninstrs, ends = columns
+    if addrs != sorted(addrs):
+        order = sorted(range(len(addrs)), key=addrs.__getitem__)
+        addrs, sizes, ninstrs = ([col[i] for i in order] for col in (addrs, sizes, ninstrs))
+    ids = list(map(dict(zip(addrs, range(len(addrs)))).__getitem__, ends))
+    return Cfg(sample_id, tuple(map(BasicBlock, addrs, sizes, ninstrs)),
+               tuple(sorted(set(zip(ids[::2], ids[1::2])))))
+
+
+def _bulk_checked(raw):
+    """(sample_id, addrs, sizes, ninstrs, edge endpoints end to end) of a
+    canonical document that passes every check of _parse_canonical_checked,
+    taken a column at a time; None if one fails."""
+    try:
+        sample_id, nodes, edges = raw["sample_id"], raw["nodes"], raw["edges"]
+        addrs = [n["addr"] for n in nodes]
+        sizes = [n["size"] for n in nodes]
+        ninstrs = [n["ninstr"] for n in nodes]
+        ends = [x for e in edges for x in e]
+    except (TypeError, KeyError):
+        return None
+    # type() is not isinstance(): a bool is no integer here
+    if (type(sample_id) is not str or type(nodes) is not list or not nodes
+            or type(edges) is not list or {*map(type, nodes)} != {dict}
+            or {*map(type, addrs), *map(type, sizes), *map(type, ninstrs)} != {int}
+            or min(addrs) < 0 or min(sizes) < 0 or min(ninstrs) < 0
+            or {*map(type, edges)} - {list} or {*map(len, edges)} - {2}
+            or {*map(type, ends)} - {int} or min(ends, default=0) < 0):
+        return None
+    known = set(addrs)
+    if len(known) < len(addrs) or not known.issuperset(ends):
+        return None
+    return sample_id, addrs, sizes, ninstrs, ends
+
+
+def _parse_canonical_checked(raw) -> Cfg:
+    """parse_canonical field by field; raises on the first offender."""
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
     sample_id = _require(raw, "sample_id", str, "<root>")

@@ -327,10 +327,15 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
         return ModelParams(kind="rf", trees=_fit_forest(X, y, hyper, seed))
     mean, std, constant = _standardize_fit(X)
     Xs = (X - mean) / std
-    if kind == "logreg":
-        w, b = _fit_logreg(Xs, y, hyper)
-    else:
-        w, b = _fit_svm(Xs, y, hyper, seed)
+    # a step size too large overflows the weights; the result is checked
+    # below instead of warned about on the way
+    with np.errstate(all="ignore"):
+        if kind == "logreg":
+            w, b = _fit_logreg(Xs, y, hyper)
+        else:
+            w, b = _fit_svm(Xs, y, hyper, seed)
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise NonFiniteModelError(kind)
     return ModelParams(kind=kind, weights=w, bias=b, feat_mean=mean,
                        feat_std=std, constant_features=constant)
 

@@ -5,12 +5,13 @@ Centralities and path statistics operate on the undirected view of a
 connected graph; callers hand in the largest weak component. Density alone
 is defined on the full directed graph.
 
-Betweenness, closeness and the path statistics all come from sweep(), one
-Brandes pass per source over an adjacency the caller builds once
-(graph.largest_component), and degree centrality from degree_scores() over
-the same adjacency. sweep_many() gives the same Sweep for many graphs at
-once, many sources per numpy pass; closeness_many() gives the same
-closeness from a bit-parallel BFS with no path counts.
+Betweenness, closeness and the path statistics all come from one Brandes
+pass per source: sweep_many() runs it for many graphs at once, many sources
+per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
+component (graph.largest_components), and gives for each the Sweep that
+sweep() gives on its neighbor lists. closeness_many() gives the same
+closeness from a bit-parallel BFS with no path counts, and degree_scores()
+degree centrality from the same CSR.
 """
 
 from __future__ import annotations
@@ -161,46 +162,40 @@ def sweep(adj: list[list[int]]) -> Sweep:
     return Sweep(raw, close, [h // 2 for h in hops])
 
 
-def sweep_many(adjs: Iterable[list[list[int]]]) -> Iterator[Sweep]:
-    """sweep() of each connected graph, bit for bit, in input order.
+def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
+    """sweep() of each connected graph, given as CSR (indptr, indices), bit
+    for bit, in input order.
 
-    Source-batched Brandes (McLaughlin & Bader, SC 2014): graphs are packed
-    into int arrays as they arrive and gathered into groups of at most
-    SWEEP_SLOTS slots; each group is searched one BFS level at a time for
-    all its sources together, and its Sweeps are yielded as it finishes, so
-    adjs may be a generator that is read at most one graph past the group.
-    A graph whose path counts reach 2**53, where float64 stops counting
-    exactly, is swept again by sweep().
+    Source-batched Brandes (McLaughlin & Bader, SC 2014): graphs are
+    gathered into groups of at most SWEEP_SLOTS slots; each group is
+    searched one BFS level at a time for all its sources together, and its
+    Sweeps are yielded as it finishes, so csrs may be a generator that is
+    read at most one graph past the group. A graph whose path counts reach
+    2**53, where float64 stops counting exactly, is swept again by sweep().
     """
     group: list[tuple[np.ndarray, np.ndarray]] = []
     slots = 0
-    for adj in adjs:
-        deg, nbrs = _pack(adj)
-        size = len(deg) * (len(deg) + len(nbrs))
+    for indptr, indices in csrs:
+        n = len(indptr) - 1
+        size = n * (n + len(indices))
         if group and slots + size > SWEEP_SLOTS:
             yield from _sweep_group(group)
             group, slots = [], 0
-        group.append((deg, nbrs))
+        group.append((indptr, indices))
         slots += size
     if group:
         yield from _sweep_group(group)
 
 
-def _pack(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """An adjacency as int32 arrays: the degrees, and the lists end to end."""
-    return (np.fromiter(map(len, adj), np.int32, len(adj)),
-            np.fromiter(chain.from_iterable(adj), np.int32))
-
-
 def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
-    """Sweeps of packed graphs that fit SWEEP_SLOTS together, or of one graph
+    """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
     that does not, taken in blocks of sources that do."""
-    sizes = [len(deg) for deg, _ in graphs]
+    sizes = [len(indptr) - 1 for indptr, _ in graphs]
     firsts = np.cumsum([0] + sizes[:-1]).tolist()
-    deg = np.concatenate([deg for deg, _ in graphs])
+    deg = np.concatenate([np.diff(indptr) for indptr, _ in graphs])
     # one node numbering for the group: graph j's nodes start at firsts[j]
     csr = (np.concatenate(([0], np.cumsum(deg))), deg,
-           np.concatenate([nbrs + first for (_, nbrs), first in zip(graphs, firsts)]))
+           np.concatenate([indices + first for (_, indices), first in zip(graphs, firsts)]))
     if len(graphs) > 1:
         blocks = [[(first, size, 0, size) for first, size in zip(firsts, sizes)]]
     else:
@@ -221,15 +216,15 @@ def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]
                 hists[j][:len(hist)] += hist
         if not all(exact):  # a lone graph bound for sweep() needs no more blocks
             break
-    for (own_deg, own_nbrs), first, size, hist, ok in zip(graphs, firsts, sizes, hists, exact):
+    for (indptr, indices), first, size, hist, ok in zip(graphs, firsts, sizes, hists, exact):
         if ok:
             hist[0] = 0
             yield Sweep(raw[first:first + size].tolist(),
                         close[first:first + size].tolist(), (hist // 2).tolist())
         else:
-            ends = np.cumsum(own_deg).tolist()
-            flat = own_nbrs.tolist()
-            yield sweep([flat[a:b] for a, b in zip([0] + ends[:-1], ends)])
+            ends = indptr.tolist()
+            flat = indices.tolist()
+            yield sweep([flat[a:b] for a, b in zip(ends, ends[1:])])
 
 
 def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -314,17 +309,17 @@ def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,
     return at, indices[pos] + bases[at]
 
 
-def closeness_many(adjs: Iterable[list[list[int]]]) -> list[list[float]]:
-    """Closeness per node of each connected graph, in input order.
+def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[list[float]]:
+    """Closeness per node of each connected graph, given as CSR (indptr,
+    indices), in input order.
 
     A bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): graphs needing the same number of 64-bit words per
     node are searched together, every node a source. The hop-distance sums
     are exact integers, so each score is the (n-1)/total that a BFS per
-    source gives. Each adjacency is packed into int arrays as it arrives,
-    so adjs may be a generator that never holds the lists of the others.
+    source gives.
     """
-    packed = [_pack(adj) for adj in adjs]
+    packed = [(np.diff(indptr), indices) for indptr, indices in csrs]
     scores: list[list[float]] = [[0.0] * len(deg) for deg, _ in packed]
     groups: dict[int, list[int]] = {}
     for i, (deg, _) in enumerate(packed):
@@ -395,12 +390,15 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> l
     return (missing.sum(axis=1) - levels * padding)[rank].tolist()
 
 
-def degree_scores(adj: list[list[int]], loops: set[int]) -> list[float]:
-    """Undirected degree over n-1; a self-loop adds 1 to its node's degree."""
-    n = len(adj)
+def degree_scores(indptr: np.ndarray, loops) -> list[float]:
+    """Undirected degree over n-1 of a CSR graph's nodes; each node in loops
+    (its self-loop nodes, none twice) adds 1 to its degree."""
+    n = len(indptr) - 1
     if n == 1:
         return [0.0]
-    return [(len(adj[u]) + (1 if u in loops else 0)) / (n - 1) for u in range(n)]
+    deg = np.diff(indptr)
+    deg[loops] += 1
+    return (deg / (n - 1)).tolist()
 
 
 def density(g: Cfg) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import metrics
-from .graph import Cfg, largest_component
+from .graph import Cfg, largest_components
 
 CDF_METRICS = ("node_count", "edge_count", "avg_closeness", "component_count")
 
@@ -69,26 +69,18 @@ def corpus_stats(graphs: list[Cfg], name: str,
     each graph's largest weak component, 0 for a singleton."""
     if not graphs:
         raise ReportError("corpus must contain at least one graph")
-    component_counts: list[int] = []
-
-    def largest_components():
-        for g in graphs:
-            adj, _, count = largest_component(g)
-            component_counts.append(count)
-            yield adj
-
-    # one kernel call for the corpus; it packs each adjacency as it arrives
-    closeness = metrics.closeness_many(largest_components())
+    components = largest_components(graphs)
+    closeness = metrics.closeness_many((c.indptr, c.indices) for c in components)
     rows = [
         SampleRow(
             sample_id=g.sample_id,
             node_count=g.node_count,
             edge_count=g.edge_count,
             avg_closeness=sum(scores) / len(scores),
-            component_count=count,
+            component_count=c.count,
             file_size=(file_sizes or {}).get(g.sample_id),
         )
-        for g, scores, count in zip(graphs, closeness, component_counts)
+        for g, scores, c in zip(graphs, closeness, components)
     ]
     cdfs = {
         metric_name: empirical_cdf([float(getattr(r, metric_name)) for r in rows])

@@ -56,6 +56,21 @@ def largest_component_cfg(g: Cfg) -> Cfg:
     return Cfg(g.sample_id, tuple(g.blocks[u] for u in kept), tuple(edges))
 
 
+def csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbor lists as int32 CSR (indptr, indices), the metric kernels'
+    input."""
+    indptr = np.cumsum([0, *map(len, adj)]).astype(np.int32)
+    return indptr, np.array([v for nbrs in adj for v in nbrs], np.int32)
+
+
+def component_lists(component) -> tuple[list[list[int]], set[int], int]:
+    """A graph.Component as (neighbor lists, self-loop set, count)."""
+    ends = component.indptr.tolist()
+    flat = component.indices.tolist()
+    return ([flat[a:b] for a, b in zip(ends, ends[1:])], set(component.loops.tolist()),
+            component.count)
+
+
 def undirected_neighbors(g: Cfg) -> list[set[int]]:
     nbrs: list[set[int]] = [set() for _ in range(g.node_count)]
     for u, v in g.edges:

@@ -19,6 +19,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_subprocess(*argv):
+    """The CLI in a fresh interpreter, so that a traceback or a warning
+    would show on its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cfgrank.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "cfgrank.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_cfg_json(path, sample_id="s", addr=0):
     payload = {
         "sample_id": sample_id,
@@ -360,7 +368,6 @@ class TestTrainEvaluateCommands:
         assert not out.exists()
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_model_exits_3(self, tmp_path, capsys):
         # a learning rate this large overflows the weights to NaN
         csv_path = tmp_path / "features.csv"
@@ -417,13 +424,54 @@ class TestUnwritableOutput:
             "train": ["train", str(table), "--kind", "logreg", "-o", str(graphs)],
             "evaluate": ["evaluate", str(table), "--kind", "logreg", "-o", str(graphs)],
         }[command]
-        env = {**os.environ, "PYTHONPATH": str(Path(cfgrank.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-m", "cfgrank.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_subprocess(*argv)
         assert done.returncode == 2
         [line] = done.stderr.splitlines()
         assert line.startswith("cfgrank: input error: cannot write ")
         assert "Traceback" not in done.stderr
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the interpreter's recursion limit is an input error."""
+
+    @pytest.mark.parametrize("command", ["features", "analyze", "ingest"])
+    def test_exits_2(self, tmp_path, command):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        nested = graphs / "deep.graph.json"
+        nested.write_text("[" * 100000)
+        out = tmp_path / "out"
+        argv = {
+            "features": ["features", str(graphs), "-o", str(out)],
+            "analyze": ["analyze", str(graphs), "--names", "a", "-o", str(out)],
+            "ingest": ["ingest", "--format", "cfg-json", "-o", str(out), str(nested)],
+        }[command]
+        done = run_subprocess(*argv)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        prefix = f"error: {nested}: " if command == "ingest" else "cfgrank: input error: "
+        assert line == prefix + "invalid JSON at byte offset 0: nested too deeply to parse"
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+
+class TestDivergedLinearModel:
+    """A learning rate that overflows the weights is a data error, with no
+    numpy warning on the way."""
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_exits_3(self, tmp_path, command):
+        table = tmp_path / "features.csv"
+        make_features_csv(table)
+        out = tmp_path / "out.json"
+        done = run_subprocess(command, str(table), "--kind", "logreg", "--logreg-lr", "1e300",
+                              *(["--k", "4"] if command == "evaluate" else []), "-o", str(out))
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [
+            "cfgrank: data error: logreg model has a NaN or infinite parameter; "
+            "JSON cannot hold it"]
+        assert done.stdout == ""
+        assert not out.exists()
 
 
 class TestDeterminism:

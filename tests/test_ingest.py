@@ -1,10 +1,18 @@
+import io
 import json
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cfgrank.graph import largest_component
-from cfgrank.ingest import (DuplicateAddressError, EdgeListError,
+from cfgrank import ingest
+from cfgrank.cli import main
+from cfgrank.graph import GraphError, largest_component
+from cfgrank.ingest import (DuplicateAddressError, EdgeListError, IngestError,
                             JsonSyntaxError, SchemaError, document_to_cfg,
                             parse_canonical, parse_cfg_json, parse_edge_list,
                             write_canonical)
@@ -207,3 +215,178 @@ class TestCanonical:
                 total += n_blocks
             doc = parse_cfg_json(doc_bytes(functions=functions))
             assert document_to_cfg(doc).node_count == total
+
+
+# values of the wrong type or sign for a number of a canonical document,
+# bools first: json gives True for true, and isinstance(True, int) holds
+WRONG = (True, False, -1, -2 ** 70, "x", 1.5, None, [])
+# and for any of its fields
+JUNK = WRONG + ("", {}, [4], [4, 8, 12], {"addr": 0})
+
+
+def _index(draw, seq):
+    return draw(st.integers(0, len(seq) - 1))
+
+
+def _shift_addresses(doc, draw):
+    # every address at or beyond 2**64, consistently: still valid
+    base = draw(st.sampled_from((2 ** 64, 2 ** 64 - 4, 3 * 2 ** 70)))
+    for n in doc["nodes"]:
+        n["addr"] += base
+    doc["edges"] = [[u + base, v + base] for u, v in doc["edges"]]
+
+
+def _shuffle_nodes(doc, draw):
+    doc["nodes"] = draw(st.permutations(doc["nodes"]))
+
+
+def _repeat_edge(doc, draw):
+    if doc["edges"]:
+        doc["edges"].insert(_index(draw, doc["edges"]), list(draw(st.sampled_from(doc["edges"]))))
+
+
+def _self_loop(doc, draw):
+    a = doc["nodes"][_index(draw, doc["nodes"])]["addr"]
+    doc["edges"].append([a, a])
+
+
+def _extra_key(doc, draw):
+    target = draw(st.sampled_from([doc] + doc["nodes"]))
+    target["note"] = draw(st.sampled_from(JUNK))
+
+
+def _duplicate_address(doc, draw):
+    nodes = doc["nodes"]
+    nodes[_index(draw, nodes)]["addr"] = nodes[_index(draw, nodes)]["addr"]
+
+
+def _dangling_edge(doc, draw):
+    missing = max(n["addr"] for n in doc["nodes"]) + draw(st.integers(1, 9))
+    a = doc["nodes"][_index(draw, doc["nodes"])]["addr"]
+    doc["edges"].append(draw(st.sampled_from(([a, missing], [missing, a]))))
+
+
+def _bad_node_field(doc, draw):
+    node = doc["nodes"][_index(draw, doc["nodes"])]
+    node[draw(st.sampled_from(("addr", "size", "ninstr")))] = draw(st.sampled_from(WRONG))
+
+
+def _bad_edge(doc, draw):
+    if not doc["edges"]:
+        doc["edges"].append(draw(st.sampled_from(JUNK)))
+    elif draw(st.booleans()):
+        doc["edges"][_index(draw, doc["edges"])] = draw(st.sampled_from(JUNK))
+    else:
+        doc["edges"][_index(draw, doc["edges"])][draw(st.integers(0, 1))] = draw(
+            st.sampled_from(WRONG))
+
+
+def _bad_root_field(doc, draw):
+    doc[draw(st.sampled_from(("sample_id", "nodes", "edges")))] = draw(st.sampled_from(JUNK))
+
+
+def _missing_key(doc, draw):
+    target = draw(st.sampled_from([doc] + doc["nodes"]))
+    keys = sorted(target)
+    if keys:
+        del target[keys[_index(draw, keys)]]
+
+
+def _non_object(doc, draw):
+    doc.clear()
+    doc["replace"] = draw(st.sampled_from(JUNK))
+
+
+MUTATIONS = (_shift_addresses, _shuffle_nodes, _repeat_edge, _self_loop, _extra_key,
+             _duplicate_address, _dangling_edge, _bad_node_field, _bad_edge,
+             _bad_root_field, _missing_key, _non_object)
+
+
+@st.composite
+def canonical_files(draw):
+    """The bytes of a valid canonical graph after up to three mutations,
+    some of which keep it valid, and now and then a non-UTF-8 byte."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = random_cfg(rng, draw(st.integers(1, 8)), draw(st.integers(0, 12)), sample_id="m")
+    doc = json.loads(write_canonical(g))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        if isinstance(doc.get("nodes"), list) and doc["nodes"] and all(
+                isinstance(n, dict) and isinstance(n.get("addr"), int) for n in doc["nodes"]) \
+                and isinstance(doc.get("edges"), list) and all(
+                isinstance(e, list) and len(e) == 2 for e in doc["edges"]):
+            mutate(doc, draw)
+    if "replace" in doc:
+        doc = doc["replace"]
+    data = json.dumps(doc).encode()
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def canonical_bytes(nodes, edges):
+    return json.dumps({"sample_id": "m", "nodes": nodes, "edges": edges}).encode()
+
+
+def one_by_one(data):
+    """What the field-by-field checks make of data: a Cfg, or the message of
+    the first error they raise."""
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError, JSONDecodeError: no schema to check
+        with pytest.raises(JsonSyntaxError) as e:
+            parse_canonical(data)
+        return str(e.value)
+    try:
+        return ingest._parse_canonical_checked(raw)
+    except (IngestError, GraphError) as e:
+        return str(e)
+
+
+class TestCanonicalErrorParity:
+    """The bulk-checked parse_canonical against the field-by-field checks,
+    through features and analyze."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_files())
+    @example(canonical_bytes([{"addr": 0, "size": True, "ninstr": 1}], []))
+    @example(canonical_bytes([{"addr": 0, "size": 0, "ninstr": 1}, {"addr": False}], []))
+    @example(canonical_bytes([{"addr": 0, "size": 0, "ninstr": 0}], [[0, True]]))
+    @example(canonical_bytes([{"addr": 2 ** 64, "size": 0, "ninstr": -1}], []))
+    @example(canonical_bytes([{"addr": 8, "size": 0, "ninstr": 0}] * 2, []))
+    @example(canonical_bytes([{"addr": 8, "size": 0, "ninstr": 0}], [[8, 8], [8, 2 ** 64]]))
+    def test_features_and_analyze(self, data):
+        expected = one_by_one(data)
+        if not isinstance(expected, str):
+            assert parse_canonical(data) == expected
+        valid = write_canonical(random_cfg(random.Random(1), 5, 6, sample_id="a"))
+        with tempfile.TemporaryDirectory() as tmp:
+            graphs, out = Path(tmp) / "graphs", Path(tmp) / "out"
+            graphs.mkdir()
+            # a valid file sorts first, so the mutated one is the first bad one
+            (graphs / "a.graph.json").write_bytes(valid)
+            (graphs / "m.graph.json").write_bytes(data)
+            for argv in (["features", str(graphs), "-o", str(out)],
+                         ["analyze", str(graphs), "--names", "c", "-o", str(out)]):
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                if isinstance(expected, str):
+                    assert code == 2
+                    assert err.getvalue().splitlines() == [f"cfgrank: input error: {expected}"]
+                    assert not out.exists()
+                else:
+                    assert (code, err.getvalue()) == (0, "")
+                    out.unlink()
+
+    def test_first_bad_file_in_sorted_order_reported(self, tmp_path, capsys):
+        (tmp_path / "b.graph.json").write_text('{"sample_id": "b", "nodes": []}')
+        (tmp_path / "a.graph.json").write_text('{"sample_id": 1}')
+        assert main(["features", str(tmp_path), "-o", str(tmp_path / "f.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "cfgrank: input error: field '<root>.sample_id': expected str, got 1\n")
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        for parse in (parse_canonical, parse_cfg_json):
+            with pytest.raises(JsonSyntaxError, match="nested too deeply"):
+                parse(b"[" * 100000)

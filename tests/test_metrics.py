@@ -5,12 +5,21 @@ import pytest
 
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
-from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, closeness_many,
-                             degree_scores, density, summary_stats, sweep,
-                             sweep_many)
-from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
+from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, degree_scores,
+                             density, summary_stats, sweep)
+from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
                      diamond_chain, random_cfg, random_connected_cfg,
                      reference_brandes)
+
+
+# the batched kernels take CSR; these tests write their graphs as neighbor
+# lists, converted one at a time as the kernel reads them
+def closeness_many(adjs):
+    return metrics.closeness_many(map(csr, adjs))
+
+
+def sweep_many(adjs):
+    return metrics.sweep_many(map(csr, adjs))
 
 
 def path3():
@@ -38,7 +47,7 @@ def swept(g):
 
 
 def degrees(g):
-    return degree_scores(g.undirected_adjacency(), g.self_loop_nodes())
+    return degree_scores(csr(g.undirected_adjacency())[0], sorted(g.self_loop_nodes()))
 
 
 class TestCloseness:
