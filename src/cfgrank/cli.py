@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ingest, gen, features, analyze, train, evaluate.
-Exit codes: 0 success, 1 usage error, 2 input parse/validation error,
-3 data/experiment error.
+Exit codes: 0 success; a CfgrankError ends the command with one
+`cfgrank: KIND error: MESSAGE` line on stderr and its exit code, 1 usage
+error, 2 input error (unreadable, malformed or invalid input, unwritable
+output), 3 data error.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -19,27 +22,11 @@ from pathlib import Path
 # Set before the package imports below load numpy; a value set by the user wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from . import CfgrankError, DataError, InputError, UsageError  # noqa: E402
 from . import features as feat  # noqa: E402
-from . import graph, ingest, learn, report, sbc  # noqa: E402
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INPUT = 2
-EXIT_DATA = 3
+from . import ingest, learn, report, sbc  # noqa: E402
 
 FORMATS = ("cfg-json", "edgelist", "sbc")
-
-
-class UsageError(Exception):
-    pass
-
-
-class InputError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(UsageError.exit_code)
 
 
 def _checked(convert, ok, rule: str):
@@ -70,6 +57,13 @@ _nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
 _finite_float = _checked(float, math.isfinite, "finite")
 
 
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from None
+
+
 def _write(path: Path, data: bytes):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -88,48 +82,51 @@ def _json_line(payload) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _parse_one(path: Path, fmt: str, call_edges: bool = True):
-    data = path.read_bytes()
-    if fmt == "cfg-json":
-        doc = ingest.parse_cfg_json(data)
-        return ingest.document_to_cfg(doc, include_call_edges=call_edges)
-    if fmt == "edgelist":
-        return ingest.parse_edge_list(data, sample_id=path.stem)
-    program = sbc.decode(data)
-    return sbc.recover_cfg(program, sample_id=path.stem)
-
-
 def _output_name(sample_id: str, written: set[str]) -> str:
     """The sample_id, if it is one path component inside the output
     directory that this run has not written yet."""
     if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
-        raise ingest.SchemaError("sample_id", f"{sample_id!r} is not a safe file name")
+        raise ingest.SchemaError("sample_id", f"{reprlib.repr(sample_id)} is not a safe file name")
     if sample_id in written:
-        raise ingest.SchemaError("sample_id", f"{sample_id!r} was already written by this run")
+        raise ingest.SchemaError("sample_id", f"{reprlib.repr(sample_id)} was already written by this run")
     return sample_id
+
+
+def _parse_one(path: Path, fmt: str, call_edges: bool, written: set[str]):
+    """The Cfg in one ingest input and the name to write it under; an error
+    in the file's content names the file."""
+    data = _read(path)
+    try:
+        if fmt == "cfg-json":
+            doc = ingest.parse_cfg_json(data)
+            cfg = ingest.document_to_cfg(doc, include_call_edges=call_edges)
+        elif fmt == "edgelist":
+            cfg = ingest.parse_edge_list(data, sample_id=path.stem)
+        else:
+            cfg = sbc.recover_cfg(sbc.decode(data), sample_id=path.stem)
+        return cfg, _output_name(cfg.sample_id, written)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def cmd_ingest(args) -> int:
     out_dir = Path(args.out)
-    paths = [Path(p) for p in args.paths]
     written: set[str] = set()
-    failures: list[tuple[Path, Exception]] = []
-    for path in paths:
+    failures: list[InputError] = []
+    for path in map(Path, args.paths):
         try:
-            cfg = _parse_one(path, args.format, args.call_edges)
-            name = _output_name(cfg.sample_id, written)
-        except (ingest.IngestError, sbc.SbcError, OSError) as e:
-            failures.append((path, e))
+            cfg, name = _parse_one(path, args.format, args.call_edges, written)
+        except InputError as e:
             if not args.keep_going:
-                print(f"error: {path}: {e}", file=sys.stderr)
-                return EXIT_INPUT
+                raise
+            failures.append(e)
             continue
         _write(out_dir / f"{name}.graph.json", ingest.write_canonical(cfg))
         written.add(name)
-    for path, err in failures:
-        print(f"failed: {path}: {err}", file=sys.stderr)
+    for err in failures:
+        print(f"failed: {err}", file=sys.stderr)
     print(f"parsed {len(written)} failed {len(failures)}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -148,17 +145,14 @@ def cmd_gen(args) -> int:
            _json_line({"profile": args.profile, "count": args.count,
                        "seed": args.seed, "samples": manifest}))
     print(f"generated {args.count} {args.profile} sample(s) in {out_dir}")
-    return EXIT_OK
+    return 0
 
 
 def _load_graph_dir(graph_dir: Path):
     paths = sorted(graph_dir.glob("*.graph.json"))
     if not paths:
         raise InputError(f"no *.graph.json files in {graph_dir}")
-    try:
-        return [ingest.parse_canonical(p.read_bytes()) for p in paths]
-    except (ingest.IngestError, graph.GraphError, OSError) as e:
-        raise InputError(str(e)) from e
+    return [ingest.parse_canonical(_read(p)) for p in paths]
 
 
 def cmd_features(args) -> int:
@@ -169,7 +163,7 @@ def cmd_features(args) -> int:
         rows = [feat.FeatureVector(r.sample_id, r.values, args.label) for r in rows]
     _write(Path(args.out), feat.write_feature_table(rows))
     print(f"wrote {len(rows)} feature row(s) to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -201,14 +195,11 @@ def cmd_analyze(args) -> int:
     }
     _write(Path(args.out), _json_line(payload))
     print(f"analyzed {len(all_stats)} corpus(es) into {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _load_dataset(path: Path) -> learn.LabeledDataset:
-    try:
-        rows = feat.parse_feature_table(path.read_bytes())
-    except (feat.FeatureTableError, OSError) as e:
-        raise InputError(str(e)) from e
+    rows = feat.parse_feature_table(_read(path))
     labeled = [r for r in rows if r.label is not None]
     return learn.LabeledDataset(tuple(labeled))
 
@@ -228,7 +219,7 @@ def cmd_train(args) -> int:
     model = learn.train(args.kind, data, _hyper_from_args(args), seed=args.seed)
     _write(Path(args.out), learn.model_to_json(model))
     print(f"trained {args.kind} on {len(data)} sample(s); model in {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def _fmt_rate(v) -> str:
@@ -260,7 +251,7 @@ def cmd_evaluate(args) -> int:
             "metrics": dict(zip(("fnr", "fpr", "fdr", "for", "f1", "ar"), values)),
         }
         _write(Path(args.out), _json_line(payload))
-    return EXIT_OK
+    return 0
 
 
 def build_parser() -> _Parser:
@@ -325,19 +316,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"cfgrank: usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, ingest.IngestError, sbc.SbcError) as e:
-        print(f"cfgrank: input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DataError, learn.LearnError) as e:
-        print(f"cfgrank: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    except CfgrankError as e:
+        print(f"cfgrank: {e.kind} error: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from . import metrics
+from . import InputError, metrics
 from .graph import Cfg, Component, largest_component, largest_components
 
 _STATS = ("min", "max", "mean", "median", "std")
@@ -30,24 +31,16 @@ LABEL_MALICIOUS = "malicious"
 LABEL_BENIGN = "benign"
 
 
-class FeatureTableError(ValueError):
-    """Base class for feature-table parse failures."""
-
-
-class HeaderMismatchError(FeatureTableError):
-    pass
-
-
-class BadValueError(FeatureTableError):
+class BadValueError(InputError):
     def __init__(self, row: int, column: str, value: str):
-        super().__init__(f"row {row}, column {column!r}: bad value {value!r}")
+        super().__init__(f"row {row}, column {column!r}: bad value {reprlib.repr(value)}")
         self.row = row
         self.column = column
 
 
-class NonFiniteValueError(FeatureTableError):
+class NonFiniteValueError(InputError):
     def __init__(self, row: int, column: str, value: str):
-        super().__init__(f"row {row}, column {column!r}: non-finite value {value!r}")
+        super().__init__(f"row {row}, column {column!r}: non-finite value {reprlib.repr(value)}")
         self.row = row
         self.column = column
 
@@ -113,19 +106,28 @@ def write_feature_table(rows: list[FeatureVector]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _csv_rows(text: str):
+    """csv.reader over text; a record that it rejects, such as one with a
+    field longer than csv.field_size_limit(), is an InputError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise InputError(f"line {reader.line_num}: {e}") from None
+
+
 def parse_feature_table(data: bytes) -> list[FeatureVector]:
     """Parse and validate a feature CSV written by write_feature_table."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FeatureTableError(f"not valid UTF-8 at byte {e.start}") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMismatchError("empty file") from None
+        raise InputError(f"not valid UTF-8 at byte {e.start}") from None
+    reader = _csv_rows(text)
+    header = next(reader, None)
+    if header is None:
+        raise InputError("empty file")
     if header != _header():
-        raise HeaderMismatchError(f"unexpected header {header!r}")
+        raise InputError(f"unexpected header {reprlib.repr(header)}")
     rows: list[FeatureVector] = []
     for rownum, fields in enumerate(reader, start=1):
         if not fields:

@@ -7,6 +7,7 @@ node ids; self-loops are kept.
 
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -14,18 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-
-class GraphError(ValueError):
-    """Base class for CFG construction and query errors."""
+from . import InputError
 
 
-class EmptyGraphError(GraphError):
-    pass
-
-
-class DanglingEdgeError(GraphError):
+class DanglingEdgeError(InputError):
     def __init__(self, address: int):
-        super().__init__(f"edge endpoint address {address} does not match any block")
+        super().__init__(f"edge endpoint address {reprlib.repr(address)} does not match any block")
         self.address = address
 
 
@@ -77,12 +72,12 @@ def build_cfg(
     no block address.
     """
     if not blocks:
-        raise EmptyGraphError("a CFG needs at least one basic block")
+        raise InputError("a CFG needs at least one basic block")
     ordered = tuple(sorted(blocks, key=lambda b: b.address))
     id_of: dict[int, int] = {}
     for i, b in enumerate(ordered):
         if b.address in id_of:
-            raise GraphError(f"duplicate block address {b.address}")
+            raise InputError(f"duplicate block address {reprlib.repr(b.address)}")
         id_of[b.address] = i
     edge_set: set[tuple[int, int]] = set()
     for src, dst in raw_edges:

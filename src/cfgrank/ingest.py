@@ -11,38 +11,36 @@ from __future__ import annotations
 
 import json
 import logging
+import reprlib
 from dataclasses import dataclass, field
 
+from . import InputError
 from .graph import BasicBlock, Cfg, build_cfg
 
 log = logging.getLogger(__name__)
 
 
-class IngestError(ValueError):
-    """Base class for all ingestion failures."""
-
-
-class JsonSyntaxError(IngestError):
+class JsonSyntaxError(InputError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"invalid JSON at byte offset {offset}: {message}")
         self.offset = offset
 
 
-class SchemaError(IngestError):
+class SchemaError(InputError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"field {fieldname!r}: {message}")
         self.fieldname = fieldname
 
 
-class DuplicateAddressError(IngestError):
+class DuplicateAddressError(InputError):
     def __init__(self, address: int):
-        super().__init__(f"block address {address} appears more than once")
+        super().__init__(f"block address {reprlib.repr(address)} appears more than once")
         self.address = address
 
 
-class EdgeListError(IngestError):
+class EdgeListError(InputError):
     def __init__(self, line_number: int, line: str):
-        super().__init__(f"malformed line {line_number}: {line!r}")
+        super().__init__(f"malformed line {line_number}: {reprlib.repr(line)}")
         self.line_number = line_number
 
 
@@ -69,9 +67,21 @@ class CfgDocument:
     functions: tuple[FunctionRecord, ...]
 
 
-# json.loads recurses once per nesting level; the offset of the level at
-# which it gave up is lost
-_TOO_DEEP = "nested too deeply to parse"
+def _json(data: bytes):
+    """The JSON value in data; bytes that are not UTF-8 JSON raise
+    JsonSyntaxError."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise JsonSyntaxError("not valid UTF-8", e.start) from None
+    except json.JSONDecodeError as e:
+        raise JsonSyntaxError(e.msg, e.pos) from None
+    # json.loads recurses once per nesting level, and int() refuses more
+    # than sys.get_int_max_str_digits() digits; neither says at which offset
+    except RecursionError:
+        raise JsonSyntaxError("nested too deeply to parse", 0) from None
+    except ValueError:
+        raise JsonSyntaxError("integer with too many digits to parse", 0) from None
 
 
 def _require(obj: dict, fieldname: str, kind, context: str):
@@ -80,11 +90,11 @@ def _require(obj: dict, fieldname: str, kind, context: str):
     value = obj[fieldname]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{context}.{fieldname}", f"expected integer, got {value!r}")
+            raise SchemaError(f"{context}.{fieldname}", f"expected integer, got {reprlib.repr(value)}")
         if value < 0:
-            raise SchemaError(f"{context}.{fieldname}", f"must be non-negative, got {value}")
+            raise SchemaError(f"{context}.{fieldname}", f"must be non-negative, got {reprlib.repr(value)}")
     elif not isinstance(value, kind):
-        raise SchemaError(f"{context}.{fieldname}", f"expected {kind.__name__}, got {value!r}")
+        raise SchemaError(f"{context}.{fieldname}", f"expected {kind.__name__}, got {reprlib.repr(value)}")
     return value
 
 
@@ -93,22 +103,14 @@ def _optional_addr(obj: dict, fieldname: str, context: str) -> int | None:
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{context}.{fieldname}", f"expected non-negative integer or null, got {value!r}")
+        raise SchemaError(f"{context}.{fieldname}",
+                          f"expected non-negative integer or null, got {reprlib.repr(value)}")
     return value
 
 
 def parse_cfg_json(data: bytes) -> CfgDocument:
     """Parse and validate a cfg-json document. Unknown fields are ignored."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise JsonSyntaxError("not valid UTF-8", e.start) from e
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise JsonSyntaxError(e.msg, e.pos) from e
-    except RecursionError:
-        raise JsonSyntaxError(_TOO_DEEP, 0) from None
+    raw = _json(data)
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
 
@@ -145,16 +147,18 @@ def parse_cfg_json(data: bytes) -> CfgDocument:
                 raise SchemaError(f"{bctx}.fail", "jump and fail targets must differ")
             calls_raw = blk_raw.get("calls", [])
             if not isinstance(calls_raw, list):
-                raise SchemaError(f"{bctx}.calls", f"expected list, got {calls_raw!r}")
+                raise SchemaError(f"{bctx}.calls", f"expected list, got {reprlib.repr(calls_raw)}")
             calls = []
             for ci, c in enumerate(calls_raw):
                 if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-                    raise SchemaError(f"{bctx}.calls[{ci}]", f"expected non-negative integer, got {c!r}")
+                    raise SchemaError(f"{bctx}.calls[{ci}]",
+                                      f"expected non-negative integer, got {reprlib.repr(c)}")
                 calls.append(c)
             blocks.append(BlockRecord(addr=addr, size=size, ninstr=ninstr,
                                       jump=jump, fail=fail, calls=tuple(calls)))
         if entry not in {b.addr for b in blocks}:
-            raise SchemaError(f"{ctx}.entry", f"entry {entry} matches no block in the function")
+            raise SchemaError(f"{ctx}.entry",
+                              f"entry {reprlib.repr(entry)} matches no block in the function")
         functions.append(FunctionRecord(name=name, entry=entry, blocks=tuple(blocks)))
     return CfgDocument(sample_id=sample_id, functions=tuple(functions))
 
@@ -209,19 +213,19 @@ def parse_edge_list(data: bytes, sample_id: str = "") -> Cfg:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.endswith(":"):
-            body = line[:-1]
-            if not body.isdigit():
-                raise EdgeListError(lineno, raw_line)
-            labels.add(int(body))
-            continue
-        parts = line.split(" ")
-        if len(parts) != 2 or not parts[0].isdigit() or not parts[1].isdigit():
+        isolated = line.endswith(":")
+        parts = [line[:-1]] if isolated else line.split(" ")
+        # isdecimal() is the set of digits that int() reads, where isdigit()
+        # takes superscripts too; int() still refuses too many digits
+        if len(parts) != (1 if isolated else 2) or not all(p.isdecimal() for p in parts):
             raise EdgeListError(lineno, raw_line)
-        u, v = int(parts[0]), int(parts[1])
-        labels.add(u)
-        labels.add(v)
-        edges.append((u, v))
+        try:
+            ends = [int(p) for p in parts]
+        except ValueError:
+            raise EdgeListError(lineno, raw_line) from None
+        labels.update(ends)
+        if not isolated:
+            edges.append((ends[0], ends[1]))
     if not labels:
         raise EdgeListError(0, "no nodes declared")
     blocks = [BasicBlock(address=a) for a in sorted(labels)]
@@ -253,13 +257,7 @@ def parse_canonical(data: bytes) -> Cfg:
     one of these is checked again field by field, so that the error names
     its first offender.
     """
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        offset = getattr(e, "pos", 0) if isinstance(e, json.JSONDecodeError) else e.start
-        raise JsonSyntaxError(str(getattr(e, "msg", e)), offset) from e
-    except RecursionError:
-        raise JsonSyntaxError(_TOO_DEEP, 0) from None
+    raw = _json(data)
     columns = _bulk_checked(raw)
     if columns is None:
         return _parse_canonical_checked(raw)
@@ -327,6 +325,6 @@ def _parse_canonical_checked(raw) -> Cfg:
         ctx = f"edges[{i}]"
         if (not isinstance(e, list) or len(e) != 2
                 or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e)):
-            raise SchemaError(ctx, f"expected [addr, addr], got {e!r}")
+            raise SchemaError(ctx, f"expected [addr, addr], got {reprlib.repr(e)}")
         edges.append((e[0], e[1]))
     return build_cfg(sample_id, blocks, edges)

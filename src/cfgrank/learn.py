@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DataError
 from .features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS,
                        N_FEATURES, FeatureVector)
 
@@ -23,35 +24,27 @@ MODEL_FORMAT_VERSION = 1
 KINDS = ("logreg", "svm", "rf")
 
 
-class LearnError(ValueError):
-    pass
-
-
-class SingleClassError(LearnError):
+class SingleClassError(DataError):
     def __init__(self, label: str):
         super().__init__(f"dataset contains only {label!r} samples")
 
 
-class ClassTooSmallError(LearnError):
+class ClassTooSmallError(DataError):
     def __init__(self, label: str, size: int, k: int):
         super().__init__(f"class {label!r} has {size} samples, fewer than k={k}")
 
 
-class SchemaMismatchError(LearnError):
-    pass
-
-
-class EmptyDatasetError(LearnError):
+class EmptyDatasetError(DataError):
     def __init__(self):
         super().__init__("dataset has no labeled samples")
 
 
-class AllZeroMatrixError(LearnError):
+class AllZeroMatrixError(DataError):
     def __init__(self):
         super().__init__("confusion matrix is all zeros")
 
 
-class NonFiniteModelError(LearnError):
+class NonFiniteModelError(DataError):
     def __init__(self, kind: str):
         super().__init__(f"{kind} model has a NaN or infinite parameter; "
                          "JSON cannot hold it")
@@ -65,7 +58,7 @@ class LabeledDataset:
         self.vectors = tuple(vectors)
         for v in self.vectors:
             if v.label is None:
-                raise LearnError(f"sample {v.sample_id!r} has no label")
+                raise DataError(f"sample {v.sample_id!r} has no label")
         self.X = np.array([v.values for v in self.vectors],
                           dtype=float).reshape(-1, N_FEATURES)
         self.y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in self.vectors],
@@ -253,7 +246,9 @@ def _best_split(
     if best is None:
         return None
     j = cols[best]
-    return int(feature_ids[best]), float((xs[best, j] + xs[best, j + 1]) / 2.0)
+    lo, hi = float(xs[best, j]), float(xs[best, j + 1])
+    # near the ends of the float range the sum overflows where the halves do not
+    return int(feature_ids[best]), (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
 
 
 def _grow_tree(
@@ -316,7 +311,7 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
           seed: int = 42) -> ModelParams:
     """Fit one classifier; deterministic given (data order, hyper, seed)."""
     if kind not in KINDS:
-        raise LearnError(f"unknown classifier kind {kind!r}")
+        raise DataError(f"unknown classifier kind {kind!r}")
     if not len(data):
         raise EmptyDatasetError()
     hyper = hyper or HyperParams()
@@ -325,16 +320,16 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
         raise SingleClassError(LABEL_MALICIOUS if y[0] == 1 else LABEL_BENIGN)
     if kind == "rf":
         return ModelParams(kind="rf", trees=_fit_forest(X, y, hyper, seed))
-    mean, std, constant = _standardize_fit(X)
-    Xs = (X - mean) / std
-    # a step size too large overflows the weights; the result is checked
-    # below instead of warned about on the way
+    # a step size too large, or features near the ends of the float range,
+    # overflow; the result is checked below instead of warned about on the way
     with np.errstate(all="ignore"):
+        mean, std, constant = _standardize_fit(X)
+        Xs = (X - mean) / std
         if kind == "logreg":
             w, b = _fit_logreg(Xs, y, hyper)
         else:
             w, b = _fit_svm(Xs, y, hyper, seed)
-    if not (np.isfinite(w).all() and math.isfinite(b)):
+    if not all(np.isfinite(v).all() for v in (w, b, mean, std)):
         raise NonFiniteModelError(kind)
     return ModelParams(kind=kind, weights=w, bias=b, feat_mean=mean,
                        feat_std=std, constant_features=constant)
@@ -343,23 +338,23 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
 def predict_many(model: ModelParams, X: np.ndarray) -> list[str]:
     """Classify each row of X (rows x N_FEATURES); score ties go to benign."""
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
-        raise SchemaMismatchError(f"expected rows of {N_FEATURES} features, got shape {X.shape}")
+        raise DataError(f"expected rows of {N_FEATURES} features, got shape {X.shape}")
     if model.kind == "rf":
         # rows x trees, C order: each row's mean is the same pairwise sum
         # as np.mean over that row's list of tree probabilities
         probs = np.array([[_tree_prob(t, row) for t in model.trees] for row in X.tolist()],
                          dtype=float).reshape(len(X), len(model.trees))
         return [LABEL_MALICIOUS if p > 0.5 else LABEL_BENIGN for p in probs.mean(axis=1)]
-    Xs = (X - model.feat_mean) / model.feat_std
-    # one dot per row: a matrix-vector product may round z differently
-    return [LABEL_MALICIOUS if row @ model.weights + model.bias > 0 else LABEL_BENIGN
-            for row in Xs]
+    # one dot per row: a matrix-vector product may round z differently; a row
+    # far outside the training range may overflow z to inf or NaN (benign)
+    with np.errstate(all="ignore"):
+        Xs = (X - model.feat_mean) / model.feat_std
+        return [LABEL_MALICIOUS if row @ model.weights + model.bias > 0 else LABEL_BENIGN
+                for row in Xs]
 
 
 def predict(model: ModelParams, x: FeatureVector) -> str:
     """Classify one sample; score ties go to benign."""
-    if len(x.values) != N_FEATURES:
-        raise SchemaMismatchError(f"expected {N_FEATURES} features, got {len(x.values)}")
     return predict_many(model, np.array([x.values], dtype=float))[0]
 
 
@@ -451,47 +446,47 @@ def _check_forest(trees) -> None:
     a feature index with a finite threshold and two children. An explicit
     stack, so a deep tree cannot exhaust the recursion limit."""
     if not isinstance(trees, list) or not trees:
-        raise LearnError("rf model needs a non-empty list of trees")
+        raise DataError("rf model needs a non-empty list of trees")
     stack = list(trees)
     while stack:
         node = stack.pop()
         if not isinstance(node, dict):
-            raise LearnError("rf tree node is not an object")
+            raise DataError("rf tree node is not an object")
         if "leaf" in node:
             if not (_finite(node["leaf"]) and 0 <= node["leaf"] <= 1):
-                raise LearnError(f"rf leaf value {node['leaf']!r} is not a number in [0, 1]")
+                raise DataError(f"rf leaf value {node['leaf']!r} is not a number in [0, 1]")
             continue
         if not _feature_index(node.get("feature")):
-            raise LearnError(f"rf split feature {node.get('feature')!r} is not an index "
-                             f"below {N_FEATURES}")
+            raise DataError(f"rf split feature {node.get('feature')!r} is not an index "
+                            f"below {N_FEATURES}")
         if not _finite(node.get("threshold")):
-            raise LearnError(f"rf split threshold {node.get('threshold')!r} is not finite")
+            raise DataError(f"rf split threshold {node.get('threshold')!r} is not finite")
         for side in ("left", "right"):
             if side not in node:
-                raise LearnError(f"rf split node has no {side!r} child")
+                raise DataError(f"rf split node has no {side!r} child")
             stack.append(node[side])
 
 
 def model_from_json(data: bytes) -> ModelParams:
     """Read a model_to_json payload; anything predict could not use raises
-    a LearnError."""
+    a DataError."""
     try:
         raw = json.loads(data.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-        raise LearnError(f"model is not UTF-8 JSON: {e}") from None
+        raise DataError(f"model is not UTF-8 JSON: {e}") from None
     except RecursionError:
-        raise LearnError("model JSON is nested too deeply") from None
+        raise DataError("model JSON is nested too deeply") from None
     if not isinstance(raw, dict):
-        raise LearnError("model is not a JSON object")
+        raise DataError("model is not a JSON object")
     if raw.get("version") != MODEL_FORMAT_VERSION:
-        raise LearnError(f"unsupported model version {raw.get('version')!r}")
+        raise DataError(f"unsupported model version {raw.get('version')!r}")
     kind = raw.get("kind")
     if kind not in KINDS:
-        raise LearnError(f"unknown classifier kind {kind!r}")
+        raise DataError(f"unknown classifier kind {kind!r}")
 
     def field(name: str):
         if name not in raw:
-            raise LearnError(f"{kind} model is missing field {name!r}")
+            raise DataError(f"{kind} model is missing field {name!r}")
         return raw[name]
 
     if kind == "rf":
@@ -504,15 +499,15 @@ def model_from_json(data: bytes) -> ModelParams:
         values = fields[name]
         if not (isinstance(values, list) and len(values) == N_FEATURES
                 and all(_finite(v) for v in values)):
-            raise LearnError(f"{kind} model field {name!r} is not {N_FEATURES} finite numbers")
+            raise DataError(f"{kind} model field {name!r} is not {N_FEATURES} finite numbers")
     if not all(v > 0 for v in fields["feat_std"]):
-        raise LearnError(f"{kind} model field 'feat_std' has a value <= 0")
+        raise DataError(f"{kind} model field 'feat_std' has a value <= 0")
     if not _finite(fields["bias"]):
-        raise LearnError(f"{kind} model field 'bias' is not a finite number")
+        raise DataError(f"{kind} model field 'bias' is not a finite number")
     constant = fields["constant_features"]
     if not (isinstance(constant, list) and all(_feature_index(i) for i in constant)):
-        raise LearnError(f"{kind} model field 'constant_features' is not a list of "
-                         f"indices below {N_FEATURES}")
+        raise DataError(f"{kind} model field 'constant_features' is not a list of "
+                        f"indices below {N_FEATURES}")
     return ModelParams(
         kind=kind,
         weights=np.array(fields["weights"], dtype=float),

@@ -43,6 +43,7 @@ _EXACT_SIGMA = 2.0 ** 53
 
 
 class DisconnectedGraphError(ValueError):
+    """A bug, never bad input: callers pass one component by construction."""
     def __init__(self):
         super().__init__("centrality requires a connected graph; pass one component")
 

@@ -7,17 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import metrics
+from . import DataError, metrics
 from .graph import Cfg, largest_components
 
 CDF_METRICS = ("node_count", "edge_count", "avg_closeness", "component_count")
 
 
-class ReportError(ValueError):
-    pass
-
-
-class UnknownMetricError(ReportError):
+class UnknownMetricError(DataError):
     def __init__(self, name: str):
         super().__init__(f"unknown metric {name!r}; expected one of {CDF_METRICS}")
         self.name = name
@@ -52,7 +48,7 @@ class ComparisonSummary:
 def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
     """Distinct sorted values with cumulative fractions; ends at exactly 1."""
     if not values:
-        raise ReportError("empirical_cdf needs at least one value")
+        raise DataError("empirical_cdf needs at least one value")
     n = len(values)
     ordered = sorted(values)
     points: list[tuple[float, float]] = []
@@ -68,7 +64,7 @@ def corpus_stats(graphs: list[Cfg], name: str,
     """Per-sample rows and CDFs; avg_closeness is the mean closeness over
     each graph's largest weak component, 0 for a singleton."""
     if not graphs:
-        raise ReportError("corpus must contain at least one graph")
+        raise DataError("corpus must contain at least one graph")
     components = largest_components(graphs)
     closeness = metrics.closeness_many((c.indptr, c.indices) for c in components)
     rows = [

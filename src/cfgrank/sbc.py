@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import IntEnum
 
+from . import InputError
 from .graph import BasicBlock, Cfg, build_cfg
 
 
@@ -33,24 +34,20 @@ _TERMINATORS = {Opcode.JMP, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT}
 RECORD_SIZE = 4
 
 
-class SbcError(ValueError):
-    """Base class for bytecode decoding failures."""
-
-
-class BadLengthError(SbcError):
+class BadLengthError(InputError):
     def __init__(self, length: int):
         super().__init__(f"program length {length} is not a positive multiple of {RECORD_SIZE}")
         self.length = length
 
 
-class UnknownOpcodeError(SbcError):
+class UnknownOpcodeError(InputError):
     def __init__(self, index: int, opcode: int):
         super().__init__(f"unknown opcode {opcode} at instruction {index}")
         self.index = index
         self.opcode = opcode
 
 
-class TargetOutOfBoundsError(SbcError):
+class TargetOutOfBoundsError(InputError):
     def __init__(self, index: int, target: int, length: int):
         super().__init__(
             f"instruction {index} targets {target}, outside program of {length} instructions")

@@ -20,7 +20,8 @@ import numpy as np
 
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
 from cfgrank.features import LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES, FeatureVector
-from cfgrank.learn import HyperParams, ModelParams, SchemaMismatchError
+from cfgrank import DataError
+from cfgrank.learn import HyperParams, ModelParams
 from cfgrank.metrics import DisconnectedGraphError
 
 
@@ -310,7 +311,7 @@ def reference_predict(model: ModelParams, x: FeatureVector) -> str:
     """Classify one sample on its own 1-D vector; the exact reference for
     cfgrank.learn.predict_many. Score ties go to benign."""
     if len(x.values) != N_FEATURES:
-        raise SchemaMismatchError(f"expected {N_FEATURES} features, got {len(x.values)}")
+        raise DataError(f"expected {N_FEATURES} features, got {len(x.values)}")
     vec = np.array(x.values, dtype=float)
     if model.kind == "rf":
         prob = float(np.mean([reference_tree_prob(t, vec) for t in model.trees]))

@@ -1,16 +1,24 @@
+import csv
+import importlib
+import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cfgrank
 from cfgrank import features as feat
-from cfgrank import ingest, metrics, sbc
-from cfgrank.cli import DataError, _json_line, main
+from cfgrank import DataError, ingest, learn, metrics, sbc
+from cfgrank.cli import _json_line, main
 from cfgrank.graph import BasicBlock, build_cfg
 from oracles import random_cfg
 
@@ -449,7 +457,7 @@ class TestDeeplyNestedJson:
         done = run_subprocess(*argv)
         assert done.returncode == 2
         [line] = done.stderr.splitlines()
-        prefix = f"error: {nested}: " if command == "ingest" else "cfgrank: input error: "
+        prefix = "cfgrank: input error: " + (f"{nested}: " if command == "ingest" else "")
         assert line == prefix + "invalid JSON at byte offset 0: nested too deeply to parse"
         assert "Traceback" not in done.stderr
         assert not out.exists()
@@ -520,3 +528,224 @@ class TestBlasThreads:
     def test_user_value_kept(self):
         value, _ = self.import_cli(OPENBLAS_NUM_THREADS="3")
         assert value == "3"
+
+
+def run_captured(argv):
+    """main(argv) in this process: (exit code, stderr). An exception that
+    escapes main fails the calling test."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def files_under(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+
+# an edge-list token: a label, a non-ASCII digit that int() reads or
+# refuses, or something that is no label at all
+EDGE_TOKENS = st.one_of(
+    st.integers(0, 2 ** 70).map(str),
+    st.sampled_from(["²", "³", "٣", "০", "０", "-1", "+1", "1_0", "1.5", " ", "", "#",
+                     ":", "\t", "\x00", "x"]),
+    st.text(max_size=3))
+
+
+@st.composite
+def edge_list_files(draw):
+    lines = []
+    for tokens in draw(st.lists(st.lists(EDGE_TOKENS, max_size=3), max_size=6)):
+        line = " ".join(tokens)
+        lines.append(line + ":" if draw(st.booleans()) and len(tokens) == 1 else line)
+    data = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode()
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+# a features-CSV field: a number that the table can hold, one at an end of
+# the float range, or text that is no finite number, now and then longer
+# than csv.field_size_limit()
+CSV_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.7976931348623157e308", "-1.7976931348623157e308", "5e-324"]),
+    st.sampled_from(["1e400", "nan", "-inf", "", "x", "1" * 400, '"', "a,b", "\x00", "\r",
+                     "9" * (csv.field_size_limit() + 1)]),
+    st.text(max_size=4))
+
+
+@st.composite
+def feature_tables(draw):
+    """A features CSV of up to 8 rows, labeled in turn, with up to three
+    fields replaced and now and then a mangled header, a field too many or
+    an extra byte."""
+    header = ["sample_id", *feat.FEATURE_NAMES, "label"]
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        header = draw(st.lists(st.sampled_from(header + ["x"]), max_size=26))
+    rows = [[f"s{i}", *(str(i) for _ in feat.FEATURE_NAMES), ("malicious", "benign")[i % 2]]
+            for i in range(draw(st.sampled_from((8, 8, 6, 4, 3, 0))))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        fields = rows[draw(st.integers(0, len(rows) - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(CSV_FIELDS)
+    if rows and draw(st.sampled_from((False,) * 9 + (True,))):
+        rows[-1].append("0")
+    data = "\n".join(",".join(fields) for fields in [header, *rows]).encode()
+    if draw(st.sampled_from((False,) * 9 + (True,))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b'"', b"\r", b"\n"))) + data[at:]
+    return data
+
+
+class TestFuzzedInputs:
+    """Generated edge lists and feature tables through main: exit 0, 2 or 3,
+    at most one stderr line and no traceback, and nothing written outside
+    -o (nothing at all on failure)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_list_files(), st.booleans())
+    @example("² 1".encode(), False)
+    @example("² 1".encode(), True)
+    def test_edge_list_ingest(self, data, keep_going):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "in").mkdir()
+            (root / "in" / "g.edges").write_bytes(data)
+            code, err = run_captured(["ingest", "--format", "edgelist", "-o", str(root / "out"),
+                                      *(["--keep-going"] if keep_going else []),
+                                      str(root / "in" / "g.edges")])
+            assert code in (0, 2, 3)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err
+            written = ["out/g.graph.json"] if code == 0 and not err else []
+            assert files_under(root) == ["in/g.edges", *written]
+
+    @settings(max_examples=200, deadline=None)
+    @given(feature_tables(), st.sampled_from(learn.KINDS))
+    @example(b"sample_id\n" + b"9" * 131073, "rf")
+    def test_features_csv_evaluate(self, data, kind):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "f.csv").write_bytes(data)
+            code, err = run_captured(["evaluate", str(root / "f.csv"), "--kind", kind,
+                                      "--k", "2", "--rf-trees", "3", "--logreg-epochs", "20",
+                                      "--svm-steps", "50", "-o", str(root / "out.json")])
+            assert code in (0, 2, 3)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err
+            written = ["out.json"] if code == 0 else []
+            assert files_under(root) == sorted(["f.csv", *written])
+
+
+class TestOneLineErrors:
+    """The inputs that used to end in a traceback, and values too long to
+    quote, each give one stderr line."""
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_superscript_edge_label(self, tmp_path, keep_going):
+        src = tmp_path / "g.edges"
+        src.write_text("² 1\n")
+        code, err = run_captured(["ingest", "--format", "edgelist", "-o", str(tmp_path / "out"),
+                                  *(["--keep-going"] if keep_going else []), str(src)])
+        line = f"{src}: malformed line 1: '² 1'"
+        assert (code, err) == ((0, f"failed: {line}\n") if keep_going
+                               else (2, f"cfgrank: input error: {line}\n"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_field_over_csv_limit(self, tmp_path, command):
+        table = tmp_path / "features.csv"
+        make_features_csv(table)
+        with table.open("a") as f:
+            f.write("x," + "9" * (csv.field_size_limit() + 1) + "\n")
+        out = tmp_path / "out.json"
+        assert run_captured([command, str(table), "--kind", "rf", "-o", str(out)]) == (
+            2, f"cfgrank: input error: line 62: field larger than field limit "
+               f"({csv.field_size_limit()})\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("addr", ["[" * 980 + "]" * 980, '"' + "x" * 2 ** 20 + '"'],
+                             ids=["nested-980", "1MB-string"])
+    def test_long_canonical_value(self, tmp_path, addr):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        (graphs / "a.graph.json").write_text(
+            '{"sample_id": "a", "nodes": [{"addr": ' + addr + ', "size": 0, "ninstr": 0}], '
+            '"edges": []}')
+        done = run_subprocess("features", str(graphs), "-o", str(tmp_path / "f.csv"))
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("cfgrank: input error: field 'nodes[0].addr': expected integer")
+        assert len(line) < 300
+
+    def test_long_values_elsewhere(self, tmp_path):
+        long = "7" * 2 ** 20
+        (tmp_path / "g.edges").write_text(f"1 2 {long}\n")
+        (tmp_path / "in.json").write_text(json.dumps({"sample_id": "/" + long, "functions": [
+            {"name": "f", "entry": 0, "blocks": [{"addr": 0}]}]}))
+        (tmp_path / "f.csv").write_text(",".join(["sample_id", *feat.FEATURE_NAMES, "label"])
+                                        + "\nx," + ",".join(["0"] * 23) + ",m" + long[:100000])
+        for argv in (["ingest", "--format", "edgelist", "-o", str(tmp_path / "o"),
+                      str(tmp_path / "g.edges")],
+                     ["ingest", "--format", "cfg-json", "-o", str(tmp_path / "o"),
+                      str(tmp_path / "in.json")],
+                     ["evaluate", str(tmp_path / "f.csv"), "--kind", "rf"]):
+            code, err = run_captured(argv)
+            assert code == 2
+            assert len(err.splitlines()) == 1 and len(err) < 300 + len(str(tmp_path))
+
+    def test_integer_too_long(self, tmp_path):
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        (graphs / "a.graph.json").write_text('{"sample_id": "a", "nodes": [{"addr": '
+                                             + "1" * 5000 + ', "size": 0, "ninstr": 0}]}')
+        assert run_captured(["features", str(graphs), "-o", str(tmp_path / "f.csv")]) == (
+            2, "cfgrank: input error: invalid JSON at byte offset 0: "
+               "integer with too many digits to parse\n")
+
+
+class TestUnreadableInputs:
+    """A path that cannot be read is one `cannot read` input error."""
+
+    @pytest.mark.parametrize("case", ["missing-csv", "graph-dir-entry", "ingest-dir"])
+    def test_exits_2(self, tmp_path, case):
+        out = tmp_path / "out"
+        graphs = tmp_path / "graphs"
+        (graphs / "x.graph.json").mkdir(parents=True)
+        unreadable, argv = {
+            "missing-csv": (tmp_path / "missing.csv",
+                            ["evaluate", str(tmp_path / "missing.csv"), "--kind", "rf",
+                             "-o", str(out)]),
+            "graph-dir-entry": (graphs / "x.graph.json",
+                                ["features", str(graphs), "-o", str(out)]),
+            "ingest-dir": (graphs, ["ingest", "--format", "edgelist", "-o", str(out),
+                                    str(graphs)]),
+        }[case]
+        done = run_subprocess(*argv)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"cfgrank: input error: cannot read {unreadable}: ")
+        assert not out.exists()
+
+    def test_keep_going_counts_it_failed(self, tmp_path):
+        (tmp_path / "g.edges").write_text("0 1\n")
+        code, err = run_captured(["ingest", "--format", "edgelist", "-o", str(tmp_path / "out"),
+                                  "--keep-going", str(tmp_path), str(tmp_path / "g.edges")])
+        assert code == 0
+        assert err.startswith(f"failed: cannot read {tmp_path}: ")
+        assert files_under(tmp_path / "out") == ["g.graph.json"]
+
+
+def test_every_error_is_a_cfgrank_error():
+    """Every exception class that a cfgrank module defines is a CfgrankError,
+    except metrics' guard on an invariant that no input can break."""
+    modules = [importlib.import_module(f"cfgrank.{m.name}")
+               for m in pkgutil.iter_modules(cfgrank.__path__)]
+    defined = {obj for mod in [cfgrank, *modules] for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert metrics.DisconnectedGraphError in defined and len(defined) > 10
+    assert {c for c in defined if not issubclass(c, cfgrank.CfgrankError)} == {
+        metrics.DisconnectedGraphError}
+    assert {(c.kind, c.exit_code) for c in (cfgrank.UsageError, cfgrank.InputError,
+                                             cfgrank.DataError)} == {
+        ("usage", 1), ("input", 2), ("data", 3)}

@@ -1,13 +1,13 @@
+import csv
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfgrank import metrics
+from cfgrank import InputError, metrics
 from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
-                              HeaderMismatchError, N_FEATURES,
-                              NonFiniteValueError, extract_features,
+                              N_FEATURES, NonFiniteValueError, extract_features,
                               extract_features_many, parse_feature_table,
                               write_feature_table)
 from cfgrank.graph import BasicBlock, build_cfg
@@ -122,8 +122,25 @@ class TestFeatureTable:
             parse_feature_table(data + row)
 
     def test_bad_header(self):
-        with pytest.raises(HeaderMismatchError):
+        with pytest.raises(InputError, match="unexpected header"):
             parse_feature_table(b"a,b,c\n")
+
+    def test_field_over_csv_limit_names_line(self):
+        data = write_feature_table([]) + b"x," + b"9" * (csv.field_size_limit() + 1) + b"\n"
+        with pytest.raises(InputError, match=r"^line 2: field larger than field limit"):
+            parse_feature_table(data)
+
+    def test_long_values_shown_short(self):
+        data = write_feature_table([])
+        with pytest.raises(BadValueError) as exc:
+            parse_feature_table(data + b"x," + b",".join([b"y" * 100000] + [b"0"] * 22) + b",\n")
+        assert len(str(exc.value)) < 100
+        with pytest.raises(NonFiniteValueError) as exc:  # 100000 nines are inf
+            parse_feature_table(data + b"x," + b",".join([b"9" * 100000] + [b"0"] * 22) + b",\n")
+        assert len(str(exc.value)) < 100
+        with pytest.raises(InputError, match="unexpected header") as exc:
+            parse_feature_table(b",".join([b"z" * 100000] * 30) + b"\n")
+        assert len(str(exc.value)) < 300
 
     def test_bad_label(self):
         data = write_feature_table([])

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from cfgrank.graph import (BasicBlock, DanglingEdgeError, EmptyGraphError,
+from cfgrank import InputError
+from cfgrank.graph import (BasicBlock, DanglingEdgeError,
                            build_cfg, largest_component, largest_components)
 from oracles import component_lists, largest_component_cfg, random_cfg, union_find_components
 
@@ -30,7 +31,7 @@ class TestBuildCfg:
         assert exc.value.address == 8
 
     def test_empty_block_list(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(InputError, match="at least one basic block"):
             build_cfg("s", [], [])
 
     def test_duplicate_edges_collapse(self):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgrank import ingest
+from cfgrank import InputError, ingest
 from cfgrank.cli import main
-from cfgrank.graph import GraphError, largest_component
-from cfgrank.ingest import (DuplicateAddressError, EdgeListError, IngestError,
+from cfgrank.graph import largest_component
+from cfgrank.ingest import (DuplicateAddressError, EdgeListError,
                             JsonSyntaxError, SchemaError, document_to_cfg,
                             parse_canonical, parse_cfg_json, parse_edge_list,
                             write_canonical)
@@ -169,6 +169,18 @@ class TestEdgeList:
         with pytest.raises(EdgeListError) as exc:
             parse_edge_list(b"0 1\nbogus line\n")
         assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("line", ["\u00b2 1", "1 \u00b3", "\u00b2:", "1" * 5000 + " 1"],
+                             ids=["superscript", "superscript-end", "superscript-node", "5000-digits"])
+    def test_label_that_int_refuses(self, line):
+        # a superscript is isdigit() but not isdecimal(), and int() reads
+        # at most sys.get_int_max_str_digits() digits
+        with pytest.raises(EdgeListError, match="malformed line 1"):
+            parse_edge_list(line.encode())
+
+    def test_non_ascii_decimal_digits_read(self):
+        g = parse_edge_list("\u0663 \uff11\n".encode())
+        assert [b.address for b in g.blocks] == [1, 3]
 
     def test_round_trip_200_lines(self):
         rng = random.Random(9)
@@ -339,7 +351,7 @@ def one_by_one(data):
         return str(e.value)
     try:
         return ingest._parse_canonical_checked(raw)
-    except (IngestError, GraphError) as e:
+    except InputError as e:
         return str(e)
 
 
@@ -385,6 +397,20 @@ class TestCanonicalErrorParity:
         assert main(["features", str(tmp_path), "-o", str(tmp_path / "f.csv")]) == 2
         assert capsys.readouterr().err == (
             "cfgrank: input error: field '<root>.sample_id': expected str, got 1\n")
+
+    @pytest.mark.parametrize("parse", [parse_canonical, parse_cfg_json])
+    def test_integer_too_long_is_a_syntax_error(self, parse):
+        with pytest.raises(JsonSyntaxError, match="integer with too many digits"):
+            parse(b'{"sample_id": "s", "nodes": [{"addr": ' + b"1" * 5000 + b"}]}")
+
+    @pytest.mark.parametrize("parse", [parse_canonical, parse_cfg_json])
+    def test_one_message_per_decode_failure(self, parse):
+        with pytest.raises(JsonSyntaxError) as exc:
+            parse(b'{"sample_id": "\xff"}')
+        assert str(exc.value) == "invalid JSON at byte offset 15: not valid UTF-8"
+        with pytest.raises(JsonSyntaxError) as exc:
+            parse(b'{"sample_id": }')
+        assert str(exc.value) == "invalid JSON at byte offset 14: Expecting value"
 
     def test_deep_nesting_is_a_syntax_error(self):
         for parse in (parse_canonical, parse_cfg_json):

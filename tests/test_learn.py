@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from cfgrank import learn
+from cfgrank import DataError, learn
 from cfgrank.features import LABEL_MALICIOUS, N_FEATURES, FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
-                           LabeledDataset, LearnError, ModelParams,
+                           LabeledDataset, ModelParams,
                            NonFiniteModelError, SingleClassError, _fit_forest, _fit_logreg,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
@@ -313,7 +313,7 @@ class TestPredictMany:
     def test_wrong_width_rejected(self):
         model = ModelParams(kind="rf", trees=[{"leaf": 1.0}])
         for shape in ((3, 22), (23,)):
-            with pytest.raises(learn.SchemaMismatchError):
+            with pytest.raises(DataError, match="expected rows of 23 features"):
                 predict_many(model, np.zeros(shape))
 
     @pytest.mark.parametrize("kind", ["logreg", "svm", "rf"])
@@ -420,7 +420,7 @@ class TestModelSerialization:
           "feat_std": [1.0], "constant_features": []}, "bias"),
     ])
     def test_missing_field_named(self, payload, missing):
-        with pytest.raises(LearnError, match=f"missing field '{missing}'"):
+        with pytest.raises(DataError, match=f"missing field '{missing}'"):
             model_from_json(json.dumps(payload).encode())
 
     @pytest.mark.parametrize("bias,weight", [(float("nan"), 0.0), (0.0, float("inf"))])
@@ -433,7 +433,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("data", [b"[1]", b"{", b"\xff"])
     def test_malformed_model_rejected(self, data):
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(data)
 
 
@@ -474,18 +474,18 @@ class TestModelValidation:
             "feature-float", "threshold-str", "no-right", "leaf-str", "leaf-above-1",
             "leaf-bool", "node-not-object", "deep-bad-leaf"])
     def test_bad_forest(self, trees):
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(rf_payload(trees))
 
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1" + "0" * 400])
     def test_non_finite_threshold(self, text):
         data = rf_payload([{"feature": 0, "threshold": 0, "left": LEAF, "right": LEAF}])
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(data.replace(b'"threshold": 0', f'"threshold": {text}'.encode()))
 
     def test_deeply_nested_json(self):
         node = "{\"feature\": 0, \"threshold\": 0, \"left\": " * 5000 + "{\"leaf\": 0}" + "}" * 5000
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(b'{"version": 1, "kind": "rf", "trees": [' + node.encode() + b"]}")
 
     @pytest.mark.parametrize("changes", [
@@ -504,13 +504,13 @@ class TestModelValidation:
             "std-negative", "bias-str", "bias-bool", "constant-out-of-range",
             "constant-bool", "constant-not-list"])
     def test_bad_linear_model(self, changes):
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(linear_payload(**changes))
 
     def test_non_finite_linear_values(self):
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(linear_payload().replace(b'"bias": 0.25', b'"bias": Infinity'))
-        with pytest.raises(LearnError):
+        with pytest.raises(DataError):
             model_from_json(linear_payload().replace(b"[0.0, ", b"[NaN, ", 1))
 
     def test_valid_hand_written_models_load(self):
@@ -561,3 +561,40 @@ class TestForest:
             results.append((cross_validate("rf", data, hyper, k=10, seed=4),
                             model_to_json(train("rf", data, hyper, seed=4))))
         assert results[0] == results[1]
+
+
+class TestFloatRangeEnds:
+    """Features near the ends of the float range overflow no fit and no
+    prediction on the way (pytest turns a RuntimeWarning into an error)."""
+
+    TOP = 1.7976931348623157e308
+
+    def data(self):
+        # column 0 alone separates the classes; every other column is constant
+        return LabeledDataset(tuple(
+            vec([1.5e308 if i % 2 else self.TOP] + [0.5] * 22,
+                "malicious" if i % 2 else "benign", f"s{i}") for i in range(8)))
+
+    def test_forest_threshold_between_the_values(self):
+        model = train("rf", self.data(), HyperParams(rf_trees=20), seed=3)
+        stack, thresholds = list(model.trees), []
+        while stack:
+            node = stack.pop()
+            if "leaf" not in node:
+                thresholds.append(node["threshold"])
+                stack += [node["left"], node["right"]]
+        assert thresholds and all(1.5e308 <= t < self.TOP for t in thresholds)
+        assert model_from_json(model_to_json(model)).trees == model.trees
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm"])
+    def test_linear_mean_overflow_is_a_data_error(self, kind):
+        with pytest.raises(NonFiniteModelError):
+            train(kind, self.data())
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm"])
+    def test_linear_predict_far_outside_training_range(self, kind):
+        model = train(kind, gaussian_dataset(random.Random(4), 20, 20))
+        X = np.full((3, N_FEATURES), self.TOP)
+        X[1] *= -1
+        X[2, ::2] *= -1
+        assert len(predict_many(model, X)) == 3

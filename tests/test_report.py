@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfgrank import DataError
 from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import sweep
-from cfgrank.report import (ComparisonSummary, ReportError, UnknownMetricError,
+from cfgrank.report import (ComparisonSummary, UnknownMetricError,
                             cdf_csv, compare, corpus_stats, empirical_cdf,
                             stats_to_dict)
 from cfgrank.sbc import generate_corpus, recover_cfg
@@ -35,7 +36,7 @@ class TestEmpiricalCdf:
         assert empirical_cdf([7]) == [(7, 1.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ReportError):
+        with pytest.raises(DataError, match="at least one value"):
             empirical_cdf([])
 
     def test_uniform_draws_track_true_cdf(self):

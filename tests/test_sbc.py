@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from cfgrank import InputError
 from cfgrank.graph import largest_component
-from cfgrank.sbc import (BadLengthError, Opcode, SbcError, SbcInstruction,
+from cfgrank.sbc import (BadLengthError, Opcode, SbcInstruction,
                          SbcProgram, TargetOutOfBoundsError,
                          UnknownOpcodeError, decode, encode, generate_corpus,
                          recover_cfg)
@@ -49,7 +50,7 @@ class TestDecode:
             data = bytes(rng.randrange(256) for _ in range(4 * rng.randint(1, 10)))
             try:
                 p = decode(data)
-            except SbcError:
+            except InputError:
                 continue
             assert len(p) == len(data) // 4
 
