@@ -130,8 +130,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.count < 1:
-        raise UsageError("count must be >= 1")
     out_dir = Path(args.out)
     programs = sbc.generate_corpus(args.count, args.profile, args.seed)
     manifest = []
@@ -149,15 +147,23 @@ def cmd_gen(args) -> int:
 
 
 def _load_graph_dir(graph_dir: Path):
+    """The canonical graphs in a directory, by sample_id; an error in a
+    file's content names the file."""
     paths = sorted(graph_dir.glob("*.graph.json"))
     if not paths:
         raise InputError(f"no *.graph.json files in {graph_dir}")
-    return [ingest.parse_canonical(_read(p)) for p in paths]
+    graphs = []
+    for path in paths:
+        data = _read(path)
+        try:
+            graphs.append(ingest.parse_canonical(data))
+        except InputError as e:
+            raise InputError(f"{path}: {e}") from None
+    return sorted(graphs, key=lambda g: g.sample_id)
 
 
 def cmd_features(args) -> int:
     graphs = _load_graph_dir(Path(args.graph_dir))
-    graphs.sort(key=lambda g: g.sample_id)
     rows = feat.extract_features_many(graphs)
     if args.label:
         rows = [feat.FeatureVector(r.sample_id, r.values, args.label) for r in rows]
@@ -172,9 +178,7 @@ def cmd_analyze(args) -> int:
         raise UsageError(f"{len(names)} name(s) for {len(args.graph_dirs)} directory(ies)")
     all_stats = []
     for name, d in zip(names, args.graph_dirs):
-        graphs = _load_graph_dir(Path(d))
-        graphs.sort(key=lambda g: g.sample_id)
-        all_stats.append(report.corpus_stats(graphs, name))
+        all_stats.append(report.corpus_stats(_load_graph_dir(Path(d)), name))
     comparisons = []
     for i in range(len(all_stats)):
         for j in range(i + 1, len(all_stats)):
@@ -227,8 +231,6 @@ def _fmt_rate(v) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    if args.k < 2:
-        raise UsageError("k must be >= 2")
     data = _load_dataset(Path(args.features_csv))
     matrix, metrics_report = learn.cross_validate(
         args.kind, data, _hyper_from_args(args), k=args.k, seed=args.seed)
@@ -268,7 +270,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("gen", help="generate a synthetic bytecode corpus")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--profile", choices=("enmeshed", "fragmented"), required=True)
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=42)
@@ -308,7 +310,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="stratified k-fold cross-validation")
     learner(p)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_checked(int, lambda v: v >= 2, ">= 2"), default=10)
     p.add_argument("-o", "--out", help="optional output JSON path")
     p.set_defaults(fn=cmd_evaluate)
 

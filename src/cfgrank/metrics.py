@@ -8,10 +8,11 @@ is defined on the full directed graph.
 Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
 per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
-component (graph.largest_components), and gives for each the Sweep that
-sweep() gives on its neighbor lists. closeness_many() gives the same
-closeness from a bit-parallel BFS with no path counts, and degree_scores()
-degree centrality from the same CSR.
+component (graph.largest_components), and gives a Sweep for each. Its path
+counts are float64 while they stay below 2**53 and Python ints past that,
+so they are always exact. closeness_many() gives the same closeness from a
+bit-parallel BFS with no path counts, and degree_scores() degree centrality
+from the same CSR.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ BATCH_WORDS = 1 << 21
 # too big for it is swept in blocks of sources (one source at the least)
 SWEEP_SLOTS = 1 << 18
 
-# float64 counts shortest paths exactly below this; sweep() takes any graph
-# with more
+# float64 counts shortest paths exactly below this; a block with more counts
+# them again as Python ints
 _EXACT_SIGMA = 2.0 ** 53
 
 
@@ -105,74 +106,16 @@ class Sweep:
                          math.sqrt(var))
 
 
-def sweep(adj: list[list[int]]) -> Sweep:
-    """Brandes betweenness, closeness and the hop histogram in one pass.
-
-    Each source runs one level-synchronous BFS that counts shortest paths
-    (sigma, exact Python ints, since stacked branches double it per level);
-    the levels give the distance sum and the histogram. Dependencies are
-    then pushed from each node to its predecessors (neighbors one level up)
-    in reverse BFS order, so every delta[u] adds its terms in Brandes's order.
-    """
-    n = len(adj)
-    raw = [0.0] * n
-    close = [0.0] * n
-    hops = [0]
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        frontier = [s]
-        d = total = 0
-        while frontier:
-            d += 1
-            level: list[int] = []
-            for u in frontier:
-                su = sigma[u]
-                for v in adj[u]:
-                    dv = dist[v]
-                    if dv < 0:
-                        dist[v] = d
-                        sigma[v] = su
-                        level.append(v)
-                    elif dv == d:
-                        sigma[v] += su
-            if level:
-                order += level
-                total += d * len(level)
-                if d == len(hops):
-                    hops.append(0)
-                hops[d] += len(level)
-            frontier = level
-        if len(order) != n - 1:
-            raise DisconnectedGraphError()
-        if n > 1:
-            close[s] = (n - 1) / total
-        delta = [0.0] * n
-        for w in reversed(order):
-            sw = sigma[w]
-            dw = 1.0 + delta[w]
-            up = dist[w] - 1
-            for u in adj[w]:
-                if dist[u] == up:
-                    delta[u] += sigma[u] / sw * dw
-            raw[w] += delta[w]
-    # every unordered pair was counted once from each end
-    return Sweep(raw, close, [h // 2 for h in hops])
-
-
 def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
-    """sweep() of each connected graph, given as CSR (indptr, indices), bit
-    for bit, in input order.
+    """The Sweep of each connected graph, given as CSR (indptr, indices), in
+    input order: every source's Brandes pass, with exact path counts and
+    each dependency sum taken in Brandes's order.
 
     Source-batched Brandes (McLaughlin & Bader, SC 2014): graphs are
     gathered into groups of at most SWEEP_SLOTS slots; each group is
     searched one BFS level at a time for all its sources together, and its
     Sweeps are yielded as it finishes, so csrs may be a generator that is
-    read at most one graph past the group. A graph whose path counts reach
-    2**53, where float64 stops counting exactly, is swept again by sweep().
+    read at most one graph past the group.
     """
     group: list[tuple[np.ndarray, np.ndarray]] = []
     slots = 0
@@ -206,78 +149,71 @@ def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]
     raw = np.zeros(len(deg))
     close = np.zeros(len(deg))
     hists = [np.zeros(1, np.intp) for _ in graphs]
-    exact = [True] * len(graphs)
     for segs in blocks:
-        for j, (hist, top) in enumerate(_brandes_block(csr, segs, raw, close)):
-            exact[j] = exact[j] and top < _EXACT_SIGMA
+        for j, hist in enumerate(_brandes_block(csr, segs, raw, close)):
             if len(hist) > len(hists[j]):
                 hist[:len(hists[j])] += hists[j]
                 hists[j] = hist
             else:
                 hists[j][:len(hist)] += hist
-        if not all(exact):  # a lone graph bound for sweep() needs no more blocks
-            break
-    for (indptr, indices), first, size, hist, ok in zip(graphs, firsts, sizes, hists, exact):
-        if ok:
-            hist[0] = 0
-            yield Sweep(raw[first:first + size].tolist(),
-                        close[first:first + size].tolist(), (hist // 2).tolist())
-        else:
-            ends = indptr.tolist()
-            flat = indices.tolist()
-            yield sweep([flat[a:b] for a, b in zip(ends, ends[1:])])
+    for first, size, hist in zip(firsts, sizes, hists):
+        hist[0] = 0
+        yield Sweep(raw[first:first + size].tolist(),
+                    close[first:first + size].tolist(), (hist // 2).tolist())
 
 
 def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
                    segs: list[tuple[int, int, int, int]],
-                   raw: np.ndarray, close: np.ndarray) -> list[tuple[np.ndarray, float]]:
+                   raw: np.ndarray, close: np.ndarray) -> list[np.ndarray]:
     """One level-synchronous Brandes pass from the sources s0 <= s < s1 of
     each segment (first, n, s0, s1), an n-node graph whose nodes are
     numbered from first in csr; writes their closeness and adds their
     dependencies into raw, both indexed by node number. Returns, per
-    segment, the number of pairs at each distance and the largest path
-    count; a lone segment whose counts are inexact gets no backward pass.
+    segment, the number of pairs at each distance.
 
     Each (source, node) pair is one slot of flat arrays, row by row, so a
     pair is its row's base plus the node's number. A BFS level keeps each
-    source's nodes in the order in which sweep() finds them: candidates are
-    listed by (frontier position, neighbor slot), and np.minimum.at marks
-    the first candidate of each new pair, using its dist slot as scratch.
-    The backward pass walks each level in reverse, and np.add.at adds the
-    dependency terms in array order, so each sum is taken in sweep()'s order.
+    source's nodes in the order in which a queue-based BFS finds them:
+    candidates are listed by (frontier position, neighbor slot), and
+    np.minimum.at marks the first candidate of each new pair, using its
+    dist slot as scratch. Path counts are float64, which counts exactly
+    below 2**53; a block whose largest count reaches that is counted again
+    with Python ints. The backward pass walks each level in reverse, and
+    np.add.at adds the dependency terms, each a correctly rounded quotient
+    of exact counts, in array order, so each sum is taken in Brandes's order.
     """
     rows = [s1 - s0 for _, _, s0, s1 in segs]
     width = np.repeat([n for _, n, _, _ in segs], rows)
     start = np.cumsum(width) - width
     base = (start - np.repeat([first for first, _, _, _ in segs], rows)).astype(np.int32)
-    pairs = start + np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in segs])
+    sources = start + np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in segs])
     size = len(width) and int(start[-1] + width[-1])
     unseen = np.iinfo(np.int32).max
-    dist = np.full(size, unseen, np.int32)
-    sigma = np.zeros(size)
-    dist[pairs] = 0
-    sigma[pairs] = 1.0
-    sources, bases, levels = pairs, base, []
-    while True:
-        at, found = _expand(csr, pairs, bases)
-        fresh = np.flatnonzero(dist[found] == unseen)
-        if not len(fresh):
+    for dtype in (float, object):
+        dist = np.full(size, unseen, np.int32)
+        sigma = np.zeros(size, dtype)
+        dist[sources] = 0
+        sigma[sources] = 1
+        pairs, bases, levels = sources, base, []
+        while True:
+            at, found = _expand(csr, pairs, bases)
+            fresh = np.flatnonzero(dist[found] == unseen)
+            if not len(fresh):
+                break
+            at, found = at[fresh], found[fresh]
+            rank = np.arange(len(found), dtype=np.int32)
+            np.minimum.at(dist, found, rank)
+            np.add.at(sigma, found, sigma[pairs][at])
+            first = dist[found] == rank
+            dist[found] = len(levels) + 1
+            pairs, bases = found[first], bases[at[first]]
+            levels.append(pairs)
+        if sigma.max(initial=0) < _EXACT_SIGMA:
             break
-        at, found = at[fresh], found[fresh]
-        rank = np.arange(len(found), dtype=np.int32)
-        np.minimum.at(dist, found, rank)
-        np.add.at(sigma, found, sigma[pairs][at])
-        first = dist[found] == rank
-        dist[found] = len(levels) + 1
-        pairs, bases = found[first], bases[at[first]]
-        levels.append(pairs)
     if (dist == unseen).any():
         raise DisconnectedGraphError()
     ends = np.cumsum([n * row for (_, n, _, _), row in zip(segs, rows)]).tolist()
-    stats = [(np.bincount(dist[a:b], minlength=1), sigma[a:b].max(initial=0.0))
-             for a, b in zip([0] + ends[:-1], ends)]
-    if len(segs) == 1 and stats[0][1] >= _EXACT_SIGMA:
-        return stats
+    hists = [np.bincount(dist[a:b], minlength=1) for a, b in zip([0] + ends[:-1], ends)]
     if size:
         close[sources - base] = (width - 1) / np.maximum(
             np.add.reduceat(dist, start, dtype=np.int64), 1)
@@ -294,7 +230,7 @@ def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     nodes = np.arange(size, dtype=np.int32)
     nodes -= np.repeat(base, width)
     np.add.at(raw, nodes, delta)
-    return stats
+    return hists
 
 
 def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,

@@ -26,7 +26,6 @@ class SampleRow:
     edge_count: int
     avg_closeness: float
     component_count: int
-    file_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,7 @@ def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
     return points
 
 
-def corpus_stats(graphs: list[Cfg], name: str,
-                 file_sizes: dict[str, int] | None = None) -> CorpusStats:
+def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
     """Per-sample rows and CDFs; avg_closeness is the mean closeness over
     each graph's largest weak component, 0 for a singleton."""
     if not graphs:
@@ -74,7 +72,6 @@ def corpus_stats(graphs: list[Cfg], name: str,
             edge_count=g.edge_count,
             avg_closeness=sum(scores) / len(scores),
             component_count=c.count,
-            file_size=(file_sizes or {}).get(g.sample_id),
         )
         for g, scores, c in zip(graphs, closeness, components)
     ]
@@ -126,18 +123,8 @@ def stats_to_dict(stats: CorpusStats) -> dict:
                 "edge_count": r.edge_count,
                 "avg_closeness": r.avg_closeness,
                 "component_count": r.component_count,
-                **({"file_size": r.file_size} if r.file_size is not None else {}),
             }
             for r in stats.per_sample
         ],
         "cdfs": {name: [[v, f] for v, f in pts] for name, pts in stats.cdfs.items()},
     }
-
-
-def cdf_csv(stats: CorpusStats) -> bytes:
-    """CDF points as CSV for external plotting."""
-    lines = ["metric,value,fraction"]
-    for name in CDF_METRICS:
-        for v, f in stats.cdfs[name]:
-            lines.append(f"{name},{v:.17g},{f:.17g}")
-    return ("\n".join(lines) + "\n").encode("utf-8")

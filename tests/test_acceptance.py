@@ -80,7 +80,7 @@ class TestCriterion2OracleEquivalence:
             g = random_connected_cfg(rng, n, rng.randint(0, 6),
                                      sample_id=f"t{trial}")
             adj = g.undirected_adjacency()
-            swept = metrics.sweep(adj)
+            [swept] = metrics.sweep_many([csr(adj)])
             got_b = swept.betweenness()
             exp_b = brute_betweenness(g)
             got_c = swept.closeness

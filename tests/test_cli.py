@@ -173,8 +173,10 @@ class TestGenCommand:
         assert largest_component(g).count >= 2
 
     def test_zero_count_usage_error(self, tmp_path):
-        assert run("gen", "--count", "0", "--profile", "enmeshed",
-                   "-o", str(tmp_path / "z")) == 1
+        with pytest.raises(SystemExit) as exc:
+            run("gen", "--count", "0", "--profile", "enmeshed", "-o", str(tmp_path / "z"))
+        assert exc.value.code == 1
+        assert not (tmp_path / "z").exists()
 
     def test_manifest_lists_samples(self, tmp_path):
         out = tmp_path / "m"
@@ -226,8 +228,8 @@ class TestFeaturesCommand:
         graphs_dir = write_dangling_graph(tmp_path)
         assert run("features", str(graphs_dir), "-o", str(tmp_path / "f.csv")) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "cfgrank: input error: edge endpoint address 99 does not match any block"]
+        assert err.splitlines() == [f"cfgrank: input error: {graphs_dir / 'd.graph.json'}: "
+                                    "edge endpoint address 99 does not match any block"]
         assert not (tmp_path / "f.csv").exists()
 
 
@@ -264,8 +266,8 @@ class TestAnalyzeCommand:
         assert run("analyze", "--names", "a", "-o", str(tmp_path / "r.json"),
                    str(graphs_dir)) == 2
         err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "cfgrank: input error: edge endpoint address 99 does not match any block"]
+        assert err.splitlines() == [f"cfgrank: input error: {graphs_dir / 'd.graph.json'}: "
+                                    "edge endpoint address 99 does not match any block"]
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
@@ -342,6 +344,16 @@ class TestTrainEvaluateCommands:
         with pytest.raises(SystemExit) as exc:
             run(command, str(tmp_path / "missing.csv"), "--kind", "rf",
                 flag, value, "-o", str(out))
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["1", "0", "x"])
+    def test_bad_k_usage_error(self, tmp_path, k):
+        # the CSV does not exist: --k must be rejected before it is read
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run("evaluate", str(tmp_path / "missing.csv"), "--kind", "rf", "--k", k,
+                "-o", str(out))
         assert exc.value.code == 1
         assert not out.exists()
 
@@ -457,8 +469,8 @@ class TestDeeplyNestedJson:
         done = run_subprocess(*argv)
         assert done.returncode == 2
         [line] = done.stderr.splitlines()
-        prefix = "cfgrank: input error: " + (f"{nested}: " if command == "ingest" else "")
-        assert line == prefix + "invalid JSON at byte offset 0: nested too deeply to parse"
+        assert line == (f"cfgrank: input error: {nested}: "
+                        "invalid JSON at byte offset 0: nested too deeply to parse")
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
@@ -674,8 +686,9 @@ class TestOneLineErrors:
         done = run_subprocess("features", str(graphs), "-o", str(tmp_path / "f.csv"))
         assert done.returncode == 2
         [line] = done.stderr.splitlines()
-        assert line.startswith("cfgrank: input error: field 'nodes[0].addr': expected integer")
-        assert len(line) < 300
+        assert line.startswith(f"cfgrank: input error: {graphs / 'a.graph.json'}: "
+                               "field 'nodes[0].addr': expected integer")
+        assert len(line) < 300 + len(str(graphs))
 
     def test_long_values_elsewhere(self, tmp_path):
         long = "7" * 2 ** 20
@@ -699,8 +712,8 @@ class TestOneLineErrors:
         (graphs / "a.graph.json").write_text('{"sample_id": "a", "nodes": [{"addr": '
                                              + "1" * 5000 + ', "size": 0, "ninstr": 0}]}')
         assert run_captured(["features", str(graphs), "-o", str(tmp_path / "f.csv")]) == (
-            2, "cfgrank: input error: invalid JSON at byte offset 0: "
-               "integer with too many digits to parse\n")
+            2, f"cfgrank: input error: {graphs / 'a.graph.json'}: invalid JSON at byte "
+               "offset 0: integer with too many digits to parse\n")
 
 
 class TestUnreadableInputs:

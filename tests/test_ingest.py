@@ -385,7 +385,8 @@ class TestCanonicalErrorParity:
                     code = main(argv)
                 if isinstance(expected, str):
                     assert code == 2
-                    assert err.getvalue().splitlines() == [f"cfgrank: input error: {expected}"]
+                    assert err.getvalue().splitlines() == [
+                        f"cfgrank: input error: {graphs / 'm.graph.json'}: {expected}"]
                     assert not out.exists()
                 else:
                     assert (code, err.getvalue()) == (0, "")
@@ -395,8 +396,8 @@ class TestCanonicalErrorParity:
         (tmp_path / "b.graph.json").write_text('{"sample_id": "b", "nodes": []}')
         (tmp_path / "a.graph.json").write_text('{"sample_id": 1}')
         assert main(["features", str(tmp_path), "-o", str(tmp_path / "f.csv")]) == 2
-        assert capsys.readouterr().err == (
-            "cfgrank: input error: field '<root>.sample_id': expected str, got 1\n")
+        assert capsys.readouterr().err == (f"cfgrank: input error: {tmp_path / 'a.graph.json'}: "
+                                           "field '<root>.sample_id': expected str, got 1\n")
 
     @pytest.mark.parametrize("parse", [parse_canonical, parse_cfg_json])
     def test_integer_too_long_is_a_syntax_error(self, parse):

@@ -6,7 +6,7 @@ import pytest
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, degree_scores,
-                             density, summary_stats, sweep)
+                             density, summary_stats)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
                      diamond_chain, random_cfg, random_connected_cfg,
                      reference_brandes)
@@ -42,8 +42,25 @@ def singleton():
     return build_cfg("one", [BasicBlock(address=0)], [])
 
 
+def alone(adj):
+    """sweep_many of one graph by itself."""
+    [swept] = sweep_many([adj])
+    return swept
+
+
 def swept(g):
-    return sweep(g.undirected_adjacency())
+    return alone(g.undirected_adjacency())
+
+
+def assert_oracles(g, swept):
+    """swept's betweenness, closeness and path statistics are == those of
+    the oracles on g."""
+    n = g.node_count
+    assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
+    assert dict(enumerate(swept.closeness)) == brute_closeness(g)
+    dist = all_pairs_distances(g)
+    values = [float(dist[(u, v)]) for u in range(n) for v in range(u + 1, n)]
+    assert swept.path_stats() == (summary_stats(values) if values else PathStats(0, 0, 0, 0, 0))
 
 
 def degrees(g):
@@ -184,9 +201,7 @@ class TestSweep:
     def test_diamond_chain_beyond_int64(self):
         # 72 diamonds: 2**72 shortest paths from the first block to the last
         g = diamond_chain(72)
-        chain = swept(g)
-        assert dict(enumerate(chain.betweenness())) == reference_brandes(g)
-        assert dict(enumerate(chain.closeness)) == brute_closeness(g)
+        assert_oracles(g, swept(g))
 
     def test_random_graphs_match_reference_brandes(self):
         rng = random.Random(2001)
@@ -194,19 +209,14 @@ class TestSweep:
             n = rng.randint(1, 40)
             g = random_connected_cfg(rng, n, rng.randint(0, n))
             adj = g.undirected_adjacency()
-            swept = sweep(adj)
-            assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
-            assert dict(enumerate(swept.closeness)) == brute_closeness(g)
+            swept = alone(adj)
+            assert_oracles(g, swept)
             assert closeness_many([adj]) == [swept.closeness]
-            dist = all_pairs_distances(g)
-            values = [float(dist[(u, v)]) for u in range(n) for v in range(u + 1, n)]
-            expected = summary_stats(values) if values else PathStats(0, 0, 0, 0, 0)
-            assert swept.path_stats() == expected
 
     def test_disconnected_rejected(self):
         adj = [[1], [0], []]
         with pytest.raises(DisconnectedGraphError):
-            sweep(adj)
+            alone(adj)
         with pytest.raises(DisconnectedGraphError):
             closeness_many([adj])
 
@@ -233,7 +243,7 @@ def path_adj(n):
 
 
 class TestClosenessMany:
-    """The bit-parallel kernel against the per-source sweep and brute force,
+    """The bit-parallel kernel against the Brandes kernel and brute force,
     compared with ==."""
 
     def test_batch_of_random_graphs_in_input_order(self):
@@ -247,7 +257,7 @@ class TestClosenessMany:
         got = closeness_many(adjs)
         assert len(got) == len(graphs)
         for g, adj, scores in zip(graphs, adjs, got):
-            assert scores == sweep(adj).closeness
+            assert scores == alone(adj).closeness
             assert dict(enumerate(scores)) == brute_closeness(g)
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129])
@@ -256,7 +266,7 @@ class TestClosenessMany:
         g = random_connected_cfg(rng, n, n // 2)
         adjs = [path_adj(n), g.undirected_adjacency()]
         got = closeness_many(adjs)
-        assert got == [sweep(adj).closeness for adj in adjs]
+        assert got == [alone(adj).closeness for adj in adjs]
         assert got[1] == list(brute_closeness(g).values())
 
     def test_diamond_chain(self):
@@ -276,7 +286,7 @@ class TestClosenessMany:
         # a few small graphs per pass, every graph of 65 nodes or more alone
         monkeypatch.setattr(metrics, "BATCH_WORDS", 100)
         assert closeness_many(adjs) == whole
-        assert whole == [sweep(adj).closeness for adj in adjs]
+        assert whole == [alone(adj).closeness for adj in adjs]
 
     def test_accepts_a_generator(self):
         assert closeness_many(path_adj(n) for n in (1, 3)) == [[0.0], [2 / 3, 1.0, 2 / 3]]
@@ -317,8 +327,8 @@ def blocks(monkeypatch):
 
 
 class TestSweepMany:
-    """The batched kernel against the per-graph sweep and exact references,
-    compared with ==."""
+    """The batched kernel against the oracles and against itself on one
+    graph alone, compared with ==."""
 
     def test_one_call_on_random_graphs_in_input_order(self):
         rng = random.Random(2004)
@@ -330,15 +340,18 @@ class TestSweepMany:
         got = list(sweep_many(adjs))
         assert len(got) == len(graphs)
         for g, adj, swept in zip(graphs, adjs, got):
-            assert swept == sweep(adj)
-            assert dict(enumerate(swept.betweenness())) == reference_brandes(g)
-            assert dict(enumerate(swept.closeness)) == brute_closeness(g)
+            assert swept == alone(adj)
+            assert_oracles(g, swept)
 
     def test_graph_split_across_source_blocks(self, monkeypatch, blocks):
         rng = random.Random(2005)
-        adj = random_connected_cfg(rng, 30, 12).undirected_adjacency()
+        g = random_connected_cfg(rng, 30, 12)
+        adj = g.undirected_adjacency()
+        whole = alone(adj)
+        blocks.clear()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj) // 4)
-        assert list(sweep_many([adj])) == [sweep(adj)]
+        assert list(sweep_many([adj])) == [whole]
+        assert_oracles(g, whole)
         # the most sources whose rows fit the budget, in ascending order
         step = metrics.SWEEP_SLOTS // (slots(adj) // 30)
         assert blocks == [[(0, 30, s, min(s + step, 30))] for s in range(0, 30, step)]
@@ -349,42 +362,53 @@ class TestSweepMany:
         graphs = [random_connected_cfg(rng, n, n // 3) for n in (5, 9, 7, 12, 6, 8)]
         adjs = [g.undirected_adjacency() for g in graphs]
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
-        assert list(sweep_many(adjs)) == [sweep(adj) for adj in adjs]
+        got = list(sweep_many(adjs))
+        for g, swept in zip(graphs, got, strict=True):
+            assert_oracles(g, swept)
         assert [len(segs) for segs in blocks][0] == 3
         assert sum(len(segs) for segs in blocks) == len(adjs)
 
     def test_graph_of_exactly_the_budget_is_one_block(self, monkeypatch, blocks):
-        adj = diamond_chain(3).undirected_adjacency()
+        g = diamond_chain(3)
+        adj = g.undirected_adjacency()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj))
-        assert list(sweep_many([adj, adj])) == [sweep(adj)] * 2
+        got = list(sweep_many([adj, adj]))
+        assert got[0] == got[1]
+        assert_oracles(g, got[0])
         n = len(adj)
         assert blocks == [[(0, n, 0, n)], [(0, n, 0, n)]]
 
     @pytest.mark.parametrize("budget", [1 << 18, 5000])
-    def test_exact_fallback_beside_ordinary_graphs(self, monkeypatch, budget):
-        # 2**72 and 5**30 paths end to end go to sweep(); float64 would count
-        # the powers of two exactly, but not 5**30, and 24 scores would differ
+    def test_exact_fallback_beside_ordinary_graphs(self, monkeypatch, blocks, budget):
+        # 5**30 and 2**72 paths end to end are counted again as Python ints;
+        # float64 counts the powers of two exactly, but not 5**30, and 24
+        # scores would differ. At the default budget the 5**30 chain shares
+        # a block with both ordinary graphs and the 2**72 chain is swept
+        # alone; at 5000 each chain is swept alone in blocks of sources
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
         rng = random.Random(2007)
-        chains = [diamond_chain(72), diamond_chain(30, ways=5)]
+        chains = [diamond_chain(30, ways=5), diamond_chain(72)]
         graphs = [random_connected_cfg(rng, 20, 8), chains[0],
                   random_connected_cfg(rng, 9, 2), chains[1]]
         adjs = [g.undirected_adjacency() for g in graphs]
         got = list(sweep_many(adjs))
-        assert got == [sweep(adj) for adj in adjs]
-        for chain, swept in zip(chains, got[1::2]):
-            assert dict(enumerate(swept.betweenness())) == reference_brandes(chain)
+        for g, swept in zip(graphs, got, strict=True):
+            assert_oracles(g, swept)
+        if budget == 1 << 18:
+            assert [len(segs) for segs in blocks] == [3, 1]
 
     def test_singleton(self):
         lone = Sweep([0.0], [0.0], [0])
-        assert list(sweep_many([[[]]])) == [lone] == [sweep([[]])]
+        assert list(sweep_many([[[]]])) == [lone]
         assert list(sweep_many([path_adj(3), [[]], path_adj(2)])) == [
-            sweep(path_adj(3)), lone, sweep(path_adj(2))]
+            Sweep([0.0, 2.0, 0.0], [2 / 3, 1.0, 2 / 3], [0, 2, 1]), lone,
+            Sweep([0.0, 0.0], [1.0, 1.0], [0, 1])]
 
     def test_reads_a_generator_at_most_one_group_ahead(self, monkeypatch):
         # groups of three graphs: the fourth is read to learn that the
         # first group is full, and nothing past it
         adjs = [path_adj(n) for n in (5, 6, 7, 5, 6, 7, 5)]
+        expected = [alone(adj) for adj in adjs]
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
         pulled = []
 
@@ -394,7 +418,7 @@ class TestSweepMany:
                 yield adj
 
         for i, swept in enumerate(sweep_many(source())):
-            assert swept == sweep(adjs[i])
+            assert swept == expected[i]
             assert len(pulled) <= min(len(adjs), 3 * (i // 3 + 1) + 1)
 
     def test_one_bad_graph_in_a_batch(self):
