@@ -144,9 +144,6 @@ def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     constant = tuple(int(i) for i in np.flatnonzero(std == 0.0))
-    if constant:
-        log.warning("constant feature column(s): %s",
-                    ", ".join(FEATURE_NAMES[i] for i in constant))
     std = np.where(std == 0.0, 1.0, std)
     return mean, std, constant
 
@@ -307,9 +304,23 @@ def _tree_prob(tree: dict, x: list[float]) -> float:
     return node["leaf"]
 
 
+def _warn_constant(columns) -> None:
+    if columns:
+        log.warning("constant feature column(s): %s",
+                    ", ".join(FEATURE_NAMES[i] for i in sorted(columns)))
+
+
 def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
           seed: int = 42) -> ModelParams:
-    """Fit one classifier; deterministic given (data order, hyper, seed)."""
+    """Fit one classifier; deterministic given (data order, hyper, seed).
+    Logs the feature columns that are constant in data, once."""
+    model = _fit(kind, data, hyper, seed)
+    _warn_constant(model.constant_features)
+    return model
+
+
+def _fit(kind: str, data: LabeledDataset, hyper: HyperParams | None,
+         seed: int) -> ModelParams:
     if kind not in KINDS:
         raise DataError(f"unknown classifier kind {kind!r}")
     if not len(data):
@@ -385,14 +396,17 @@ def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
 def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
                    k: int = 10, seed: int = 42) -> tuple[ConfusionMatrix, MetricReport]:
     """k-fold CV; returns the fold-averaged confusion matrix and the rates
-    computed from the summed (pre-averaging) counts."""
+    computed from the summed (pre-averaging) counts. Logs the feature
+    columns that are constant in any fold's training set, once."""
     if not len(data):
         raise EmptyDatasetError()
     hyper = hyper or HyperParams()
     splits = stratified_kfold(data, k=k, seed=seed)
     tp = fn = fp = tn = 0
+    constant: set[int] = set()
     for fold, (train_idx, test_idx) in enumerate(splits):
-        model = train(kind, data.subset(train_idx), hyper, seed=seed + fold)
+        model = _fit(kind, data.subset(train_idx), hyper, seed + fold)
+        constant.update(model.constant_features)
         predicted = predict_many(model, data.X[test_idx])
         for actual, label in zip(data.y[test_idx].tolist(), predicted):
             if actual == 1:
@@ -405,6 +419,7 @@ def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = 
                     fp += 1
                 else:
                     tn += 1
+    _warn_constant(constant)
     summed = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
     averaged = ConfusionMatrix(tp=tp / k, fn=fn / k, fp=fp / k, tn=tn / k)
     return averaged, compute_metrics(summed)

@@ -8,11 +8,14 @@ is defined on the full directed graph.
 Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
 per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
-component (graph.largest_components), and gives a Sweep for each. Its path
-counts are float64 while they stay below 2**53 and Python ints past that,
-so they are always exact. closeness_many() gives the same closeness from a
-bit-parallel BFS with no path counts, and degree_scores() degree centrality
-from the same CSR.
+component (graph.largest_components), and gives a Sweep for each. A pass
+holds 16 bytes per (source, node) pair: a graph swept alone takes
+SWEEP_SLOTS // n sources at a time, and a BFS level with more neighbor
+slots than SWEEP_SLOTS is expanded in chunks. Its path counts are float64
+while they stay below 2**53 and Python ints past that, counted again in
+runs of sources of about the same bytes, so they are always exact.
+closeness_many() gives the same closeness from a bit-parallel BFS with no
+path counts, and degree_scores() degree centrality from the same CSR.
 """
 
 from __future__ import annotations
@@ -32,15 +35,24 @@ from .graph import Cfg
 # graphs takes several passes instead of gigabytes
 BATCH_WORDS = 1 << 21
 
-# one sweep_many pass holds at most this many slots, sources x (n + 2m)
-# summed over its graphs: one per (source, node) pair and one per (source,
-# edge end), so the largest BFS level's candidates are bounded too; a graph
-# too big for it is swept in blocks of sources (one source at the least)
-SWEEP_SLOTS = 1 << 18
+# graphs share a sweep_many pass while their sources x (n + 2m) slots sum to
+# at most this, one per (source, node) pair and one per (source, edge end);
+# a graph too big for that is swept alone, in blocks of this many (source,
+# node) pairs at 16 bytes each (one source at the least), and any BFS level
+# whose nodes have more neighbor slots is expanded in chunks of at most this
+# many (one node at the least)
+SWEEP_SLOTS = 3 << 16
 
 # float64 counts shortest paths exactly below this; a block with more counts
 # them again as Python ints
 _EXACT_SIGMA = 2.0 ** 53
+
+# the bytes a pair takes in a pass with float64 path counts (dist, sigma and
+# its place in a level list), and about what it takes with Python-int counts
+_PAIR_BYTES = 16
+_EXACT_PAIR_BYTES = 49
+
+_UNSEEN = np.iinfo(np.int32).max
 
 
 class DisconnectedGraphError(ValueError):
@@ -133,7 +145,7 @@ def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]
 
 def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
     """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
-    that does not, taken in blocks of sources that do."""
+    that does not, taken in blocks of SWEEP_SLOTS // n sources."""
     sizes = [len(indptr) - 1 for indptr, _ in graphs]
     firsts = np.cumsum([0] + sizes[:-1]).tolist()
     deg = np.concatenate([np.diff(indptr) for indptr, _ in graphs])
@@ -144,22 +156,26 @@ def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]
         blocks = [[(first, size, 0, size) for first, size in zip(firsts, sizes)]]
     else:
         n = sizes[0]
-        step = max(1, SWEEP_SLOTS // (n + len(csr[2])))
+        step = max(1, SWEEP_SLOTS // n)
         blocks = [[(0, n, s, min(s + step, n))] for s in range(0, n, step)]
     raw = np.zeros(len(deg))
     close = np.zeros(len(deg))
     hists = [np.zeros(1, np.intp) for _ in graphs]
     for segs in blocks:
         for j, hist in enumerate(_brandes_block(csr, segs, raw, close)):
-            if len(hist) > len(hists[j]):
-                hist[:len(hists[j])] += hists[j]
-                hists[j] = hist
-            else:
-                hists[j][:len(hist)] += hist
+            hists[j] = _add_hist(hists[j], hist)
     for first, size, hist in zip(firsts, sizes, hists):
         hist[0] = 0
         yield Sweep(raw[first:first + size].tolist(),
                     close[first:first + size].tolist(), (hist // 2).tolist())
+
+
+def _add_hist(total: np.ndarray, hist: np.ndarray) -> np.ndarray:
+    """The elementwise sum of two histograms of different lengths."""
+    if len(hist) > len(total):
+        total, hist = hist, total
+    total[:len(hist)] += hist
+    return total
 
 
 def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -171,66 +187,181 @@ def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     dependencies into raw, both indexed by node number. Returns, per
     segment, the number of pairs at each distance.
 
+    Path counts are float64, which counts exactly below 2**53. A block
+    whose largest count reaches that is counted again with Python ints, in
+    consecutive runs of its sources that take about the bytes of the float
+    pass; the runs add into raw in source order, as one pass would.
+    """
+    hists = _brandes_pass(csr, segs, raw, close, float)
+    if hists is not None:
+        return hists
+    hists = [np.zeros(1, np.intp) for _ in segs]
+    limit = max(1, SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES)
+    for run in _source_runs(segs, limit):
+        for (j, _), hist in zip(run, _brandes_pass(csr, [seg for _, seg in run],
+                                                   raw, close, object)):
+            hists[j] = _add_hist(hists[j], hist)
+    return hists
+
+
+def _source_runs(segs: list[tuple[int, int, int, int]], limit: int
+                 ) -> list[list[tuple[int, tuple[int, int, int, int]]]]:
+    """segs cut into consecutive runs of sources of at most limit pairs (one
+    source at the least); each piece comes with its segment's index."""
+    runs: list[list[tuple[int, tuple[int, int, int, int]]]] = [[]]
+    used = 0
+    for j, (first, n, s0, s1) in enumerate(segs):
+        while s0 < s1:
+            take = min(s1 - s0, max(0, limit - used) // n)
+            if not take:
+                if runs[-1]:
+                    runs.append([])
+                    used = 0
+                    continue
+                take = 1
+            runs[-1].append((j, (first, n, s0, s0 + take)))
+            used += take * n
+            s0 += take
+    return runs
+
+
+def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  segs: list[tuple[int, int, int, int]], raw: np.ndarray,
+                  close: np.ndarray, dtype) -> list[np.ndarray] | None:
+    """_brandes_block with path counts of dtype; None, with nothing
+    written, if float64 counts reach 2**53.
+
     Each (source, node) pair is one slot of flat arrays, row by row, so a
     pair is its row's base plus the node's number. A BFS level keeps each
     source's nodes in the order in which a queue-based BFS finds them:
     candidates are listed by (frontier position, neighbor slot), and
     np.minimum.at marks the first candidate of each new pair, using its
-    dist slot as scratch. Path counts are float64, which counts exactly
-    below 2**53; a block whose largest count reaches that is counted again
-    with Python ints. The backward pass walks each level in reverse, and
-    np.add.at adds the dependency terms, each a correctly rounded quotient
-    of exact counts, in array order, so each sum is taken in Brandes's order.
+    dist slot as scratch. Each level lists its pairs row by row, so the
+    pairs per row and per distance come from np.searchsorted on the row
+    bounds, with no copy of dist. The backward pass walks each level in
+    reverse, and np.add.at adds the dependency terms, each a correctly
+    rounded quotient of exact counts, in array order, so each sum is taken
+    in Brandes's order. A level's dependencies are summed in a buffer in
+    level order, indexed through the dist slots of its pairs, and stored
+    in their sigma slots once the level is done, so the pass holds 16
+    bytes a pair (dist, sigma and the level lists) with float64 counts.
     """
     rows = [s1 - s0 for _, _, s0, s1 in segs]
     width = np.repeat([n for _, n, _, _ in segs], rows)
     start = np.cumsum(width) - width
     base = (start - np.repeat([first for first, _, _, _ in segs], rows)).astype(np.int32)
     sources = start + np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in segs])
-    size = len(width) and int(start[-1] + width[-1])
-    unseen = np.iinfo(np.int32).max
-    for dtype in (float, object):
-        dist = np.full(size, unseen, np.int32)
-        sigma = np.zeros(size, dtype)
-        dist[sources] = 0
-        sigma[sources] = 1
-        pairs, bases, levels = sources, base, []
-        while True:
-            at, found = _expand(csr, pairs, bases)
-            fresh = np.flatnonzero(dist[found] == unseen)
-            if not len(fresh):
-                break
-            at, found = at[fresh], found[fresh]
-            rank = np.arange(len(found), dtype=np.int32)
-            np.minimum.at(dist, found, rank)
-            np.add.at(sigma, found, sigma[pairs][at])
-            first = dist[found] == rank
-            dist[found] = len(levels) + 1
-            pairs, bases = found[first], bases[at[first]]
-            levels.append(pairs)
-        if sigma.max(initial=0) < _EXACT_SIGMA:
-            break
-    if (dist == unseen).any():
+    size = int(start[-1] + width[-1])
+    top = int(csr[1].max(initial=0))
+    dist = np.full(size, _UNSEEN, np.int32)
+    sigma = np.zeros(size, dtype)
+    dist[sources] = 0
+    sigma[sources] = 1
+    # a float64 count past the float range becomes inf, which reaches
+    # 2**53 like any count that is too large and is counted again
+    with np.errstate(over="ignore"):
+        levels = _forward(csr, dist, sigma, sources, base, top)
+    if dtype is float and sigma.max(initial=0) >= _EXACT_SIGMA:
+        return None
+    bounds = np.append(start, size)
+    total = np.zeros(len(start), np.int64)
+    seg_rows = np.cumsum([0] + rows[:-1])
+    counts = [np.array(rows)]
+    for d, level in enumerate(levels, 1):
+        per_row = np.diff(np.searchsorted(level, bounds))
+        total += d * per_row
+        counts.append(np.add.reduceat(per_row, seg_rows))
+    if sum(map(len, levels)) + len(start) != size:
         raise DisconnectedGraphError()
-    ends = np.cumsum([n * row for (_, n, _, _), row in zip(segs, rows)]).tolist()
-    hists = [np.bincount(dist[a:b], minlength=1) for a, b in zip([0] + ends[:-1], ends)]
-    if size:
-        close[sources - base] = (width - 1) / np.maximum(
-            np.add.reduceat(dist, start, dtype=np.int64), 1)
-    delta = np.zeros(size)
+    close[sources - base] = (width - 1) / np.maximum(total, 1)
+    hist = np.array(counts).T
+    depth = len(levels) + 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
+    hists = [h[:k] for h, k in zip(hist, depth.tolist())]
+    _backward(csr, dist, sigma, levels, start, base, top)
+    del dist, levels
+    sigma[sources] = 0
+    nodes = np.arange(size, dtype=np.int32)
+    nodes -= np.repeat(base, width)
+    np.add.at(raw, nodes, sigma.astype(float, copy=False))
+    return hists
+
+
+def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
+             bases: np.ndarray, top: int) -> list[np.ndarray]:
+    """The BFS from the pairs at distance 0 in dist and sigma: sets every
+    pair's distance and path count, and returns the pairs of each further
+    level in the order that they are found."""
+    levels = []
+    while True:
+        d = len(levels)
+        new, new_bases = [], []
+        for a, b in _chunks(csr, pairs, bases, top):
+            at, found = _expand(csr, pairs[a:b], bases[a:b])
+            # not found before this level; an earlier chunk of this level
+            # may have found it already, with distance d + 1
+            fresh = np.flatnonzero(dist[found] > d)
+            at, found = at[fresh], found[fresh]
+            rank = np.arange(d + 2, d + 2 + len(found), dtype=np.int32)
+            np.minimum.at(dist, found, rank)
+            np.add.at(sigma, found, sigma[pairs[a:b]][at])
+            first = dist[found] == rank
+            dist[found] = d + 1
+            new.append(found[first])
+            new_bases.append(bases[a:b][at[first]])
+        pairs = new[0] if len(new) == 1 else np.concatenate(new)
+        if not len(pairs):
+            return levels
+        bases = new_bases[0] if len(new_bases) == 1 else np.concatenate(new_bases)
+        levels.append(pairs)
+
+
+def _backward(csr, dist: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray],
+              start: np.ndarray, base: np.ndarray, top: int):
+    """Stores each non-source pair's dependency in its sigma slot, deepest
+    level first; empties levels but for level 1.
+
+    Before level d pushes into level d - 1, the dist slot of the pair at
+    position i of level d - 1 is set to -1 - done - i, where done counts
+    the pairs of the levels already pushed; it is the only level whose
+    slots are below -done, and i indexes its buffer."""
+    if not levels:
+        return
+    delta = np.zeros(len(levels[-1]))
+    done = 0
     # level 1 would push only into the sources, whose own dependency is not
     # part of their betweenness
     while len(levels) > 1:
-        pairs = levels.pop()[::-1]
-        at, up = _expand(csr, pairs, base[np.searchsorted(start, pairs, "right") - 1])
-        keep = np.flatnonzero(dist[up] == len(levels))
-        up, w = up[keep], pairs[at[keep]]
-        np.add.at(delta, up, sigma[up] / sigma[w] * (1.0 + delta[w]))
-    del dist, sigma, levels
-    nodes = np.arange(size, dtype=np.int32)
-    nodes -= np.repeat(base, width)
-    np.add.at(raw, nodes, delta)
-    return hists
+        level = levels.pop()
+        below = levels[-1]
+        dist[below] = np.arange(-1 - done, -1 - done - len(below), -1, dtype=np.int32)
+        pairs, dw = level[::-1], delta[::-1]
+        bases = base[np.searchsorted(start, pairs, "right") - 1]
+        into = np.zeros(len(below))
+        for a, b in _chunks(csr, pairs, bases, top):
+            at, up = _expand(csr, pairs[a:b], bases[a:b])
+            rank = dist[up]
+            keep = np.flatnonzero(rank < -done)
+            up, at = up[keep], at[keep] + a
+            np.add.at(into, -1 - done - rank[keep],
+                      sigma[up] / sigma[pairs[at]] * (1.0 + dw[at]))
+        sigma[level] = delta
+        delta = into
+        done += len(below)
+    sigma[levels[0]] = delta
+
+
+def _chunks(csr, pairs: np.ndarray, bases: np.ndarray, top: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of positions in pairs whose nodes have at most
+    SWEEP_SLOTS neighbor slots together, one position at the least."""
+    if len(pairs) * top <= SWEEP_SLOTS:
+        return [(0, len(pairs))]
+    ends = np.cumsum(csr[1][pairs - bases])
+    cuts = [0]
+    while cuts[-1] < len(pairs):
+        a = cuts[-1]
+        reach = int(ends[a - 1]) + SWEEP_SLOTS if a else SWEEP_SLOTS
+        cuts.append(max(a + 1, int(np.searchsorted(ends, reach, "right"))))
+    return list(zip(cuts, cuts[1:]))
 
 
 def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,

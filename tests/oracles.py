@@ -150,38 +150,47 @@ def brute_betweenness(g: Cfg) -> dict[int, float]:
     return {u: scores[u] / norm for u in range(n)}
 
 
-def reference_brandes(g: Cfg) -> dict[int, float]:
-    """Queue-based Brandes with one BFS per source, exact Python-int path
-    counts and per-node predecessor lists; normalized like betweenness."""
+def source_dependencies(g: Cfg, s: int) -> list[float]:
+    """Queue-based Brandes from source s, with exact Python-int path counts
+    and per-node predecessor lists: each node's dependency on s, 0.0 for s."""
     n = g.node_count
-    adj = [sorted(s) for s in undirected_neighbors(g)]
+    adj = [sorted(nbrs) for nbrs in undirected_neighbors(g)]
+    dist = [-1] * n
+    sigma = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    dist[s] = 0
+    sigma[s] = 1
+    order: list[int] = []
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        order.append(u)
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                sigma[v] += sigma[u]
+                preds[v].append(u)
+    if any(d < 0 for d in dist):
+        raise DisconnectedGraphError()
+    delta = [0.0] * n
+    for v in reversed(order):
+        for u in preds[v]:
+            delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
+    delta[s] = 0.0
+    return delta
+
+
+def reference_brandes(g: Cfg) -> dict[int, float]:
+    """Brandes betweenness: each node's dependencies summed over the sources
+    in order, normalized like betweenness."""
+    n = g.node_count
     raw = [0.0] * n
     for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        if any(d < 0 for d in dist):
-            raise DisconnectedGraphError()
-        delta = [0.0] * n
-        for v in reversed(order):
-            for u in preds[v]:
-                delta[u] += sigma[u] / sigma[v] * (1.0 + delta[v])
+        for v, dep in enumerate(source_dependencies(g, s)):
             if v != s:
-                raw[v] += delta[v]
+                raw[v] += dep
     if n < 3:
         return {u: 0.0 for u in range(n)}
     norm = (n - 1) * (n - 2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cfgrank import DataError, learn
-from cfgrank.features import LABEL_MALICIOUS, N_FEATURES, FeatureVector
+from cfgrank.features import FEATURE_NAMES, LABEL_MALICIOUS, N_FEATURES, FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, ModelParams,
@@ -396,6 +396,42 @@ class TestCrossValidate:
         data = gaussian_dataset(rng, 30, 30, shift=2.0)
         matrix, _ = cross_validate("rf", data, HyperParams(rf_trees=10), k=10, seed=1)
         assert matrix.total == pytest.approx(60 / 10)
+
+
+class TestConstantColumnWarning:
+    """learn logs the constant feature columns once per train or
+    cross_validate call, not once per fit."""
+
+    def data(self):
+        # columns 5.. are 0 everywhere and column 4 in all rows but one, so
+        # column 4 is constant only in the folds that hold that row out
+        rng = random.Random(9)
+        rows = [vec([rng.gauss(3.0 * (i % 2), 1.0) for _ in range(4)] + [float(i == 0)],
+                    "malicious" if i % 2 else "benign", f"s{i}") for i in range(40)]
+        return LabeledDataset(tuple(rows))
+
+    def warnings(self, caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "cfgrank.learn"]
+
+    @pytest.mark.parametrize("kind", ["logreg", "svm"])
+    def test_once_per_cross_validation_with_the_union(self, caplog, kind):
+        cross_validate(kind, self.data(), k=10, seed=3)
+        assert self.warnings(caplog) == [
+            "constant feature column(s): " + ", ".join(FEATURE_NAMES[4:])]
+
+    def test_once_per_train(self, caplog):
+        train("logreg", self.data())
+        assert self.warnings(caplog) == [
+            "constant feature column(s): " + ", ".join(FEATURE_NAMES[5:])]
+
+    def test_none_before_a_failed_fit(self, caplog):
+        with pytest.raises(NonFiniteModelError):
+            cross_validate("logreg", self.data(), HyperParams(logreg_lr=1e300), k=10)
+        assert self.warnings(caplog) == []
+
+    def test_none_for_rf(self, caplog):
+        cross_validate("rf", self.data(), HyperParams(rf_trees=3), k=10)
+        assert self.warnings(caplog) == []
 
 
 class TestModelSerialization:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cfgrank import metrics
@@ -9,7 +10,7 @@ from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, degree_sc
                              density, summary_stats)
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
                      diamond_chain, random_cfg, random_connected_cfg,
-                     reference_brandes)
+                     reference_brandes, source_dependencies)
 
 
 # the batched kernels take CSR; these tests write their graphs as neighbor
@@ -308,8 +309,18 @@ class TestClosenessMany:
 
 
 def slots(adj):
-    """What one graph takes of SWEEP_SLOTS: n x (n + 2m)."""
+    """What one graph takes of SWEEP_SLOTS in a group: n x (n + 2m)."""
     return len(adj) * (len(adj) + sum(map(len, adj)))
+
+
+def complete(n):
+    blocks = [BasicBlock(address=4 * i) for i in range(n)]
+    return build_cfg("k", blocks, [(4 * u, 4 * v) for u in range(n) for v in range(u + 1, n)])
+
+
+def complete_bipartite(a, b):
+    blocks = [BasicBlock(address=4 * i) for i in range(a + b)]
+    return build_cfg("kab", blocks, [(4 * u, 4 * v) for u in range(a) for v in range(a, a + b)])
 
 
 @pytest.fixture
@@ -349,11 +360,12 @@ class TestSweepMany:
         adj = g.undirected_adjacency()
         whole = alone(adj)
         blocks.clear()
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj) // 4)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 30 * 30 // 4)
         assert list(sweep_many([adj])) == [whole]
         assert_oracles(g, whole)
-        # the most sources whose rows fit the budget, in ascending order
-        step = metrics.SWEEP_SLOTS // (slots(adj) // 30)
+        # the most sources whose (source, node) pairs fit the budget, in
+        # ascending order
+        step = metrics.SWEEP_SLOTS // 30
         assert blocks == [[(0, 30, s, min(s + step, 30))] for s in range(0, 30, step)]
         assert len(blocks) >= 4
 
@@ -377,14 +389,24 @@ class TestSweepMany:
         assert_oracles(g, got[0])
         n = len(adj)
         assert blocks == [[(0, n, 0, n)], [(0, n, 0, n)]]
+        # a graph swept alone counts only its n x n pairs
+        blocks.clear()
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n)
+        assert list(sweep_many([adj])) == [got[0]]
+        assert blocks == [[(0, n, 0, n)]]
+        blocks.clear()
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n - 1)
+        assert list(sweep_many([adj])) == [got[0]]
+        assert blocks == [[(0, n, 0, n - 1)], [(0, n, n - 1, n)]]
 
     @pytest.mark.parametrize("budget", [1 << 18, 5000])
     def test_exact_fallback_beside_ordinary_graphs(self, monkeypatch, blocks, budget):
         # 5**30 and 2**72 paths end to end are counted again as Python ints;
         # float64 counts the powers of two exactly, but not 5**30, and 24
-        # scores would differ. At the default budget the 5**30 chain shares
-        # a block with both ordinary graphs and the 2**72 chain is swept
-        # alone; at 5000 each chain is swept alone in blocks of sources
+        # scores would differ. At 2**18 slots the 5**30 chain shares a block
+        # with both ordinary graphs and the 2**72 chain is swept alone; at
+        # 5000 each chain is swept alone in blocks of sources, each counted
+        # again in runs of a third as many pairs
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
         rng = random.Random(2007)
         chains = [diamond_chain(30, ways=5), diamond_chain(72)]
@@ -396,6 +418,69 @@ class TestSweepMany:
             assert_oracles(g, swept)
         if budget == 1 << 18:
             assert [len(segs) for segs in blocks] == [3, 1]
+
+    def test_exact_recount_in_runs_of_sources(self, monkeypatch):
+        # one float pass of all 217 sources reaches 2**72 paths; the Python
+        # ints take 49 bytes a pair against 16, so they count in four runs
+        g = diamond_chain(72)
+        adj = g.undirected_adjacency()
+        n = len(adj)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n)
+        passes = []
+        kernel = metrics._brandes_pass
+
+        def spy(csr, segs, raw, close, dtype):
+            passes.append((dtype, list(segs)))
+            return kernel(csr, segs, raw, close, dtype)
+
+        monkeypatch.setattr(metrics, "_brandes_pass", spy)
+        [got] = sweep_many([adj])
+        assert_oracles(g, got)
+        step = n * n * 16 // 49 // n
+        assert passes == [(float, [(0, n, 0, n)])] + [
+            (object, [(0, n, s, min(s + step, n))]) for s in range(0, n, step)]
+        assert len(passes) == 5
+
+    def test_source_runs(self):
+        segs = [(0, 5, 0, 5), (5, 3, 0, 3), (8, 4, 1, 4), (12, 20, 0, 2)]
+        assert metrics._source_runs(segs, 12) == [
+            [(0, (0, 5, 0, 2))], [(0, (0, 5, 2, 4))],
+            [(0, (0, 5, 4, 5)), (1, (5, 3, 0, 2))],
+            [(1, (5, 3, 2, 3)), (2, (8, 4, 1, 3))], [(2, (8, 4, 3, 4))],
+            # a row wider than the limit is a run of its own
+            [(3, (12, 20, 0, 1))], [(3, (12, 20, 1, 2))]]
+
+    @pytest.mark.parametrize("g, budget", [(complete(60), 500), (complete_bipartite(30, 30), 700),
+                                           (complete_bipartite(1, 40), 30)])
+    def test_dense_levels_expanded_in_chunks(self, monkeypatch, g, budget):
+        # level 2 of K60 lists 59 x 59 candidates per source; K30,30 also
+        # pushes back from a level of 29 x 30 per source; the star's center
+        # alone has more neighbors than the budget
+        adj = g.undirected_adjacency()
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
+        sizes = []
+        expand = metrics._expand
+
+        def spy(csr, pairs, bases):
+            at, found = expand(csr, pairs, bases)
+            sizes.append(len(at))
+            return at, found
+
+        monkeypatch.setattr(metrics, "_expand", spy)
+        [got] = sweep_many([adj])
+        assert_oracles(g, got)
+        assert max(sizes) <= max(budget, max(map(len, adj)))
+
+    def test_float_overflow_is_silent(self):
+        # 2**1030 paths overflow float64 to inf without a RuntimeWarning
+        # (an error in this suite); the Python-int recount gives the exact
+        # dependencies of source 0
+        g = diamond_chain(1030)
+        indptr, indices = csr(g.undirected_adjacency())
+        n = g.node_count
+        raw, close = np.zeros(n), np.zeros(n)
+        metrics._brandes_block((indptr, np.diff(indptr), indices), [(0, n, 0, 1)], raw, close)
+        assert raw.tolist() == source_dependencies(g, 0)
 
     def test_singleton(self):
         lone = Sweep([0.0], [0.0], [0])
