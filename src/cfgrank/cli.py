@@ -301,7 +301,8 @@ def build_parser() -> _Parser:
         p.add_argument("--rf-trees", dest="rf_trees", type=_positive_int)
         p.add_argument("--rf-min-leaf", dest="rf_min_leaf", type=_positive_int)
         p.add_argument("--rf-max-depth", dest="rf_max_depth", type=_positive_int)
-        p.add_argument("--seed", type=int, default=42)
+        # numpy's generators take no negative seed; gen's random.Random does
+        p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"), default=42)
 
     p = sub.add_parser("train", help="fit one classifier and save the model")
     learner(p)

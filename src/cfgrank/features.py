@@ -70,7 +70,7 @@ def extract_features(g: Cfg, component: Component | None = None,
     Sweep of its CSR; each is computed here unless the caller already has it.
     """
     component = component or largest_component(g)
-    swept = swept or next(metrics.sweep_many([(component.indptr, component.indices)]))
+    swept = swept or metrics.sweep_many([(component.indptr, component.indices)])[0]
     values: list[float] = []
     for scores in (swept.betweenness(), swept.closeness,
                    metrics.degree_scores(component.indptr, component.loops)):

@@ -372,15 +372,17 @@ def predict(model: ModelParams, x: FeatureVector) -> str:
 def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
                      ) -> list[tuple[list[int], list[int]]]:
     """Per-class seeded shuffle, then round-robin deal into k folds."""
+    classes = [np.flatnonzero(data.y == value).tolist() for value in (1, 0)]
+    # checked before anything of size k is allocated
+    for label, indices in zip((LABEL_MALICIOUS, LABEL_BENIGN), classes):
+        if len(indices) < k:
+            raise ClassTooSmallError(label, len(indices), k)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     # one dealing position carried across classes, so the per-class
     # remainders spread over different folds and totals stay within 1
     pos = 0
-    for label, value in ((LABEL_MALICIOUS, 1), (LABEL_BENIGN, 0)):
-        indices = np.flatnonzero(data.y == value).tolist()
-        if len(indices) < k:
-            raise ClassTooSmallError(label, len(indices), k)
+    for indices in classes:
         shuffled = [indices[j] for j in rng.permutation(len(indices))]
         for idx in shuffled:
             folds[pos % k].append(idx)

@@ -8,20 +8,23 @@ is defined on the full directed graph.
 Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
 per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
-component (graph.largest_components), and gives a Sweep for each. A pass
-holds 16 bytes per (source, node) pair: a graph swept alone takes
-SWEEP_SLOTS // n sources at a time, and a BFS level with more neighbor
-slots than SWEEP_SLOTS is expanded in chunks. Its path counts are float64
-while they stay below 2**53 and Python ints past that, counted again in
-runs of sources of about the same bytes, so they are always exact.
-closeness_many() gives the same closeness from a bit-parallel BFS with no
-path counts, and degree_scores() degree centrality from the same CSR.
+component (graph.largest_components), and returns a list of one Sweep per
+graph. One rule, _runs, cuts all of this work to a budget: consecutive
+items, each run as long as its weights sum to at most the limit, one item
+at the least. It cuts the graphs into groups on sources x (n + 2m) slots, a
+group's sources into blocks on (source, node) pairs at 16 bytes each, and a
+BFS level's nodes into chunks on neighbor slots, all against SWEEP_SLOTS.
+Path counts are float64 while they stay below 2**53 and Python ints past
+that, counted again in runs of sources of about the same bytes, so they are
+always exact. closeness_many() gives the same closeness from a bit-parallel
+BFS with no path counts, its graphs cut into passes on rows x words against
+BATCH_WORDS, and degree_scores() degree centrality from the same CSR.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -35,12 +38,11 @@ from .graph import Cfg
 # graphs takes several passes instead of gigabytes
 BATCH_WORDS = 1 << 21
 
-# graphs share a sweep_many pass while their sources x (n + 2m) slots sum to
-# at most this, one per (source, node) pair and one per (source, edge end);
-# a graph too big for that is swept alone, in blocks of this many (source,
-# node) pairs at 16 bytes each (one source at the least), and any BFS level
-# whose nodes have more neighbor slots is expanded in chunks of at most this
-# many (one node at the least)
+# the limit _runs cuts sweep_many's work to: graphs share a group while their
+# sources x (n + 2m) slots sum to at most this, one per (source, node) pair
+# and one per (source, edge end); a group's sources are swept in blocks of at
+# most this many (source, node) pairs at 16 bytes each, and a BFS level in
+# chunks of nodes with at most this many neighbor slots together
 SWEEP_SLOTS = 3 << 16
 
 # float64 counts shortest paths exactly below this; a block with more counts
@@ -118,56 +120,42 @@ class Sweep:
                          math.sqrt(var))
 
 
-def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
+def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
     """The Sweep of each connected graph, given as CSR (indptr, indices), in
     input order: every source's Brandes pass, with exact path counts and
     each dependency sum taken in Brandes's order.
 
-    Source-batched Brandes (McLaughlin & Bader, SC 2014): graphs are
-    gathered into groups of at most SWEEP_SLOTS slots; each group is
-    searched one BFS level at a time for all its sources together, and its
-    Sweeps are yielded as it finishes, so csrs may be a generator that is
-    read at most one graph past the group.
+    Source-batched Brandes (McLaughlin & Bader, SC 2014): _runs cuts the
+    graphs into groups of at most SWEEP_SLOTS slots, and each group is
+    searched one BFS level at a time for many sources together.
     """
-    group: list[tuple[np.ndarray, np.ndarray]] = []
-    slots = 0
-    for indptr, indices in csrs:
-        n = len(indptr) - 1
-        size = n * (n + len(indices))
-        if group and slots + size > SWEEP_SLOTS:
-            yield from _sweep_group(group)
-            group, slots = [], 0
-        group.append((indptr, indices))
-        slots += size
-    if group:
-        yield from _sweep_group(group)
+    graphs = list(csrs)
+    slots = [(len(indptr) - 1) * (len(indptr) - 1 + len(indices)) for indptr, indices in graphs]
+    return [swept for a, b in _runs(slots, SWEEP_SLOTS) for swept in _sweep_group(graphs[a:b])]
 
 
-def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[Sweep]:
+def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
     """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
-    that does not, taken in blocks of SWEEP_SLOTS // n sources."""
-    sizes = [len(indptr) - 1 for indptr, _ in graphs]
-    firsts = np.cumsum([0] + sizes[:-1]).tolist()
+    that does not, in blocks of sources whose (source, node) pairs _runs
+    cuts to SWEEP_SLOTS."""
+    sizes = np.array([len(indptr) - 1 for indptr, _ in graphs])
+    firsts = np.cumsum(sizes) - sizes
     deg = np.concatenate([np.diff(indptr) for indptr, _ in graphs])
     # one node numbering for the group: graph j's nodes start at firsts[j]
     csr = (np.concatenate(([0], np.cumsum(deg))), deg,
-           np.concatenate([indices + first for (_, indices), first in zip(graphs, firsts)]))
-    if len(graphs) > 1:
-        blocks = [[(first, size, 0, size) for first, size in zip(firsts, sizes)]]
-    else:
-        n = sizes[0]
-        step = max(1, SWEEP_SLOTS // n)
-        blocks = [[(0, n, s, min(s + step, n))] for s in range(0, n, step)]
+           np.concatenate([indices + first for (_, indices), first in zip(graphs, firsts.tolist())]))
+    # each node's graph, that graph's first node and its size
+    owner = tuple(np.repeat(x, sizes) for x in (np.arange(len(graphs)), firsts, sizes))
     raw = np.zeros(len(deg))
     close = np.zeros(len(deg))
     hists = [np.zeros(1, np.intp) for _ in graphs]
-    for segs in blocks:
-        for j, hist in enumerate(_brandes_block(csr, segs, raw, close)):
+    for a, b in _runs(owner[2], SWEEP_SLOTS):
+        for j, hist in _brandes_block(csr, owner, a, b, raw, close):
             hists[j] = _add_hist(hists[j], hist)
-    for first, size, hist in zip(firsts, sizes, hists):
-        hist[0] = 0
-        yield Sweep(raw[first:first + size].tolist(),
-                    close[first:first + size].tolist(), (hist // 2).tolist())
+    # hist[0] counts each source once, from itself
+    return [Sweep(raw[first:first + n].tolist(), close[first:first + n].tolist(),
+                  [0, *(hist[1:] // 2).tolist()])
+            for first, n, hist in zip(firsts.tolist(), sizes.tolist(), hists)]
 
 
 def _add_hist(total: np.ndarray, hist: np.ndarray) -> np.ndarray:
@@ -178,56 +166,44 @@ def _add_hist(total: np.ndarray, hist: np.ndarray) -> np.ndarray:
     return total
 
 
+def _runs(weights, limit: int) -> list[tuple[int, int]]:
+    """weights cut into consecutive runs [a, b) that each sum to at most
+    limit, or hold one item; each run takes every item that still fits."""
+    ends = np.cumsum(weights)
+    cuts = [0]
+    while cuts[-1] < len(ends):
+        a = cuts[-1]
+        reach = int(ends[a - 1]) + limit if a else limit
+        cuts.append(max(a + 1, int(np.searchsorted(ends, reach, "right"))))
+    return list(zip(cuts, cuts[1:]))
+
+
 def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   segs: list[tuple[int, int, int, int]],
-                   raw: np.ndarray, close: np.ndarray) -> list[np.ndarray]:
-    """One level-synchronous Brandes pass from the sources s0 <= s < s1 of
-    each segment (first, n, s0, s1), an n-node graph whose nodes are
-    numbered from first in csr; writes their closeness and adds their
-    dependencies into raw, both indexed by node number. Returns, per
-    segment, the number of pairs at each distance.
+                   owner: tuple[np.ndarray, np.ndarray, np.ndarray], a: int, b: int,
+                   raw: np.ndarray, close: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """One level-synchronous Brandes pass from the sources a <= s < b of
+    csr's node numbering, where owner gives each node's graph, that graph's
+    first node and its size; writes their closeness and adds their
+    dependencies into raw, both indexed by node number. Returns (graph,
+    histogram) pairs whose sum per graph is the number of its pairs at each
+    distance.
 
     Path counts are float64, which counts exactly below 2**53. A block
     whose largest count reaches that is counted again with Python ints, in
-    consecutive runs of its sources that take about the bytes of the float
-    pass; the runs add into raw in source order, as one pass would.
+    the runs of its sources that take about the bytes of the float pass;
+    the runs add into raw in source order, as one pass would.
     """
-    hists = _brandes_pass(csr, segs, raw, close, float)
+    hists = _brandes_pass(csr, owner, a, b, raw, close, float)
     if hists is not None:
         return hists
-    hists = [np.zeros(1, np.intp) for _ in segs]
-    limit = max(1, SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES)
-    for run in _source_runs(segs, limit):
-        for (j, _), hist in zip(run, _brandes_pass(csr, [seg for _, seg in run],
-                                                   raw, close, object)):
-            hists[j] = _add_hist(hists[j], hist)
-    return hists
-
-
-def _source_runs(segs: list[tuple[int, int, int, int]], limit: int
-                 ) -> list[list[tuple[int, tuple[int, int, int, int]]]]:
-    """segs cut into consecutive runs of sources of at most limit pairs (one
-    source at the least); each piece comes with its segment's index."""
-    runs: list[list[tuple[int, tuple[int, int, int, int]]]] = [[]]
-    used = 0
-    for j, (first, n, s0, s1) in enumerate(segs):
-        while s0 < s1:
-            take = min(s1 - s0, max(0, limit - used) // n)
-            if not take:
-                if runs[-1]:
-                    runs.append([])
-                    used = 0
-                    continue
-                take = 1
-            runs[-1].append((j, (first, n, s0, s0 + take)))
-            used += take * n
-            s0 += take
-    return runs
+    limit = SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES
+    return [pair for c, d in _runs(owner[2][a:b], limit)
+            for pair in _brandes_pass(csr, owner, a + c, a + d, raw, close, object)]
 
 
 def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  segs: list[tuple[int, int, int, int]], raw: np.ndarray,
-                  close: np.ndarray, dtype) -> list[np.ndarray] | None:
+                  owner: tuple[np.ndarray, np.ndarray, np.ndarray], a: int, b: int,
+                  raw: np.ndarray, close: np.ndarray, dtype) -> list[tuple[int, np.ndarray]] | None:
     """_brandes_block with path counts of dtype; None, with nothing
     written, if float64 counts reach 2**53.
 
@@ -246,11 +222,10 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     in their sigma slots once the level is done, so the pass holds 16
     bytes a pair (dist, sigma and the level lists) with float64 counts.
     """
-    rows = [s1 - s0 for _, _, s0, s1 in segs]
-    width = np.repeat([n for _, n, _, _ in segs], rows)
+    graph, first, width = (x[a:b] for x in owner)
     start = np.cumsum(width) - width
-    base = (start - np.repeat([first for first, _, _, _ in segs], rows)).astype(np.int32)
-    sources = start + np.concatenate([np.arange(s0, s1) for _, _, s0, s1 in segs])
+    base = (start - first).astype(np.int32)
+    sources = start + np.arange(a, b) - first
     size = int(start[-1] + width[-1])
     top = int(csr[1].max(initial=0))
     dist = np.full(size, _UNSEEN, np.int32)
@@ -263,17 +238,18 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         levels = _forward(csr, dist, sigma, sources, base, top)
     if dtype is float and sigma.max(initial=0) >= _EXACT_SIGMA:
         return None
+    if sum(map(len, levels)) + len(sources) != size:
+        raise DisconnectedGraphError()
     bounds = np.append(start, size)
     total = np.zeros(len(start), np.int64)
-    seg_rows = np.cumsum([0] + rows[:-1])
-    counts = [np.array(rows)]
-    for d, level in enumerate(levels, 1):
+    # the first row of each graph's sources
+    seg_rows = np.flatnonzero(np.diff(graph, prepend=-1))
+    counts = []
+    for d, level in enumerate([sources, *levels]):
         per_row = np.diff(np.searchsorted(level, bounds))
         total += d * per_row
         counts.append(np.add.reduceat(per_row, seg_rows))
-    if sum(map(len, levels)) + len(start) != size:
-        raise DisconnectedGraphError()
-    close[sources - base] = (width - 1) / np.maximum(total, 1)
+    close[a:b] = (width - 1) / np.maximum(total, 1)
     hist = np.array(counts).T
     depth = len(levels) + 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
     hists = [h[:k] for h, k in zip(hist, depth.tolist())]
@@ -283,7 +259,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     nodes = np.arange(size, dtype=np.int32)
     nodes -= np.repeat(base, width)
     np.add.at(raw, nodes, sigma.astype(float, copy=False))
-    return hists
+    return list(zip(graph[seg_rows].tolist(), hists))
 
 
 def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
@@ -351,17 +327,11 @@ def _backward(csr, dist: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray]
 
 
 def _chunks(csr, pairs: np.ndarray, bases: np.ndarray, top: int) -> list[tuple[int, int]]:
-    """Consecutive ranges of positions in pairs whose nodes have at most
-    SWEEP_SLOTS neighbor slots together, one position at the least."""
+    """_runs of positions in pairs whose nodes have at most SWEEP_SLOTS
+    neighbor slots together."""
     if len(pairs) * top <= SWEEP_SLOTS:
         return [(0, len(pairs))]
-    ends = np.cumsum(csr[1][pairs - bases])
-    cuts = [0]
-    while cuts[-1] < len(pairs):
-        a = cuts[-1]
-        reach = int(ends[a - 1]) + SWEEP_SLOTS if a else SWEEP_SLOTS
-        cuts.append(max(a + 1, int(np.searchsorted(ends, reach, "right"))))
-    return list(zip(cuts, cuts[1:]))
+    return _runs(csr[1][pairs - bases], SWEEP_SLOTS)
 
 
 def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,
@@ -396,17 +366,9 @@ def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[list[f
                 raise DisconnectedGraphError()
             groups.setdefault((len(deg) + 63) >> 6, []).append(i)
     for words, members in groups.items():
-        batches: list[list[int]] = [[]]
-        rows = 0
-        for i in members:
-            rows += len(packed[i][0])
-            if batches[-1] and rows * words > BATCH_WORDS:
-                batches.append([])
-                rows = len(packed[i][0])
-            batches[-1].append(i)
-        for batch in batches:
-            totals = iter(_distance_sums([packed[i] for i in batch], words))
-            for i in batch:
+        for a, b in _runs([len(packed[i][0]) for i in members], BATCH_WORDS // words):
+            totals = iter(_distance_sums([packed[i] for i in members[a:b]], words))
+            for i in members[a:b]:
                 n = len(packed[i][0])
                 scores[i] = [(n - 1) / next(totals) for _ in range(n)]
     return scores

@@ -315,6 +315,11 @@ class TestTrainEvaluateCommands:
         make_features_csv(csv_path, n_pos=30, n_neg=5)
         assert run("evaluate", str(csv_path), "--kind", "logreg") == 3
 
+    def test_huge_k_exits_3_before_allocating_folds(self, tmp_path):
+        csv_path = tmp_path / "features.csv"
+        make_features_csv(csv_path)
+        assert run("evaluate", str(csv_path), "--kind", "rf", "--k", str(10 ** 12)) == 3
+
     def test_golden_reports_reproducible(self, tmp_path):
         csv_path = tmp_path / "features.csv"
         make_features_csv(csv_path, n_pos=25, n_neg=25, shift=2.0, seed=9)
@@ -337,6 +342,7 @@ class TestTrainEvaluateCommands:
         ("--svm-steps", "0"), ("--logreg-epochs", "-3"), ("--rf-trees", "x"),
         ("--svm-lambda", "0"), ("--svm-lambda", "nan"), ("--logreg-lr", "-0.1"),
         ("--logreg-lr", "inf"), ("--logreg-l2", "-1e-4"), ("--logreg-l2", "nan"),
+        ("--seed", "-1"),
     ])
     def test_bad_hyperparameter_usage_error(self, tmp_path, command, flag, value):
         # the CSV does not exist: the flag must be rejected before it is read

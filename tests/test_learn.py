@@ -367,8 +367,10 @@ class TestStratifiedKfold:
             assert sorted(seen) == list(range(len(data)))
 
     def test_class_too_small(self):
-        with pytest.raises(ClassTooSmallError):
-            stratified_kfold(self.make(30, 5), k=10)
+        # checked before k folds are allocated, so a huge k fails at once
+        for k in (10, 10 ** 12):
+            with pytest.raises(ClassTooSmallError):
+                stratified_kfold(self.make(30, 5), k=k)
 
 
 class TestCrossValidate:

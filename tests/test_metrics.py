@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
@@ -325,13 +327,14 @@ def complete_bipartite(a, b):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records the segments (first, n, s0, s1) of every block swept."""
+    """Records the slice (a, b) of its group's sources that every block
+    sweeps."""
     seen = []
     kernel = metrics._brandes_block
 
-    def spy(csr, segs, raw, close):
-        seen.append(list(segs))
-        return kernel(csr, segs, raw, close)
+    def spy(csr, owner, a, b, raw, close):
+        seen.append((a, b))
+        return kernel(csr, owner, a, b, raw, close)
 
     monkeypatch.setattr(metrics, "_brandes_block", spy)
     return seen
@@ -348,8 +351,8 @@ class TestSweepMany:
             n = rng.randint(1, 40)
             graphs.append(random_connected_cfg(rng, n, rng.randint(0, n)))
         adjs = [g.undirected_adjacency() for g in graphs]
-        got = list(sweep_many(adjs))
-        assert len(got) == len(graphs)
+        got = sweep_many(adjs)
+        assert type(got) is list and len(got) == len(graphs)
         for g, adj, swept in zip(graphs, adjs, got):
             assert swept == alone(adj)
             assert_oracles(g, swept)
@@ -361,12 +364,12 @@ class TestSweepMany:
         whole = alone(adj)
         blocks.clear()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", 30 * 30 // 4)
-        assert list(sweep_many([adj])) == [whole]
+        assert sweep_many([adj]) == [whole]
         assert_oracles(g, whole)
         # the most sources whose (source, node) pairs fit the budget, in
         # ascending order
         step = metrics.SWEEP_SLOTS // 30
-        assert blocks == [[(0, 30, s, min(s + step, 30))] for s in range(0, 30, step)]
+        assert blocks == [(s, min(s + step, 30)) for s in range(0, 30, step)]
         assert len(blocks) >= 4
 
     def test_block_holds_several_graphs(self, monkeypatch, blocks):
@@ -374,30 +377,32 @@ class TestSweepMany:
         graphs = [random_connected_cfg(rng, n, n // 3) for n in (5, 9, 7, 12, 6, 8)]
         adjs = [g.undirected_adjacency() for g in graphs]
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
-        got = list(sweep_many(adjs))
+        got = sweep_many(adjs)
         for g, swept in zip(graphs, got, strict=True):
             assert_oracles(g, swept)
-        assert [len(segs) for segs in blocks][0] == 3
-        assert sum(len(segs) for segs in blocks) == len(adjs)
+        # the first block is every source of the first three graphs, and
+        # every source is swept once
+        assert blocks[0] == (0, sum(map(len, adjs[:3])))
+        assert sum(b - a for a, b in blocks) == sum(map(len, adjs))
 
     def test_graph_of_exactly_the_budget_is_one_block(self, monkeypatch, blocks):
         g = diamond_chain(3)
         adj = g.undirected_adjacency()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", slots(adj))
-        got = list(sweep_many([adj, adj]))
+        got = sweep_many([adj, adj])
         assert got[0] == got[1]
         assert_oracles(g, got[0])
         n = len(adj)
-        assert blocks == [[(0, n, 0, n)], [(0, n, 0, n)]]
+        assert blocks == [(0, n), (0, n)]
         # a graph swept alone counts only its n x n pairs
         blocks.clear()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n)
-        assert list(sweep_many([adj])) == [got[0]]
-        assert blocks == [[(0, n, 0, n)]]
+        assert sweep_many([adj]) == [got[0]]
+        assert blocks == [(0, n)]
         blocks.clear()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n - 1)
-        assert list(sweep_many([adj])) == [got[0]]
-        assert blocks == [[(0, n, 0, n - 1)], [(0, n, n - 1, n)]]
+        assert sweep_many([adj]) == [got[0]]
+        assert blocks == [(0, n - 1), (n - 1, n)]
 
     @pytest.mark.parametrize("budget", [1 << 18, 5000])
     def test_exact_fallback_beside_ordinary_graphs(self, monkeypatch, blocks, budget):
@@ -413,11 +418,11 @@ class TestSweepMany:
         graphs = [random_connected_cfg(rng, 20, 8), chains[0],
                   random_connected_cfg(rng, 9, 2), chains[1]]
         adjs = [g.undirected_adjacency() for g in graphs]
-        got = list(sweep_many(adjs))
+        got = sweep_many(adjs)
         for g, swept in zip(graphs, got, strict=True):
             assert_oracles(g, swept)
         if budget == 1 << 18:
-            assert [len(segs) for segs in blocks] == [3, 1]
+            assert blocks == [(0, sum(map(len, adjs[:3]))), (0, len(adjs[3]))]
 
     def test_exact_recount_in_runs_of_sources(self, monkeypatch):
         # one float pass of all 217 sources reaches 2**72 paths; the Python
@@ -429,26 +434,30 @@ class TestSweepMany:
         passes = []
         kernel = metrics._brandes_pass
 
-        def spy(csr, segs, raw, close, dtype):
-            passes.append((dtype, list(segs)))
-            return kernel(csr, segs, raw, close, dtype)
+        def spy(csr, owner, a, b, raw, close, dtype):
+            passes.append((dtype, (a, b)))
+            return kernel(csr, owner, a, b, raw, close, dtype)
 
         monkeypatch.setattr(metrics, "_brandes_pass", spy)
         [got] = sweep_many([adj])
         assert_oracles(g, got)
         step = n * n * 16 // 49 // n
-        assert passes == [(float, [(0, n, 0, n)])] + [
-            (object, [(0, n, s, min(s + step, n))]) for s in range(0, n, step)]
+        assert passes == [(float, (0, n))] + [
+            (object, (s, min(s + step, n))) for s in range(0, n, step)]
         assert len(passes) == 5
 
-    def test_source_runs(self):
-        segs = [(0, 5, 0, 5), (5, 3, 0, 3), (8, 4, 1, 4), (12, 20, 0, 2)]
-        assert metrics._source_runs(segs, 12) == [
-            [(0, (0, 5, 0, 2))], [(0, (0, 5, 2, 4))],
-            [(0, (0, 5, 4, 5)), (1, (5, 3, 0, 2))],
-            [(1, (5, 3, 2, 3)), (2, (8, 4, 1, 3))], [(2, (8, 4, 3, 4))],
-            # a row wider than the limit is a run of its own
-            [(3, (12, 20, 0, 1))], [(3, (12, 20, 1, 2))]]
+    @given(st.lists(st.integers(0, 9), max_size=40), st.integers(0, 30))
+    def test_runs(self, weights, limit):
+        runs = metrics._runs(weights, limit)
+        # consecutive, non-empty and covering every item
+        cuts = [0] + [b for _, b in runs]
+        assert [a for a, _ in runs] == cuts[:-1] and cuts[-1] == len(weights)
+        for a, b in runs:
+            assert a < b
+            assert b - a == 1 or sum(weights[a:b]) <= limit
+            # greedy: the next item would not fit
+            if b < len(weights):
+                assert sum(weights[a:b + 1]) > limit
 
     @pytest.mark.parametrize("g, budget", [(complete(60), 500), (complete_bipartite(30, 30), 700),
                                            (complete_bipartite(1, 40), 30)])
@@ -479,38 +488,22 @@ class TestSweepMany:
         indptr, indices = csr(g.undirected_adjacency())
         n = g.node_count
         raw, close = np.zeros(n), np.zeros(n)
-        metrics._brandes_block((indptr, np.diff(indptr), indices), [(0, n, 0, 1)], raw, close)
+        owner = (np.zeros(n, int), np.zeros(n, int), np.full(n, n))
+        metrics._brandes_block((indptr, np.diff(indptr), indices), owner, 0, 1, raw, close)
         assert raw.tolist() == source_dependencies(g, 0)
 
     def test_singleton(self):
         lone = Sweep([0.0], [0.0], [0])
-        assert list(sweep_many([[[]]])) == [lone]
-        assert list(sweep_many([path_adj(3), [[]], path_adj(2)])) == [
+        assert sweep_many([[[]]]) == [lone]
+        assert sweep_many([path_adj(3), [[]], path_adj(2)]) == [
             Sweep([0.0, 2.0, 0.0], [2 / 3, 1.0, 2 / 3], [0, 2, 1]), lone,
             Sweep([0.0, 0.0], [1.0, 1.0], [0, 1])]
-
-    def test_reads_a_generator_at_most_one_group_ahead(self, monkeypatch):
-        # groups of three graphs: the fourth is read to learn that the
-        # first group is full, and nothing past it
-        adjs = [path_adj(n) for n in (5, 6, 7, 5, 6, 7, 5)]
-        expected = [alone(adj) for adj in adjs]
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", sum(map(slots, adjs[:3])))
-        pulled = []
-
-        def source():
-            for adj in adjs:
-                pulled.append(adj)
-                yield adj
-
-        for i, swept in enumerate(sweep_many(source())):
-            assert swept == expected[i]
-            assert len(pulled) <= min(len(adjs), 3 * (i // 3 + 1) + 1)
 
     def test_one_bad_graph_in_a_batch(self):
         good = [path_adj(n) for n in (2, 5, 30)]
         bad = path_adj(3) + [[4], [3]]
         with pytest.raises(DisconnectedGraphError):
-            list(sweep_many(good[:2] + [bad] + good[2:]))
+            sweep_many(good[:2] + [bad] + good[2:])
 
 
 class TestDensity:
