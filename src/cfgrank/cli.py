@@ -10,6 +10,7 @@ output), 3 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -84,8 +85,13 @@ def _json_line(payload) -> bytes:
 
 def _output_name(sample_id: str, written: set[str]) -> str:
     """The sample_id, if it is one path component inside the output
-    directory that this run has not written yet."""
-    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
+    directory that this run has not written yet, and `<sample_id>.graph.json`
+    is a file name of at most 255 bytes in strict UTF-8."""
+    try:
+        unsafe = len(f"{sample_id}.graph.json".encode("utf-8")) > 255
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON "\ud800" escape
+        unsafe = True
+    if unsafe or sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
         raise ingest.SchemaError("sample_id", f"{reprlib.repr(sample_id)} is not a safe file name")
     if sample_id in written:
         raise ingest.SchemaError("sample_id", f"{reprlib.repr(sample_id)} was already written by this run")
@@ -176,29 +182,10 @@ def cmd_analyze(args) -> int:
     names = args.names.split(",")
     if len(names) != len(args.graph_dirs):
         raise UsageError(f"{len(names)} name(s) for {len(args.graph_dirs)} directory(ies)")
-    all_stats = []
-    for name, d in zip(names, args.graph_dirs):
-        all_stats.append(report.corpus_stats(_load_graph_dir(Path(d)), name))
-    comparisons = []
-    for i in range(len(all_stats)):
-        for j in range(i + 1, len(all_stats)):
-            summary = report.compare(all_stats[i], all_stats[j],
-                                     "avg_closeness", args.threshold)
-            comparisons.append({
-                "corpus_a": all_stats[i].corpus_name,
-                "corpus_b": all_stats[j].corpus_name,
-                "metric": summary.metric,
-                "threshold": summary.threshold,
-                "fraction_a_below": summary.fraction_a_below,
-                "fraction_b_below": summary.fraction_b_below,
-                "rule_accuracy": summary.rule_accuracy,
-            })
-    payload = {
-        "corpora": [report.stats_to_dict(s) for s in all_stats],
-        "comparisons": comparisons,
-    }
-    _write(Path(args.out), _json_line(payload))
-    print(f"analyzed {len(all_stats)} corpus(es) into {args.out}")
+    corpora = [report.corpus_stats(_load_graph_dir(Path(d)), name)
+               for name, d in zip(names, args.graph_dirs)]
+    _write(Path(args.out), _json_line(report.payload(corpora, args.threshold)))
+    print(f"analyzed {len(corpora)} corpus(es) into {args.out}")
     return 0
 
 
@@ -209,13 +196,10 @@ def _load_dataset(path: Path) -> learn.LabeledDataset:
 
 
 def _hyper_from_args(args) -> learn.HyperParams:
-    hyper = learn.HyperParams()
-    for name in ("logreg_lr", "logreg_l2", "logreg_epochs", "svm_lambda",
-                 "svm_steps", "rf_trees", "rf_min_leaf", "rf_max_depth"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(hyper, name, value)
-    return hyper
+    """HyperParams with each learner flag that was given; a flag's dest is
+    its field's name."""
+    return learn.HyperParams(**{f.name: v for f in dataclasses.fields(learn.HyperParams)
+                                if (v := getattr(args, f.name)) is not None})
 
 
 def cmd_train(args) -> int:
@@ -237,22 +221,16 @@ def cmd_evaluate(args) -> int:
     print(f"fold-averaged confusion matrix ({args.kind}, k={args.k}):")
     print(f"  actual malicious: predicted malicious {matrix.tp:.1f}  benign {matrix.fn:.1f}")
     print(f"  actual benign:    predicted malicious {matrix.fp:.1f}  benign {matrix.tn:.1f}")
-    header = ["FNR", "FPR", "FDR", "FOR", "F1", "AR"]
-    values = [metrics_report.fnr, metrics_report.fpr, metrics_report.fdr,
-              metrics_report.for_, metrics_report.f1, metrics_report.ar]
-    print("  ".join(f"{h:>6}" for h in header))
-    print("  ".join(f"{_fmt_rate(v):>6}" for v in values))
+    # MetricReport's fields name the rates; for_ dodges the keyword
+    rates = {name.rstrip("_"): v for name, v in vars(metrics_report).items()}
+    print("  ".join(f"{name.upper():>6}" for name in rates))
+    print("  ".join(f"{_fmt_rate(v):>6}" for v in rates.values()))
     if args.out:
-        payload = {
-            "kind": args.kind,
-            "k": args.k,
-            "seed": args.seed,
-            "confusion_matrix_fold_averaged": {
-                "tp": matrix.tp, "fn": matrix.fn, "fp": matrix.fp, "tn": matrix.tn,
-            },
-            "metrics": dict(zip(("fnr", "fpr", "fdr", "for", "f1", "ar"), values)),
-        }
-        _write(Path(args.out), _json_line(payload))
+        _write(Path(args.out), _json_line({
+            "kind": args.kind, "k": args.k, "seed": args.seed,
+            "confusion_matrix_fold_averaged": vars(matrix),
+            "metrics": rates,
+        }))
     return 0
 
 

@@ -56,9 +56,6 @@ class Cfg:
                 nbrs[v].add(u)
         return [sorted(s) for s in nbrs]
 
-    def self_loop_nodes(self) -> set[int]:
-        return {u for u, v in self.edges if u == v}
-
 
 def build_cfg(
     sample_id: str,

@@ -98,6 +98,16 @@ def _require(obj: dict, fieldname: str, kind, context: str):
     return value
 
 
+def _encodes(text: str) -> bool:
+    """Whether text has a strict UTF-8 encoding; a JSON "\\ud800" escape
+    decodes to a lone surrogate, which has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _optional_addr(obj: dict, fieldname: str, context: str) -> int | None:
     value = obj.get(fieldname)
     if value is None:
@@ -283,7 +293,8 @@ def _bulk_checked(raw):
     except (TypeError, KeyError):
         return None
     # type() is not isinstance(): a bool is no integer here
-    if (type(sample_id) is not str or type(nodes) is not list or not nodes
+    if (type(sample_id) is not str or not _encodes(sample_id)
+            or type(nodes) is not list or not nodes
             or type(edges) is not list or {*map(type, nodes)} != {dict}
             or {*map(type, addrs), *map(type, sizes), *map(type, ninstrs)} != {int}
             or min(addrs) < 0 or min(sizes) < 0 or min(ninstrs) < 0
@@ -301,6 +312,8 @@ def _parse_canonical_checked(raw) -> Cfg:
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
     sample_id = _require(raw, "sample_id", str, "<root>")
+    if not _encodes(sample_id):
+        raise SchemaError("<root>.sample_id", f"{reprlib.repr(sample_id)} is not encodable as UTF-8")
     nodes_raw = _require(raw, "nodes", list, "<root>")
     if not nodes_raw:
         raise SchemaError("nodes", "must contain at least one node")

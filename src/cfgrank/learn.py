@@ -235,12 +235,9 @@ def _best_split(
     gini = np.where(ok, gini, np.inf)
     cols = np.argmin(gini, axis=1)
     scores = gini[np.arange(len(feature_ids)), cols]
-    best = None
-    # draw order, strictly smaller wins: the first sampled feature keeps ties
-    for r in range(len(feature_ids)):
-        if scores[r] < np.inf and (best is None or scores[r] < scores[best]):
-            best = r
-    if best is None:
+    # the first minimum in draw order: the first sampled feature keeps ties
+    best = int(np.argmin(scores))
+    if scores[best] == np.inf:
         return None
     j = cols[best]
     lo, hi = float(xs[best, j]), float(xs[best, j + 1])

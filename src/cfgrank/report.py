@@ -1,22 +1,20 @@
 """Corpus-level descriptive statistics: per-sample rows, empirical CDFs of
 node/edge counts, average closeness and component counts, and single-threshold
-corpus comparison.
+corpus comparison on average closeness.
+
+The records are the JSON report's schema: each field of CorpusStats,
+SampleRow and ComparisonSummary is a key of `payload`'s output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import DataError, metrics
 from .graph import Cfg, largest_components
 
 CDF_METRICS = ("node_count", "edge_count", "avg_closeness", "component_count")
-
-
-class UnknownMetricError(DataError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown metric {name!r}; expected one of {CDF_METRICS}")
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -30,18 +28,20 @@ class SampleRow:
 
 @dataclass(frozen=True)
 class CorpusStats:
-    corpus_name: str
-    per_sample: tuple[SampleRow, ...]
+    corpus: str
+    samples: tuple[SampleRow, ...]
     cdfs: dict[str, list[tuple[float, float]]]
 
 
 @dataclass(frozen=True)
 class ComparisonSummary:
-    metric: str
+    corpus_a: str
+    corpus_b: str
     threshold: float
     fraction_a_below: float
     fraction_b_below: float
     rule_accuracy: float
+    metric: str = "avg_closeness"
 
 
 def empirical_cdf(values: list[float]) -> list[tuple[float, float]]:
@@ -79,52 +79,33 @@ def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
         metric_name: empirical_cdf([float(getattr(r, metric_name)) for r in rows])
         for metric_name in CDF_METRICS
     }
-    return CorpusStats(corpus_name=name, per_sample=tuple(rows), cdfs=cdfs)
+    return CorpusStats(corpus=name, samples=tuple(rows), cdfs=cdfs)
 
 
-def _metric_values(stats: CorpusStats, metric_name: str) -> list[float]:
-    if metric_name not in CDF_METRICS:
-        raise UnknownMetricError(metric_name)
-    return [float(getattr(r, metric_name)) for r in stats.per_sample]
-
-
-def compare(a: CorpusStats, b: CorpusStats, threshold_metric: str,
-            threshold: float) -> ComparisonSummary:
-    """Single-threshold rule between two corpora.
+def compare(a: CorpusStats, b: CorpusStats, threshold: float) -> ComparisonSummary:
+    """Single-threshold rule on avg_closeness between two corpora.
 
     Reports each corpus's fraction strictly below the threshold and the
     accuracy of the better-oriented rule "value < threshold means corpus a"
     (or its flip), so identical corpora score no better than the class prior.
     """
-    va = _metric_values(a, threshold_metric)
-    vb = _metric_values(b, threshold_metric)
-    a_below = sum(1 for v in va if v < threshold)
-    b_below = sum(1 for v in vb if v < threshold)
-    total = len(va) + len(vb)
-    acc_a_low = (a_below + (len(vb) - b_below)) / total
-    acc_b_low = (b_below + (len(va) - a_below)) / total
+    a_below = sum(1 for r in a.samples if r.avg_closeness < threshold)
+    b_below = sum(1 for r in b.samples if r.avg_closeness < threshold)
+    na, nb = len(a.samples), len(b.samples)
     return ComparisonSummary(
-        metric=threshold_metric,
+        corpus_a=a.corpus,
+        corpus_b=b.corpus,
         threshold=threshold,
-        fraction_a_below=a_below / len(va),
-        fraction_b_below=b_below / len(vb),
-        rule_accuracy=max(acc_a_low, acc_b_low),
+        fraction_a_below=a_below / na,
+        fraction_b_below=b_below / nb,
+        rule_accuracy=max(a_below + nb - b_below, b_below + na - a_below) / (na + nb),
     )
 
 
-def stats_to_dict(stats: CorpusStats) -> dict:
-    """JSON-ready form of one corpus report."""
+def payload(corpora: list[CorpusStats], threshold: float) -> dict:
+    """analyze's JSON report: every corpus, then the rule for every pair
+    of corpora in input order."""
     return {
-        "corpus": stats.corpus_name,
-        "samples": [
-            {
-                "sample_id": r.sample_id,
-                "node_count": r.node_count,
-                "edge_count": r.edge_count,
-                "avg_closeness": r.avg_closeness,
-                "component_count": r.component_count,
-            }
-            for r in stats.per_sample
-        ],
-        "cdfs": {name: [[v, f] for v, f in pts] for name, pts in stats.cdfs.items()},
+        "corpora": [{**vars(c), "samples": [vars(r) for r in c.samples]} for c in corpora],
+        "comparisons": [vars(compare(a, b, threshold)) for a, b in combinations(corpora, 2)],
     }

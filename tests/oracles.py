@@ -72,6 +72,10 @@ def component_lists(component) -> tuple[list[list[int]], set[int], int]:
             component.count)
 
 
+def self_loop_nodes(g: Cfg) -> set[int]:
+    return {u for u, v in g.edges if u == v}
+
+
 def undirected_neighbors(g: Cfg) -> list[set[int]]:
     nbrs: list[set[int]] = [set() for _ in range(g.node_count)]
     for u, v in g.edges:

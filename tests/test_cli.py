@@ -35,6 +35,12 @@ def run_subprocess(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
+UNSAFE_SAMPLE_IDS = [
+    "../escaped", "", ".", "..", "a/b", "a\\b", "a\0b", "/abs",
+    # 256 bytes with ".graph.json"; a lone surrogate has no UTF-8 encoding
+    pytest.param("x" * 245, id="x*245"), pytest.param("a\ud800", id="lone-surrogate")]
+
+
 def write_cfg_json(path, sample_id="s", addr=0):
     payload = {
         "sample_id": sample_id,
@@ -113,8 +119,7 @@ class TestIngestCommand:
         assert (out / "g.graph.json").exists()
         assert (out / "p.graph.json").exists()
 
-    @pytest.mark.parametrize("sample_id", [
-        "../escaped", "", ".", "..", "a/b", "a\\b", "a\0b", "/abs"])
+    @pytest.mark.parametrize("sample_id", UNSAFE_SAMPLE_IDS)
     def test_unsafe_sample_id_exits_2(self, tmp_path, capsys, sample_id):
         write_cfg_json(tmp_path / "in.json", sample_id=sample_id)
         out = tmp_path / "out" / "graphs"
@@ -123,14 +128,34 @@ class TestIngestCommand:
         assert "is not a safe file name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.json"]
 
-    def test_unsafe_sample_id_keep_going(self, tmp_path, capsys):
-        write_cfg_json(tmp_path / "bad.json", sample_id="../escaped")
+    @pytest.mark.parametrize("sample_id", UNSAFE_SAMPLE_IDS)
+    def test_unsafe_sample_id_keep_going(self, tmp_path, capsys, sample_id):
+        write_cfg_json(tmp_path / "bad.json", sample_id=sample_id)
         write_cfg_json(tmp_path / "good.json", sample_id="good")
         out = tmp_path / "graphs"
         assert run("ingest", "--format", "cfg-json", "-o", str(out), "--keep-going",
                    str(tmp_path / "bad.json"), str(tmp_path / "good.json")) == 0
-        assert "parsed 1 failed 1" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "parsed 1 failed 1" in captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("failed: ") and "is not a safe file name" in line
         assert sorted(p.name for p in tmp_path.rglob("*.graph.json")) == ["good.graph.json"]
+
+    def test_non_utf8_file_name_exits_2(self, tmp_path):
+        # an edge list's sample_id is its file name, here with a byte that is no UTF-8
+        src = tmp_path / (os.fsdecode(b"bad\xff") + ".edges")
+        src.write_text("0 1\n")
+        code, err = run_captured(["ingest", "--format", "edgelist", "-o", str(tmp_path / "out"),
+                                  str(src)])
+        assert code == 2 and "is not a safe file name" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_longest_sample_id_written(self, tmp_path):
+        # 244 bytes and ".graph.json" make the longest file name most systems allow
+        write_cfg_json(tmp_path / "in.json", sample_id="x" * 244)
+        out = tmp_path / "graphs"
+        assert run("ingest", "--format", "cfg-json", "-o", str(out), str(tmp_path / "in.json")) == 0
+        assert [p.name for p in out.iterdir()] == ["x" * 244 + ".graph.json"]
 
     def test_duplicate_sample_id_exits_2(self, tmp_path, capsys):
         write_cfg_json(tmp_path / "a.json", sample_id="same")
@@ -230,6 +255,17 @@ class TestFeaturesCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"cfgrank: input error: {graphs_dir / 'd.graph.json'}: "
                                     "edge endpoint address 99 does not match any block"]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_lone_surrogate_sample_id_exits_2(self, tmp_path, capsys):
+        graphs_dir = tmp_path / "graphs"
+        graphs_dir.mkdir()
+        (graphs_dir / "s.graph.json").write_text(
+            '{"sample_id": "a\\ud800", "nodes": [{"addr": 0, "size": 4, "ninstr": 1}], "edges": []}')
+        assert run("features", str(graphs_dir), "-o", str(tmp_path / "f.csv")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"cfgrank: input error: {graphs_dir / 's.graph.json'}: "
+            "field '<root>.sample_id': 'a\\ud800' is not encodable as UTF-8"]
         assert not (tmp_path / "f.csv").exists()
 
 

@@ -367,6 +367,7 @@ class TestCanonicalErrorParity:
     @example(canonical_bytes([{"addr": 2 ** 64, "size": 0, "ninstr": -1}], []))
     @example(canonical_bytes([{"addr": 8, "size": 0, "ninstr": 0}] * 2, []))
     @example(canonical_bytes([{"addr": 8, "size": 0, "ninstr": 0}], [[8, 8], [8, 2 ** 64]]))
+    @example(b'{"sample_id": "a\\ud800", "nodes": [{"addr": 0, "size": 0, "ninstr": 0}], "edges": []}')
     def test_features_and_analyze(self, data):
         expected = one_by_one(data)
         if not isinstance(expected, str):
