@@ -1,5 +1,7 @@
 """cfgrank: control-flow-graph analysis and malware classification toolkit."""
 
+import json
+
 __version__ = "0.1.0"
 
 
@@ -24,3 +26,14 @@ class InputError(CfgrankError):
 class DataError(CfgrankError):
     """Valid input that the analysis or the learner cannot use."""
     kind, exit_code = "data", 3
+
+
+def json_line(payload) -> bytes:
+    """Compact JSON with sorted keys on one line, the form of every JSON
+    file cfgrank writes; a NaN or an infinity, which JSON cannot hold, is a
+    data error."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as e:
+        raise DataError(str(e)) from None
+    return (text + "\n").encode("utf-8")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import reprlib
@@ -23,7 +22,7 @@ from pathlib import Path
 # Set before the package imports below load numpy; a value set by the user wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import CfgrankError, DataError, InputError, UsageError  # noqa: E402
+from . import CfgrankError, InputError, UsageError, json_line  # noqa: E402
 from . import features as feat  # noqa: E402
 from . import ingest, learn, report, sbc  # noqa: E402
 
@@ -71,16 +70,6 @@ def _write(path: Path, data: bytes):
         path.write_bytes(data)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e.strerror}") from None
-
-
-def _json_line(payload) -> bytes:
-    """Compact JSON with sorted keys on one line; a NaN or an infinity,
-    which JSON cannot hold, is a data error."""
-    try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as e:
-        raise DataError(str(e)) from None
-    return (text + "\n").encode("utf-8")
 
 
 def _output_name(sample_id: str, written: set[str]) -> str:
@@ -146,8 +135,8 @@ def cmd_gen(args) -> int:
         manifest.append({"sample_id": sample_id, "seed": args.seed + i,
                          "file": f"{sample_id}.sbc"})
     _write(out_dir / "manifest.json",
-           _json_line({"profile": args.profile, "count": args.count,
-                       "seed": args.seed, "samples": manifest}))
+           json_line({"profile": args.profile, "count": args.count,
+                      "seed": args.seed, "samples": manifest}))
     print(f"generated {args.count} {args.profile} sample(s) in {out_dir}")
     return 0
 
@@ -182,9 +171,18 @@ def cmd_analyze(args) -> int:
     names = args.names.split(",")
     if len(names) != len(args.graph_dirs):
         raise UsageError(f"{len(names)} name(s) for {len(args.graph_dirs)} directory(ies)")
+    for i, name in enumerate(names):
+        if not name:
+            raise UsageError("--names: a corpus name is empty")
+        if name in names[:i]:
+            raise UsageError(f"--names: {reprlib.repr(name)} is given twice")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:  # undecodable argv bytes
+            raise UsageError(f"--names: {reprlib.repr(name)} is not valid UTF-8") from None
     corpora = [report.corpus_stats(_load_graph_dir(Path(d)), name)
                for name, d in zip(names, args.graph_dirs)]
-    _write(Path(args.out), _json_line(report.payload(corpora, args.threshold)))
+    _write(Path(args.out), json_line(report.payload(corpora, args.threshold)))
     print(f"analyzed {len(corpora)} corpus(es) into {args.out}")
     return 0
 
@@ -226,7 +224,7 @@ def cmd_evaluate(args) -> int:
     print("  ".join(f"{name.upper():>6}" for name in rates))
     print("  ".join(f"{_fmt_rate(v):>6}" for v in rates.values()))
     if args.out:
-        _write(Path(args.out), _json_line({
+        _write(Path(args.out), json_line({
             "kind": args.kind, "k": args.k, "seed": args.seed,
             "confusion_matrix_fold_averaged": vars(matrix),
             "metrics": rates,

@@ -14,7 +14,7 @@ import logging
 import reprlib
 from dataclasses import dataclass, field
 
-from . import InputError
+from . import InputError, json_line
 from .graph import BasicBlock, Cfg, build_cfg
 
 log = logging.getLogger(__name__)
@@ -254,8 +254,7 @@ def write_canonical(g: Cfg) -> bytes:
             [g.blocks[u].address, g.blocks[v].address] for u, v in g.edges
         ),
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-            + "\n").encode("utf-8")
+    return json_line(payload)
 
 
 def parse_canonical(data: bytes) -> Cfg:

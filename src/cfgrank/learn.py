@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import DataError
+from . import DataError, json_line
 from .features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS,
                        N_FEATURES, FeatureVector)
 
@@ -51,22 +51,20 @@ class NonFiniteModelError(DataError):
 
 
 class LabeledDataset:
-    """Labeled feature rows, with X (rows x N_FEATURES, float64) and y
-    (1 = malicious, 0 = benign) built once; a subset slices the arrays."""
+    """Labeled feature rows as X (rows x N_FEATURES, float64) and y
+    (1 = malicious, 0 = benign), built once; a subset slices the arrays."""
 
     def __init__(self, vectors: tuple[FeatureVector, ...]):
-        self.vectors = tuple(vectors)
-        for v in self.vectors:
+        vectors = tuple(vectors)
+        for v in vectors:
             if v.label is None:
                 raise DataError(f"sample {v.sample_id!r} has no label")
-        self.X = np.array([v.values for v in self.vectors],
-                          dtype=float).reshape(-1, N_FEATURES)
-        self.y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in self.vectors],
+        self.X = np.array([v.values for v in vectors], dtype=float).reshape(-1, N_FEATURES)
+        self.y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in vectors],
                           dtype=np.int64)
 
     def subset(self, indices: list[int]) -> "LabeledDataset":
-        part = LabeledDataset.__new__(LabeledDataset)
-        part.vectors = tuple(self.vectors[i] for i in indices)
+        part = LabeledDataset(())
         part.X = self.X[indices]
         part.y = self.y[indices]
         return part
@@ -368,28 +366,21 @@ def predict(model: ModelParams, x: FeatureVector) -> str:
 
 def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
                      ) -> list[tuple[list[int], list[int]]]:
-    """Per-class seeded shuffle, then round-robin deal into k folds."""
-    classes = [np.flatnonzero(data.y == value).tolist() for value in (1, 0)]
+    """Per-class seeded shuffle, then round-robin deal into k folds; each
+    split is (train, test), both ascending."""
+    classes = [np.flatnonzero(data.y == value) for value in (1, 0)]
     # checked before anything of size k is allocated
     for label, indices in zip((LABEL_MALICIOUS, LABEL_BENIGN), classes):
         if len(indices) < k:
             raise ClassTooSmallError(label, len(indices), k)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    # one dealing position carried across classes, so the per-class
+    # one deal across both classes, malicious first, so the per-class
     # remainders spread over different folds and totals stay within 1
-    pos = 0
-    for indices in classes:
-        shuffled = [indices[j] for j in rng.permutation(len(indices))]
-        for idx in shuffled:
-            folds[pos % k].append(idx)
-            pos += 1
-    splits = []
-    for j in range(k):
-        test = sorted(folds[j])
-        train_idx = sorted(i for jj in range(k) if jj != j for i in folds[jj])
-        splits.append((train_idx, test))
-    return splits
+    dealt = np.concatenate([indices[rng.permutation(len(indices))] for indices in classes])
+    fold = np.empty(len(dealt), np.intp)
+    fold[dealt] = np.arange(len(dealt)) % k
+    return [(np.flatnonzero(fold != j).tolist(), np.flatnonzero(fold == j).tolist())
+            for j in range(k)]
 
 
 def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
@@ -401,24 +392,16 @@ def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = 
         raise EmptyDatasetError()
     hyper = hyper or HyperParams()
     splits = stratified_kfold(data, k=k, seed=seed)
-    tp = fn = fp = tn = 0
+    # tp, fn, fp, tn: 2 x (actually benign) + (predicted benign)
+    counts = np.zeros(4, np.int64)
     constant: set[int] = set()
     for fold, (train_idx, test_idx) in enumerate(splits):
         model = _fit(kind, data.subset(train_idx), hyper, seed + fold)
         constant.update(model.constant_features)
-        predicted = predict_many(model, data.X[test_idx])
-        for actual, label in zip(data.y[test_idx].tolist(), predicted):
-            if actual == 1:
-                if label == LABEL_MALICIOUS:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if label == LABEL_MALICIOUS:
-                    fp += 1
-                else:
-                    tn += 1
+        benign = [label == LABEL_BENIGN for label in predict_many(model, data.X[test_idx])]
+        counts += np.bincount(2 - 2 * data.y[test_idx] + benign, minlength=4)
     _warn_constant(constant)
+    tp, fn, fp, tn = counts.tolist()
     summed = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
     averaged = ConfusionMatrix(tp=tp / k, fn=fn / k, fp=fp / k, tn=tn / k)
     return averaged, compute_metrics(summed)
@@ -435,10 +418,9 @@ def model_to_json(model: ModelParams) -> bytes:
         payload["feat_std"] = list(model.feat_std)
         payload["constant_features"] = list(model.constant_features)
     try:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError:
+        return json_line(payload)
+    except DataError:
         raise NonFiniteModelError(model.kind) from None
-    return (text + "\n").encode("utf-8")
 
 
 def _finite(value) -> bool:

@@ -9,16 +9,20 @@ Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
 per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
 component (graph.largest_components), and returns a list of one Sweep per
-graph. One rule, _runs, cuts all of this work to a budget: consecutive
-items, each run as long as its weights sum to at most the limit, one item
-at the least. It cuts the graphs into groups on sources x (n + 2m) slots, a
-group's sources into blocks on (source, node) pairs at 16 bytes each, and a
-BFS level's nodes into chunks on neighbor slots, all against SWEEP_SLOTS.
-Path counts are float64 while they stay below 2**53 and Python ints past
-that, counted again in runs of sources of about the same bytes, so they are
-always exact. closeness_many() gives the same closeness from a bit-parallel
-BFS with no path counts, its graphs cut into passes on rows x words against
-BATCH_WORDS, and degree_scores() degree centrality from the same CSR.
+graph. Both batched kernels search the disjoint union of their graphs that
+_union builds, and a Brandes pass writes each of its outputs (closeness,
+dependencies and the hop histogram) into one array per node of that union.
+One rule, _runs, cuts all of this work to a budget: consecutive items,
+each run as long as its weights sum to at most the limit, one item at the
+least. It cuts the graphs into groups on sources x (n + 2m) slots, a
+group's sources into passes on (source, node) pairs at 16 bytes each, and
+a BFS level's nodes into chunks on neighbor slots, all against
+SWEEP_SLOTS. Path counts are float64 while they stay below 2**53 and
+Python ints past that, counted again in runs of sources of about the same
+bytes, so they are always exact. closeness_many() gives the same closeness
+from a bit-parallel BFS with no path counts, its graphs cut into passes on
+rows x words against BATCH_WORDS, and degree_scores() degree centrality
+from the same CSR.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ BATCH_WORDS = 1 << 21
 
 # the limit _runs cuts sweep_many's work to: graphs share a group while their
 # sources x (n + 2m) slots sum to at most this, one per (source, node) pair
-# and one per (source, edge end); a group's sources are swept in blocks of at
+# and one per (source, edge end); a group's sources are swept in passes of at
 # most this many (source, node) pairs at 16 bytes each, and a BFS level in
 # chunks of nodes with at most this many neighbor slots together
 SWEEP_SLOTS = 3 << 16
 
-# float64 counts shortest paths exactly below this; a block with more counts
+# float64 counts shortest paths exactly below this; a pass with more counts
 # them again as Python ints
 _EXACT_SIGMA = 2.0 ** 53
 
@@ -136,34 +140,36 @@ def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
 
 def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
     """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
-    that does not, in blocks of sources whose (source, node) pairs _runs
-    cuts to SWEEP_SLOTS."""
+    that does not, in passes of sources whose (source, node) pairs _runs
+    cuts to SWEEP_SLOTS. A float64 pass whose counts reach 2**53 is counted
+    again with Python ints, in runs of its sources that take about the
+    bytes of the float pass; the runs add into raw in source order, as one
+    pass would."""
+    csr, sizes, first = _union(graphs)
+    owner = (first, np.repeat(sizes, sizes))
+    raw, close, hops = np.zeros(len(first)), np.zeros(len(first)), np.zeros(len(first), np.int64)
+    limit = SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES
+    for a, b in _runs(owner[1], SWEEP_SLOTS):
+        if not _brandes_pass(csr, owner, a, b, raw, close, hops, float):
+            for c, d in _runs(owner[1][a:b], limit):
+                _brandes_pass(csr, owner, a + c, a + d, raw, close, hops, object)
+    # hops[f] counts each source once, from itself
+    return [Sweep(raw[f:f + n].tolist(), close[f:f + n].tolist(),
+                  [0, *(np.trim_zeros(hops[f + 1:f + n], "b") // 2).tolist()])
+            for f, n in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist())]
+
+
+def _union(graphs: list[tuple[np.ndarray, np.ndarray]]
+           ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """The disjoint union of CSR graphs (indptr, indices) in one node
+    numbering, graph j's nodes after those of graphs 0..j-1: its CSR as
+    (indptr, deg, indices) with int32 indices, the graph sizes, and each
+    node's first node of its graph."""
     sizes = np.array([len(indptr) - 1 for indptr, _ in graphs])
     firsts = np.cumsum(sizes) - sizes
     deg = np.concatenate([np.diff(indptr) for indptr, _ in graphs])
-    # one node numbering for the group: graph j's nodes start at firsts[j]
-    csr = (np.concatenate(([0], np.cumsum(deg))), deg,
-           np.concatenate([indices + first for (_, indices), first in zip(graphs, firsts.tolist())]))
-    # each node's graph, that graph's first node and its size
-    owner = tuple(np.repeat(x, sizes) for x in (np.arange(len(graphs)), firsts, sizes))
-    raw = np.zeros(len(deg))
-    close = np.zeros(len(deg))
-    hists = [np.zeros(1, np.intp) for _ in graphs]
-    for a, b in _runs(owner[2], SWEEP_SLOTS):
-        for j, hist in _brandes_block(csr, owner, a, b, raw, close):
-            hists[j] = _add_hist(hists[j], hist)
-    # hist[0] counts each source once, from itself
-    return [Sweep(raw[first:first + n].tolist(), close[first:first + n].tolist(),
-                  [0, *(hist[1:] // 2).tolist()])
-            for first, n, hist in zip(firsts.tolist(), sizes.tolist(), hists)]
-
-
-def _add_hist(total: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """The elementwise sum of two histograms of different lengths."""
-    if len(hist) > len(total):
-        total, hist = hist, total
-    total[:len(hist)] += hist
-    return total
+    indices = np.concatenate([nbrs + f for (_, nbrs), f in zip(graphs, firsts.tolist())])
+    return (np.concatenate(([0], np.cumsum(deg))), deg, indices), sizes, np.repeat(firsts, sizes)
 
 
 def _runs(weights, limit: int) -> list[tuple[int, int]]:
@@ -178,34 +184,17 @@ def _runs(weights, limit: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _brandes_block(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   owner: tuple[np.ndarray, np.ndarray, np.ndarray], a: int, b: int,
-                   raw: np.ndarray, close: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """One level-synchronous Brandes pass from the sources a <= s < b of
-    csr's node numbering, where owner gives each node's graph, that graph's
-    first node and its size; writes their closeness and adds their
-    dependencies into raw, both indexed by node number. Returns (graph,
-    histogram) pairs whose sum per graph is the number of its pairs at each
-    distance.
-
-    Path counts are float64, which counts exactly below 2**53. A block
-    whose largest count reaches that is counted again with Python ints, in
-    the runs of its sources that take about the bytes of the float pass;
-    the runs add into raw in source order, as one pass would.
-    """
-    hists = _brandes_pass(csr, owner, a, b, raw, close, float)
-    if hists is not None:
-        return hists
-    limit = SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES
-    return [pair for c, d in _runs(owner[2][a:b], limit)
-            for pair in _brandes_pass(csr, owner, a + c, a + d, raw, close, object)]
-
-
 def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  owner: tuple[np.ndarray, np.ndarray, np.ndarray], a: int, b: int,
-                  raw: np.ndarray, close: np.ndarray, dtype) -> list[tuple[int, np.ndarray]] | None:
-    """_brandes_block with path counts of dtype; None, with nothing
-    written, if float64 counts reach 2**53.
+                  owner: tuple[np.ndarray, np.ndarray], a: int, b: int, raw: np.ndarray,
+                  close: np.ndarray, hops: np.ndarray, dtype) -> bool:
+    """One level-synchronous Brandes pass from the sources a <= s < b of
+    csr's node numbering, where owner gives each node's first node of its
+    graph and that graph's size, with path counts of dtype. Every output is
+    per node of that numbering: it writes the sources' closeness into
+    close, adds their dependencies into raw and adds the number of their
+    pairs at distance d into hops[f + d], f their graph's first node; a
+    graph's distances are below its size, so its histogram fits in its own
+    slots. False, with nothing written, if float64 counts reach 2**53.
 
     Each (source, node) pair is one slot of flat arrays, row by row, so a
     pair is its row's base plus the node's number. A BFS level keeps each
@@ -222,7 +211,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     in their sigma slots once the level is done, so the pass holds 16
     bytes a pair (dist, sigma and the level lists) with float64 counts.
     """
-    graph, first, width = (x[a:b] for x in owner)
+    first, width = (x[a:b] for x in owner)
     start = np.cumsum(width) - width
     base = (start - first).astype(np.int32)
     sources = start + np.arange(a, b) - first
@@ -237,29 +226,27 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     with np.errstate(over="ignore"):
         levels = _forward(csr, dist, sigma, sources, base, top)
     if dtype is float and sigma.max(initial=0) >= _EXACT_SIGMA:
-        return None
+        return False
     if sum(map(len, levels)) + len(sources) != size:
         raise DisconnectedGraphError()
     bounds = np.append(start, size)
     total = np.zeros(len(start), np.int64)
     # the first row of each graph's sources
-    seg_rows = np.flatnonzero(np.diff(graph, prepend=-1))
-    counts = []
+    seg = np.flatnonzero(np.diff(first, prepend=-1))
     for d, level in enumerate([sources, *levels]):
         per_row = np.diff(np.searchsorted(level, bounds))
         total += d * per_row
-        counts.append(np.add.reduceat(per_row, seg_rows))
+        # a graph of at most d nodes has no pairs at d, and f + d is past its slots
+        deep = width[seg] > d
+        hops[first[seg[deep]] + d] += np.add.reduceat(per_row, seg)[deep]
     close[a:b] = (width - 1) / np.maximum(total, 1)
-    hist = np.array(counts).T
-    depth = len(levels) + 1 - np.argmax(hist[:, ::-1] > 0, axis=1)
-    hists = [h[:k] for h, k in zip(hist, depth.tolist())]
     _backward(csr, dist, sigma, levels, start, base, top)
     del dist, levels
     sigma[sources] = 0
     nodes = np.arange(size, dtype=np.int32)
     nodes -= np.repeat(base, width)
     np.add.at(raw, nodes, sigma.astype(float, copy=False))
-    return list(zip(graph[seg_rows].tolist(), hists))
+    return True
 
 
 def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
@@ -357,26 +344,25 @@ def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[list[f
     are exact integers, so each score is the (n-1)/total that a BFS per
     source gives.
     """
-    packed = [(np.diff(indptr), indices) for indptr, indices in csrs]
-    scores: list[list[float]] = [[0.0] * len(deg) for deg, _ in packed]
+    graphs = list(csrs)
+    scores: list[list[float]] = [[0.0] * (len(indptr) - 1) for indptr, _ in graphs]
     groups: dict[int, list[int]] = {}
-    for i, (deg, _) in enumerate(packed):
-        if len(deg) > 1:
-            if not deg.all():
-                raise DisconnectedGraphError()
-            groups.setdefault((len(deg) + 63) >> 6, []).append(i)
+    for i, row in enumerate(scores):
+        if len(row) > 1:
+            groups.setdefault((len(row) + 63) >> 6, []).append(i)
     for words, members in groups.items():
-        for a, b in _runs([len(packed[i][0]) for i in members], BATCH_WORDS // words):
-            totals = iter(_distance_sums([packed[i] for i in members[a:b]], words))
+        for a, b in _runs([len(scores[i]) for i in members], BATCH_WORDS // words):
+            totals = iter(_distance_sums([graphs[i] for i in members[a:b]], words))
             for i in members[a:b]:
-                n = len(packed[i][0])
+                n = len(scores[i])
                 scores[i] = [(n - 1) / next(totals) for _ in range(n)]
     return scores
 
 
 def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> list[int]:
-    """Each node's hop-distance sum over the disjoint union of graphs with
-    `words` words per node and no isolated node, nodes in input order.
+    """Each node's hop-distance sum over the disjoint union of CSR graphs
+    of more than one node with `words` words per node, nodes in input
+    order.
 
     Bit s of row v is set once source s of v's graph has reached v. A
     source at distance k from v is still missing from v's row after each
@@ -385,14 +371,11 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> l
     Rows are renumbered by falling degree, so the nodes with more than k
     neighbors are a prefix and each level ORs in one gather per slot k.
     """
-    sizes = [len(deg) for deg, _ in graphs]
-    deg = np.concatenate([deg for deg, _ in graphs])
+    (indptr, deg, indices), sizes, first = _union(graphs)
+    if not deg.all():
+        raise DisconnectedGraphError()
     rows = len(deg)
-    first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
     local = (np.arange(rows) - first).astype(np.uint64)
-    # every neighbor id is shifted to the union's numbering
-    indices = np.concatenate([nbrs for _, nbrs in graphs]) + np.repeat(first, deg)
-    indptr = np.concatenate(([0], np.cumsum(deg)))
     order = np.argsort(-deg, kind="stable")
     rank = np.empty(rows, np.intp)
     rank[order] = np.arange(rows)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 import cfgrank
 from cfgrank import features as feat
-from cfgrank import DataError, ingest, learn, metrics, sbc
-from cfgrank.cli import _json_line, main
+from cfgrank import DataError, ingest, json_line, learn, metrics, sbc
+from cfgrank.cli import main
 from cfgrank.graph import BasicBlock, build_cfg
 from oracles import random_cfg
 
@@ -320,6 +320,28 @@ class TestAnalyzeCommand:
         assert run("analyze", "--names", "a,b", "-o",
                    str(tmp_path / "r.json"), str(enm)) == 1
 
+    @pytest.mark.parametrize("names, message", [
+        ("", "a corpus name is empty"),
+        ("a,", "a corpus name is empty"),
+        ("a,a", "'a' is given twice"),
+        # what Python makes of the argv bytes b"x\xff"
+        ("x\udcff", "'x\\udcff' is not valid UTF-8"),
+    ])
+    def test_bad_names_usage_error(self, tmp_path, capsys, names, message):
+        # the directories do not exist: the names are checked before any is read
+        dirs = [str(tmp_path / f"missing{i}") for i in range(names.count(",") + 1)]
+        out = tmp_path / "r.json"
+        assert run("analyze", "--names", names, "-o", str(out), *dirs) == 1
+        assert capsys.readouterr().err.splitlines() == [f"cfgrank: usage error: --names: {message}"]
+        assert not out.exists()
+
+    def test_undecodable_name_in_argv(self, tmp_path):
+        done = run_subprocess("analyze", "--names", b"x\xff", "-o", str(tmp_path / "r.json"),
+                              str(tmp_path / "missing"))
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [
+            "cfgrank: usage error: --names: 'x\\udcff' is not valid UTF-8"]
+
 
 class TestTrainEvaluateCommands:
     def test_train_writes_model(self, tmp_path):
@@ -445,7 +467,7 @@ class TestTrainEvaluateCommands:
     def test_report_writer_refuses_non_finite(self, value):
         # the JSON that gen, analyze and evaluate write would not parse
         with pytest.raises(DataError, match="Out of range float"):
-            _json_line({"metrics": {"ar": value}})
+            json_line({"metrics": {"ar": value}})
 
 
 class TestRemovedFlags:

@@ -22,7 +22,7 @@ def vec(values, label, sid="s"):
     return FeatureVector(sample_id=sid, values=padded, label=label)
 
 
-def gaussian_dataset(rng, n_pos, n_neg, shift=3.0):
+def gaussian_rows(rng, n_pos, n_neg, shift=3.0):
     rows = []
     for i in range(n_pos):
         rows.append(vec([rng.gauss(shift, 1.0) for _ in range(4)],
@@ -30,7 +30,11 @@ def gaussian_dataset(rng, n_pos, n_neg, shift=3.0):
     for i in range(n_neg):
         rows.append(vec([rng.gauss(0.0, 1.0) for _ in range(4)],
                         "benign", f"b{i}"))
-    return LabeledDataset(tuple(rows))
+    return tuple(rows)
+
+
+def gaussian_dataset(rng, n_pos, n_neg, shift=3.0):
+    return LabeledDataset(gaussian_rows(rng, n_pos, n_neg, shift))
 
 
 class TestComputeMetrics:
@@ -84,7 +88,7 @@ class TestTrain:
         rows += [vec([rng.uniform(-2, -1)], "benign", f"b{i}") for i in range(20)]
         data = LabeledDataset(tuple(rows))
         model = train("logreg", data, seed=7)
-        assert all(predict(model, r) == r.label for r in data.vectors)
+        assert all(predict(model, r) == r.label for r in rows)
 
     def test_determinism(self):
         rng = random.Random(2)
@@ -148,29 +152,30 @@ class TestTrain:
             assert fit_w.tolist() == w.tolist() and fit_b == b
 
     def test_subset_slices_the_arrays(self):
-        data = gaussian_dataset(random.Random(12), 15, 15)
+        rows = gaussian_rows(random.Random(12), 15, 15)
+        data = LabeledDataset(rows)
         idx = [0, 3, 4, 17, 29]
         part = data.subset(idx)
-        rebuilt = LabeledDataset(tuple(data.vectors[i] for i in idx))
-        assert part.vectors == rebuilt.vectors
+        rebuilt = LabeledDataset(tuple(rows[i] for i in idx))
         assert part.X.tolist() == rebuilt.X.tolist() and part.X.shape == (5, 23)
         assert part.y.tolist() == rebuilt.y.tolist() == [1, 1, 1, 0, 0]
         assert len(part) == 5
 
     def test_feature_scale_invariance(self):
         rng = random.Random(9)
-        data = gaussian_dataset(rng, 25, 25)
+        rows = gaussian_rows(rng, 25, 25)
+        data = LabeledDataset(rows)
         scaled_rows = tuple(
             FeatureVector(r.sample_id,
                           tuple(v * (37.0 if i == 2 else 1.0)
                                 for i, v in enumerate(r.values)),
                           r.label)
-            for r in data.vectors)
+            for r in rows)
         scaled = LabeledDataset(scaled_rows)
         for kind in ("logreg", "svm"):
             model_a = train(kind, data, seed=3)
             model_b = train(kind, scaled, seed=3)
-            for r_a, r_b in zip(data.vectors, scaled.vectors):
+            for r_a, r_b in zip(rows, scaled_rows):
                 assert predict(model_a, r_a) == predict(model_b, r_b)
 
 
@@ -217,11 +222,11 @@ class TestPredict:
         wins = 0
         trials = 10
         for t in range(trials):
-            data = gaussian_dataset(random.Random(100 + t), 40, 40, shift=1.2)
-            model = train("rf", data, HyperParams(rf_trees=25), seed=t)
+            rows = gaussian_rows(random.Random(100 + t), 40, 40, shift=1.2)
+            model = train("rf", LabeledDataset(rows), HyperParams(rf_trees=25), seed=t)
 
             def acc(m):
-                return sum(predict(m, r) == r.label for r in data.vectors) / len(data)
+                return sum(predict(m, r) == r.label for r in rows) / len(rows)
 
             forest_acc = acc(model)
             best_single = max(
@@ -318,15 +323,16 @@ class TestPredictMany:
 
     @pytest.mark.parametrize("kind", ["logreg", "svm", "rf"])
     def test_cross_validate_equals_per_sample_loop(self, kind):
-        data = gaussian_dataset(random.Random(21), 40, 30, shift=1.0)
+        rows = gaussian_rows(random.Random(21), 40, 30, shift=1.0)
+        data = LabeledDataset(rows)
         hyper = HyperParams(rf_trees=5)
         counts = {"tp": 0, "fn": 0, "fp": 0, "tn": 0}
         for fold, (train_idx, test_idx) in enumerate(stratified_kfold(data, k=5, seed=3)):
-            model = train(kind, LabeledDataset(tuple(data.vectors[i] for i in train_idx)),
+            model = train(kind, LabeledDataset(tuple(rows[i] for i in train_idx)),
                           hyper, seed=3 + fold)
             for i in test_idx:
-                malicious = reference_predict(model, data.vectors[i]) == "malicious"
-                actual = data.vectors[i].label == "malicious"
+                malicious = reference_predict(model, rows[i]) == "malicious"
+                actual = rows[i].label == "malicious"
                 counts[("t" if malicious == actual else "f")
                        + ("p" if malicious else "n")] += 1
         matrix, _ = cross_validate(kind, data, hyper, k=5, seed=3)
@@ -342,7 +348,7 @@ class TestStratifiedKfold:
     def test_paper_sized_folds(self):
         data = self.make(2347, 261)
         splits = stratified_kfold(data, k=10, seed=1)
-        benign_ids = {i for i, v in enumerate(data.vectors) if v.label == "benign"}
+        benign_ids = set(np.flatnonzero(data.y == 0).tolist())
         for _, test in splits:
             assert len(test) in (260, 261)
             assert len(benign_ids & set(test)) in (26, 27)
@@ -439,12 +445,12 @@ class TestConstantColumnWarning:
 class TestModelSerialization:
     def test_round_trip_all_kinds(self):
         rng = random.Random(13)
-        data = gaussian_dataset(rng, 20, 20)
+        rows = gaussian_rows(rng, 20, 20)
         for kind in ("logreg", "svm", "rf"):
-            model = train(kind, data, HyperParams(rf_trees=5), seed=3)
+            model = train(kind, LabeledDataset(rows), HyperParams(rf_trees=5), seed=3)
             again = model_from_json(model_to_json(model))
             assert model_to_json(again) == model_to_json(model)
-            for r in data.vectors:
+            for r in rows:
                 assert predict(again, r) == predict(model, r)
 
     def test_bad_version_rejected(self):

@@ -327,17 +327,23 @@ def complete_bipartite(a, b):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records the slice (a, b) of its group's sources that every block
-    sweeps."""
+    """Records the slice (a, b) of its group's sources that every float64
+    pass sweeps."""
     seen = []
-    kernel = metrics._brandes_block
+    kernel = metrics._brandes_pass
 
-    def spy(csr, owner, a, b, raw, close):
-        seen.append((a, b))
-        return kernel(csr, owner, a, b, raw, close)
+    def spy(csr, owner, a, b, raw, close, hops, dtype):
+        if dtype is float:
+            seen.append((a, b))
+        return kernel(csr, owner, a, b, raw, close, hops, dtype)
 
-    monkeypatch.setattr(metrics, "_brandes_block", spy)
+    monkeypatch.setattr(metrics, "_brandes_pass", spy)
     return seen
+
+
+def path(n):
+    blocks = [BasicBlock(address=4 * i) for i in range(n)]
+    return build_cfg("path", blocks, [(4 * i, 4 * i + 4) for i in range(n - 1)])
 
 
 class TestSweepMany:
@@ -434,9 +440,9 @@ class TestSweepMany:
         passes = []
         kernel = metrics._brandes_pass
 
-        def spy(csr, owner, a, b, raw, close, dtype):
+        def spy(csr, owner, a, b, raw, close, hops, dtype):
             passes.append((dtype, (a, b)))
-            return kernel(csr, owner, a, b, raw, close, dtype)
+            return kernel(csr, owner, a, b, raw, close, hops, dtype)
 
         monkeypatch.setattr(metrics, "_brandes_pass", spy)
         [got] = sweep_many([adj])
@@ -487,10 +493,31 @@ class TestSweepMany:
         g = diamond_chain(1030)
         indptr, indices = csr(g.undirected_adjacency())
         n = g.node_count
-        raw, close = np.zeros(n), np.zeros(n)
-        owner = (np.zeros(n, int), np.zeros(n, int), np.full(n, n))
-        metrics._brandes_block((indptr, np.diff(indptr), indices), owner, 0, 1, raw, close)
+        raw, close, hops = np.zeros(n), np.zeros(n), np.zeros(n, np.int64)
+        owner = (np.zeros(n, int), np.full(n, n))
+        union = (indptr, np.diff(indptr), indices)
+        assert not metrics._brandes_pass(union, owner, 0, 1, raw, close, hops, float)
+        assert not raw.any() and not close.any() and not hops.any()
+        assert metrics._brandes_pass(union, owner, 0, 1, raw, close, hops, object)
         assert raw.tolist() == source_dependencies(g, 0)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_small_graph_beside_a_deeper_one_in_a_pass(self, blocks, last):
+        # the 2-node graph has pairs at distance 1 only, while the pass runs
+        # the 6 levels of the 7-node path; as the group's last graph, its
+        # slots for the deeper levels would lie past the end of the group
+        graphs = [path(7), path(2)] if last else [path(2), path(7)]
+        got = sweep_many([g.undirected_adjacency() for g in graphs])
+        assert blocks == [(0, 9)]
+        for g, swept in zip(graphs, got, strict=True):
+            assert swept == alone(g.undirected_adjacency())
+            assert_oracles(g, swept)
+        assert got[1 if last else 0] == Sweep([0.0, 0.0], [1.0, 1.0], [0, 1])
+
+    def test_hops_end_at_the_diameter(self):
+        # K4 has diameter 1 and the 5-node star 2, both below n - 1
+        assert [s.hops for s in sweep_many([k4().undirected_adjacency(),
+                                            star4().undirected_adjacency()])] == [[0, 6], [0, 4, 6]]
 
     def test_singleton(self):
         lone = Sweep([0.0], [0.0], [0])
