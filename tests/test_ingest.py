@@ -241,11 +241,12 @@ def _index(draw, seq):
 
 
 def _shift_addresses(doc, draw):
-    # every address at or beyond 2**64, consistently: still valid
+    # every address at or beyond 2**64, consistently: still valid; an edge
+    # end an earlier mutation made wrong ("x", None, 1.5, True) stays as it is
     base = draw(st.sampled_from((2 ** 64, 2 ** 64 - 4, 3 * 2 ** 70)))
     for n in doc["nodes"]:
         n["addr"] += base
-    doc["edges"] = [[u + base, v + base] for u, v in doc["edges"]]
+    doc["edges"] = [[x + base if type(x) is int else x for x in e] for e in doc["edges"]]
 
 
 def _shuffle_nodes(doc, draw):
