@@ -94,8 +94,11 @@ def _parse_one(path: Path, fmt: str, call_edges: bool, written: set[str]):
     try:
         if fmt == "cfg-json":
             doc = ingest.parse_cfg_json(data)
-            cfg = ingest.document_to_cfg(doc, include_call_edges=call_edges)
-        elif fmt == "edgelist":
+            # named before the conversion logs its dropped edges, so that a
+            # file that fails prints one line
+            name = _output_name(doc.sample_id, written)
+            return ingest.document_to_cfg(doc, include_call_edges=call_edges), name
+        if fmt == "edgelist":
             cfg = ingest.parse_edge_list(data, sample_id=path.stem)
         else:
             cfg = sbc.recover_cfg(sbc.decode(data), sample_id=path.stem)

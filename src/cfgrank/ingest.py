@@ -202,8 +202,10 @@ def document_to_cfg(doc: CfgDocument, include_call_edges: bool = True) -> Cfg:
                     else:
                         dropped_calls += 1
     if dropped_calls or dropped_branches:
+        # quoted, so a line break in the sample_id cannot split the line
         log.warning("%s: dropped %d call(s) and %d jump/fail edge(s) to addresses "
-                    "with no block", doc.sample_id, dropped_calls, dropped_branches)
+                    "with no block", reprlib.repr(doc.sample_id), dropped_calls,
+                    dropped_branches)
     return build_cfg(doc.sample_id, blocks, edges)
 
 

@@ -208,19 +208,22 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tup
 
 
 def _best_split(
-    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, idx: np.ndarray,
+    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, rows: np.ndarray,
     feature_ids: np.ndarray, n: int, total_pos: float, min_leaf: int,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) among the sampled features, or None.
 
-    Row j of idx lists the node's distinct rows in ascending order of
-    feature j; w holds bootstrap multiplicities and wy = w * y. A split
-    can only fall where the value changes, and there the weighted prefix
-    sums equal the per-position counts over the expanded bootstrap sample,
-    so the impurities match a sort of that sample bit for bit. Threshold t
-    splits into x <= t / x > t and is the midpoint of the two values.
+    rows lists the node's distinct rows, in any order; w holds bootstrap
+    multiplicities and wy = w * y. Each sampled feature sorts the rows. A
+    split can only fall where the value changes, and there the prefix holds
+    exactly the rows whose value is at most that value, however ties were
+    ordered, so the weighted prefix sums equal the per-position counts over
+    the expanded bootstrap sample and the impurities match a sort of that
+    sample bit for bit. Threshold t splits into x <= t / x > t: the midpoint
+    of the two values, or the lower value where the midpoint rounds up to
+    the upper one (adjacent floats).
     """
-    sub = idx[feature_ids]
+    sub = rows[np.argsort(XT[feature_ids[:, None], rows], axis=1)]
     xs = XT[feature_ids[:, None], sub]
     left_n = np.cumsum(w[sub], axis=1)[:, :-1].astype(float)
     left_pos = np.cumsum(wy[sub], axis=1)[:, :-1]
@@ -240,55 +243,47 @@ def _best_split(
     j = cols[best]
     lo, hi = float(xs[best, j]), float(xs[best, j + 1])
     # near the ends of the float range the sum overflows where the halves do not
-    return int(feature_ids[best]), (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
+    t = (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
+    return int(feature_ids[best]), t if t < hi else lo
 
 
 def _grow_tree(
-    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, idx: np.ndarray,
-    rng: np.random.Generator, hyper: HyperParams, depth: int,
+    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, rows: np.ndarray,
+    rng: np.random.Generator, hyper: HyperParams, k: int, depth: int,
 ) -> dict:
-    rows = idx[0]
     n = int(w[rows].sum())
     pos = float(wy[rows].sum())
     if pos == 0 or pos == n or n < 2 * hyper.rf_min_leaf or \
             (hyper.rf_max_depth is not None and depth >= hyper.rf_max_depth):
         return {"leaf": pos / n}
-    d = XT.shape[0]
-    k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
-    feature_ids = rng.choice(d, size=k, replace=False)
-    split = _best_split(XT, w, wy, idx, feature_ids, n, pos, hyper.rf_min_leaf)
+    feature_ids = rng.choice(len(XT), size=k, replace=False)
+    split = _best_split(XT, w, wy, rows, feature_ids, n, pos, hyper.rf_min_leaf)
     if split is None:
         return {"leaf": pos / n}
     f, threshold = split
-    # a stable partition keeps every row of idx in value order
-    goes_left = (XT[f] <= threshold)[idx]
+    goes_left = XT[f, rows] <= threshold
     return {
         "feature": f,
         "threshold": threshold,
-        "left": _grow_tree(XT, w, wy, idx[goes_left].reshape(d, -1),
-                           rng, hyper, depth + 1),
-        "right": _grow_tree(XT, w, wy, idx[~goes_left].reshape(d, -1),
-                            rng, hyper, depth + 1),
+        "left": _grow_tree(XT, w, wy, rows[goes_left], rng, hyper, k, depth + 1),
+        "right": _grow_tree(XT, w, wy, rows[~goes_left], rng, hyper, k, depth + 1),
     }
 
 
 def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> list[dict]:
-    """Breiman's forest grown on presorted columns (SLIQ-style).
+    """Breiman's forest, each node sorting its own rows.
 
-    Each column is sorted once per fit. A tree's bootstrap sample becomes
-    row weights, and its nodes partition the sorted index lists instead
-    of sorting again.
+    A tree's bootstrap sample becomes row weights, and its root holds the
+    distinct rows drawn. Each split samples ceil(sqrt(d)) features.
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1)
+    k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     trees = []
     for ti in range(hyper.rf_trees):
         rng = np.random.default_rng(seed + ti)
-        sample = rng.integers(0, n, size=n)
-        w = np.bincount(sample, minlength=n)
-        idx = order[w[order] > 0].reshape(d, -1)
-        trees.append(_grow_tree(XT, w, w * y, idx, rng, hyper, depth=0))
+        w = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        trees.append(_grow_tree(XT, w, w * y, np.flatnonzero(w), rng, hyper, k, depth=0))
     return trees
 
 

@@ -241,7 +241,8 @@ def _gini_best_split(
     """Best (feature, threshold, impurity) among the sampled features.
 
     Threshold t splits into x <= t / x > t; candidates are midpoints of
-    consecutive distinct sorted values. Returns None when nothing splits.
+    consecutive distinct sorted values, or the lower value where the
+    midpoint rounds up to the upper one. Returns None when nothing splits.
     """
     n = len(y)
     best: tuple[int, float, float] | None = None
@@ -269,9 +270,11 @@ def _gini_best_split(
         i = int(np.argmin(gini))
         score = float(gini[i])
         if best is None or score < best[2]:
-            pos = change[i]
-            threshold = (xs[pos - 1] + xs[pos]) / 2.0
-            best = (int(f), float(threshold), score)
+            lo, hi = float(xs[change[i] - 1]), float(xs[change[i]])
+            mid = (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
+            # between adjacent floats the midpoint can round up to hi, and
+            # x <= hi would send every row left
+            best = (int(f), mid if mid < hi else lo, score)
     return best
 
 
@@ -302,8 +305,8 @@ def _build_tree(
 
 def reference_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> list[dict]:
     """Random forest that sorts each sampled column again at every node
-    of the expanded bootstrap sample; the exact reference for the
-    presorted grower in cfgrank.learn."""
+    of the expanded bootstrap sample; the exact reference for the grower
+    in cfgrank.learn, which sorts each node's distinct rows with weights."""
     n = len(y)
     trees = []
     for ti in range(hyper.rf_trees):

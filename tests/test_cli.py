@@ -2,6 +2,7 @@ import csv
 import importlib
 import io
 import json
+import logging
 import os
 import pkgutil
 import random
@@ -431,6 +432,20 @@ class TestTrainEvaluateCommands:
                    "--rf-min-leaf", "1", "--rf-max-depth", "1", "-o", str(out)) == 0
         assert len(json.loads(out.read_text())["trees"]) == 1
 
+    def test_rf_splits_between_adjacent_floats(self, tmp_path):
+        # the midpoint of the two values rounds up to the upper one
+        csv_path = tmp_path / "features.csv"
+        csv_path.write_bytes(feat.write_feature_table([
+            feat.FeatureVector(f"s{i}", (value,) + (0.5,) * 22, label)
+            for i, (value, label) in enumerate([(1.0000000000000002, "malicious")] * 6
+                                               + [(1.0000000000000004, "benign")] * 6)]))
+        out = tmp_path / "model.json"
+        assert run_captured(["train", str(csv_path), "--kind", "rf", "--rf-trees", "3",
+                             "-o", str(out)]) == (0, "")
+        split = [tree for tree in json.loads(out.read_text())["trees"] if "leaf" not in tree]
+        assert split == [{"feature": 0, "threshold": 1.0000000000000002,
+                          "left": {"leaf": 1.0}, "right": {"leaf": 0.0}}]
+
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_non_utf8_table_exits_2(self, tmp_path, capsys, command):
         csv_path = tmp_path / "features.csv"
@@ -608,10 +623,18 @@ class TestBlasThreads:
 
 def run_captured(argv):
     """main(argv) in this process: (exit code, stderr). An exception that
-    escapes main fails the calling test."""
+    escapes main fails the calling test. cfgrank's warnings reach stderr as
+    through logging's last-resort handler, which pytest's own log handlers
+    would otherwise stand in for."""
     err = io.StringIO()
-    with redirect_stderr(err), redirect_stdout(io.StringIO()):
-        code = main(argv)
+    handler = logging.StreamHandler(err)
+    handler.setLevel(logging.WARNING)
+    logging.getLogger("cfgrank").addHandler(handler)
+    try:
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        logging.getLogger("cfgrank").removeHandler(handler)
     return code, err.getvalue()
 
 
@@ -674,10 +697,51 @@ def feature_tables(draw):
     return data
 
 
+# cfg-json addresses: small enough that a target often matches a block, or
+# past the int64 range; and values that are no non-negative integer at all
+CFG_JSON_ADDRS = st.one_of(st.integers(0, 12), st.sampled_from([2 ** 63, 2 ** 64 + 1]))
+CFG_JSON_BAD = st.sampled_from([-1, True, 1.5, "4", [], {}, None])
+CFG_JSON_IDS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["", ".", "..", "a/b", "a\\b", "a\0b", "x" * 245, "a\ud800", 7]))
+
+
+@st.composite
+def cfg_json_files(draw):
+    """A cfg-json document of one to three functions of one to four blocks
+    at distinct addresses, whose targets may match no block; now and then a
+    field is missing or of the wrong type, or the bytes get an extra byte
+    or are cut."""
+    def fields(**good):
+        # about one field in thirty is missing (None) or of the wrong type
+        drawn = {name: draw(CFG_JSON_BAD if draw(st.integers(0, 29)) == 0 else strategy)
+                 for name, strategy in good.items()}
+        return {name: v for name, v in drawn.items() if v is not None or name in ("jump", "fail")}
+
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    addrs = iter(draw(st.lists(CFG_JSON_ADDRS, min_size=sum(sizes), max_size=sum(sizes),
+                               unique=True)))
+    functions = []
+    for size in sizes:
+        own = [next(addrs) for _ in range(size)]
+        blocks = [fields(addr=st.just(addr), size=CFG_JSON_ADDRS, ninstr=CFG_JSON_ADDRS,
+                         jump=st.none() | CFG_JSON_ADDRS, fail=st.none() | CFG_JSON_ADDRS,
+                         calls=st.lists(CFG_JSON_ADDRS, max_size=2))
+                  for addr in own]
+        functions.append(fields(name=st.just("f"), entry=st.sampled_from(own),
+                                blocks=st.just(blocks)))
+    data = json.dumps(fields(sample_id=CFG_JSON_IDS, functions=st.just(functions))).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from((b"\xff", b"", b"[" * 2000))) \
+            + (b"" if draw(st.booleans()) else data[at:])
+    return data
+
+
 class TestFuzzedInputs:
-    """Generated edge lists and feature tables through main: exit 0, 2 or 3,
-    at most one stderr line and no traceback, and nothing written outside
-    -o (nothing at all on failure)."""
+    """Generated edge lists, cfg-json documents and feature tables through
+    main: exit 0, 2 or 3, at most one stderr line and no traceback, and
+    nothing written outside -o (nothing at all on failure)."""
 
     @settings(max_examples=200, deadline=None)
     @given(edge_list_files(), st.booleans())
@@ -695,6 +759,34 @@ class TestFuzzedInputs:
             assert len(err.splitlines()) <= 1 and "Traceback" not in err
             written = ["out/g.graph.json"] if code == 0 and not err else []
             assert files_under(root) == ["in/g.edges", *written]
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg_json_files(), st.booleans())
+    # a dropped edge's warning, then the unsafe sample_id's error: two lines
+    @example(b'{"sample_id": "", "functions": [{"name": "f", "entry": 0, "blocks": '
+             b'[{"addr": 0, "fail": 1}]}]}', False)
+    @example(b'{"sample_id": "", "functions": [{"name": "f", "entry": 0, "blocks": '
+             b'[{"addr": 0, "fail": 1}]}]}', True)
+    # a line break in the sample_id that the dropped-edge warning quotes
+    @example(b'{"sample_id": "\\u0085", "functions": [{"name": "f", "entry": 0, "blocks": '
+             b'[{"addr": 0, "calls": [1]}]}]}', False)
+    def test_cfg_json_ingest(self, data, keep_going):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "in").mkdir()
+            (root / "in" / "g.json").write_bytes(data)
+            code, err = run_captured(["ingest", "--format", "cfg-json", "-o", str(root / "out"),
+                                      *(["--keep-going"] if keep_going else []),
+                                      str(root / "in" / "g.json")])
+            assert code in (0, 2, 3)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err
+            written = [p for p in files_under(root) if p != "in/g.json"]
+            if code == 0 and not err.startswith("failed: "):
+                [path] = written
+                sample_id = ingest.parse_canonical((root / path).read_bytes()).sample_id
+                assert path == f"out/{sample_id}.graph.json"
+            else:
+                assert written == []
 
     @settings(max_examples=200, deadline=None)
     @given(feature_tables(), st.sampled_from(learn.KINDS))

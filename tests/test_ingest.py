@@ -134,7 +134,7 @@ class TestDocumentToCfg:
             g = document_to_cfg(doc)
         assert (g.node_count, g.edge_count) == (1, 0)
         assert [r.getMessage() for r in caplog.records] == [
-            "j: dropped 0 call(s) and 1 jump/fail edge(s) to addresses with no block"]
+            "'j': dropped 0 call(s) and 1 jump/fail edge(s) to addresses with no block"]
 
     def test_three_functions_cross_calls_match_hand_enumeration(self):
         doc = parse_cfg_json(doc_bytes(functions=[

@@ -3,13 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfgrank import DataError, learn
 from cfgrank.features import FEATURE_NAMES, LABEL_MALICIOUS, N_FEATURES, FeatureVector
 from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, ModelParams,
-                           NonFiniteModelError, SingleClassError, _fit_forest, _fit_logreg,
+                           NonFiniteModelError, SingleClassError, _best_split,
+                           _fit_forest, _fit_logreg,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
                            model_to_json, predict, predict_many,
@@ -577,8 +580,33 @@ def forest_table(rng, n, d, values):
     return X, y
 
 
+# ties, signed zeros, adjacent floats, subnormals and the ends of the float range
+FOREST_VALUES = st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-323, 1.0, 1.0000000000000002, 1.0000000000000004, -2.5, 3.0,
+    1.5e308, 1.7976931348623157e308])
+
+
+@st.composite
+def forest_cases(draw):
+    """(X, y, hyper, seed): a few distinct rows repeated, some columns
+    constant."""
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(FOREST_VALUES, min_size=d, max_size=d),
+                             min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=24))
+    X = np.array([distinct[i] for i in picks])
+    for col in draw(st.sets(st.integers(0, d - 1))):
+        X[:, col] = X[0, col]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    hyper = HyperParams(rf_trees=draw(st.integers(1, 3)),
+                        rf_min_leaf=draw(st.integers(1, 4)),
+                        rf_max_depth=draw(st.one_of(st.none(), st.integers(0, 4))))
+    return X, y, hyper, draw(st.integers(0, 2 ** 16))
+
+
 class TestForest:
-    """The presorted grower against the grower that re-sorts at every node."""
+    """The grower that sorts each node's distinct rows against the grower
+    that re-sorts the expanded bootstrap sample at every node."""
 
     @pytest.mark.parametrize("values", ["ties", "rounded", "continuous"])
     @pytest.mark.parametrize("min_leaf", [1, 3, 7])
@@ -591,6 +619,29 @@ class TestForest:
             for seed in (0, 17):
                 assert _fit_forest(X, y, hyper, seed) == \
                     reference_forest(X, y, hyper, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(forest_cases())
+    # adjacent floats, and adjacent subnormals: the midpoint rounds up to hi
+    @example((np.repeat([[1.0000000000000002], [1.0000000000000004]], 6, axis=0),
+              np.repeat([1, 0], 6), HyperParams(rf_trees=3), 0))
+    @example((np.repeat([[5e-324], [1e-323]], 3, axis=0), np.repeat([0, 1], 3),
+              HyperParams(rf_trees=2), 7))
+    def test_generated_tables_equal_reference(self, case):
+        X, y, hyper, seed = case
+        assert _fit_forest(X, y, hyper, seed) == reference_forest(X, y, hyper, seed)
+
+    @pytest.mark.parametrize("values", ["ties", "rounded", "continuous"])
+    def test_split_ignores_row_order(self, values):
+        rng = np.random.default_rng(5)
+        X, y = forest_table(rng, 80, 23, values)
+        w = np.bincount(rng.integers(0, 80, size=80), minlength=80)
+        XT, wy, rows = np.ascontiguousarray(X.T), w * y, np.flatnonzero(w)
+        for _ in range(5):
+            feature_ids = rng.choice(23, size=5, replace=False)
+            splits = {_best_split(XT, w, wy, order, feature_ids, 80, float(wy.sum()), 2)
+                      for order in [rows] + [rng.permutation(rows) for _ in range(4)]}
+            assert len(splits) == 1 and None not in splits
 
     def test_cross_validate_and_train_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(3)
