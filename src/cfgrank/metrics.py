@@ -15,14 +15,15 @@ dependencies and the hop histogram) into one array per node of that union.
 One rule, _runs, cuts all of this work to a budget: consecutive items,
 each run as long as its weights sum to at most the limit, one item at the
 least. It cuts the graphs into groups on sources x (n + 2m) slots, a
-group's sources into passes on (source, node) pairs at 16 bytes each, and
-a BFS level's nodes into chunks on neighbor slots, all against
-SWEEP_SLOTS. Path counts are float64 while they stay below 2**53 and
-Python ints past that, counted again in runs of sources of about the same
-bytes, so they are always exact. closeness_many() gives the same closeness
-from a bit-parallel BFS with no path counts, its graphs cut into passes on
-rows x words against BATCH_WORDS, and degree_scores() degree centrality
-from the same CSR.
+group's sources into passes on their bytes, 16 n + 8 m a source of a
+graph of n nodes and m edges (its pairs, and the BFS edges that the
+forward pass keeps for the backward one), and a BFS level's nodes into
+chunks on neighbor slots, all against SWEEP_SLOTS. Path counts are float64
+while they stay below 2**53 and Python ints past that, counted again in
+runs of sources of the same bytes, so they are always exact.
+closeness_many() gives the same closeness from a bit-parallel BFS with no
+path counts, its graphs cut into passes on rows x words against
+BATCH_WORDS, and degree_scores() degree centrality from the same CSR.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ BATCH_WORDS = 1 << 21
 # the limit _runs cuts sweep_many's work to: graphs share a group while their
 # sources x (n + 2m) slots sum to at most this, one per (source, node) pair
 # and one per (source, edge end); a group's sources are swept in passes of at
-# most this many (source, node) pairs at 16 bytes each, and a BFS level in
-# chunks of nodes with at most this many neighbor slots together
+# most 24 bytes a slot, at 16 bytes a (source, node) pair and 8 a kept BFS
+# edge; and a BFS level in chunks of nodes with at most this many neighbor
+# slots together
 SWEEP_SLOTS = 3 << 16
 
 # float64 counts shortest paths exactly below this; a pass with more counts
@@ -54,9 +56,13 @@ SWEEP_SLOTS = 3 << 16
 _EXACT_SIGMA = 2.0 ** 53
 
 # the bytes a pair takes in a pass with float64 path counts (dist, sigma and
-# its place in a level list), and about what it takes with Python-int counts
+# its place in a level list), about what it takes with Python-int counts,
+# the bytes of a BFS edge that the forward pass keeps for the backward one
+# (two int32s), and the bytes a pass holds at most per slot of SWEEP_SLOTS
 _PAIR_BYTES = 16
 _EXACT_PAIR_BYTES = 49
+_EDGE_BYTES = 8
+_SLOT_BYTES = 24
 
 _UNSEEN = np.iinfo(np.int32).max
 
@@ -140,18 +146,21 @@ def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
 
 def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
     """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
-    that does not, in passes of sources whose (source, node) pairs _runs
-    cuts to SWEEP_SLOTS. A float64 pass whose counts reach 2**53 is counted
-    again with Python ints, in runs of its sources that take about the
-    bytes of the float pass; the runs add into raw in source order, as one
-    pass would."""
+    that does not, in passes of sources whose bytes _runs cuts to
+    SWEEP_SLOTS x 24: 16 a (source, node) pair and 8 a kept edge. A float64
+    pass whose counts reach 2**53 is counted again with Python ints, in
+    runs of its sources cut to the same bytes; the runs add into raw in
+    source order, as one pass would."""
     csr, sizes, first = _union(graphs)
     owner = (first, np.repeat(sizes, sizes))
     raw, close, hops = np.zeros(len(first)), np.zeros(len(first)), np.zeros(len(first), np.int64)
-    limit = SWEEP_SLOTS * _PAIR_BYTES // _EXACT_PAIR_BYTES
-    for a, b in _runs(owner[1], SWEEP_SLOTS):
+    # a source keeps at most one edge per undirected edge, which is two of
+    # its graph's neighbor slots
+    kept = np.repeat([len(indices) * _EDGE_BYTES // 2 for _, indices in graphs], sizes)
+    budget = SWEEP_SLOTS * _SLOT_BYTES
+    for a, b in _runs(_PAIR_BYTES * owner[1] + kept, budget):
         if not _brandes_pass(csr, owner, a, b, raw, close, hops, float):
-            for c, d in _runs(owner[1][a:b], limit):
+            for c, d in _runs((_EXACT_PAIR_BYTES * owner[1] + kept)[a:b], budget):
                 _brandes_pass(csr, owner, a + c, a + d, raw, close, hops, object)
     # hops[f] counts each source once, from itself
     return [Sweep(raw[f:f + n].tolist(), close[f:f + n].tolist(),
@@ -203,13 +212,17 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     np.minimum.at marks the first candidate of each new pair, using its
     dist slot as scratch. Each level lists its pairs row by row, so the
     pairs per row and per distance come from np.searchsorted on the row
-    bounds, with no copy of dist. The backward pass walks each level in
-    reverse, and np.add.at adds the dependency terms, each a correctly
-    rounded quotient of exact counts, in array order, so each sum is taken
-    in Brandes's order. A level's dependencies are summed in a buffer in
-    level order, indexed through the dist slots of its pairs, and stored
-    in their sigma slots once the level is done, so the pass holds 16
-    bytes a pair (dist, sigma and the level lists) with float64 counts.
+    bounds, with no copy of dist. The forward pass keeps the edges that it
+    found from each level to the next, the predecessor lists of Brandes,
+    and the backward pass pushes the dependency terms back along them,
+    each a correctly rounded quotient of exact counts: sorted on their
+    predecessor and then on their successor's falling position in its
+    level, np.add.at adds them in array order, so each sum is taken in
+    Brandes's order. A level's
+    dependencies are summed in a buffer in level order and stored in their
+    sigma slots once the level is done, so the pass holds 16 bytes a pair
+    (dist, sigma and the level lists) with float64 counts, and 8 bytes a
+    kept edge, at most one per undirected edge and source.
     """
     first, width = (x[a:b] for x in owner)
     start = np.cumsum(width) - width
@@ -224,7 +237,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     # a float64 count past the float range becomes inf, which reaches
     # 2**53 like any count that is too large and is counted again
     with np.errstate(over="ignore"):
-        levels = _forward(csr, dist, sigma, sources, base, top)
+        levels, edges = _forward(csr, dist, sigma, sources, base, top)
     if dtype is float and sigma.max(initial=0) >= _EXACT_SIGMA:
         return False
     if sum(map(len, levels)) + len(sources) != size:
@@ -240,7 +253,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         deep = width[seg] > d
         hops[first[seg[deep]] + d] += np.add.reduceat(per_row, seg)[deep]
     close[a:b] = (width - 1) / np.maximum(total, 1)
-    _backward(csr, dist, sigma, levels, start, base, top)
+    _backward(dist, sigma, levels, edges)
     del dist, levels
     sigma[sources] = 0
     nodes = np.arange(size, dtype=np.int32)
@@ -250,14 +263,18 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
-             bases: np.ndarray, top: int) -> list[np.ndarray]:
+             bases: np.ndarray, top: int
+             ) -> tuple[list[np.ndarray], list[list[tuple[np.ndarray, np.ndarray]]]]:
     """The BFS from the pairs at distance 0 in dist and sigma: sets every
     pair's distance and path count, and returns the pairs of each further
-    level in the order that they are found."""
-    levels = []
+    level in the order that they are found, and for each level d >= 1 that
+    has a next one its edges into level d + 1, one (at, found) per chunk:
+    the position in level d that each edge comes from and its pair in
+    level d + 1, in (position, neighbor slot) order."""
+    levels, edges = [], []
     while True:
         d = len(levels)
-        new, new_bases = [], []
+        new, new_bases, kept = [], [], []
         for a, b in _chunks(csr, pairs, bases, top):
             at, found = _expand(csr, pairs[a:b], bases[a:b])
             # not found before this level; an earlier chunk of this level
@@ -271,45 +288,49 @@ def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
             dist[found] = d + 1
             new.append(found[first])
             new_bases.append(bases[a:b][at[first]])
+            at += a
+            kept.append((at, found))
         pairs = new[0] if len(new) == 1 else np.concatenate(new)
         if not len(pairs):
-            return levels
+            return levels, edges
         bases = new_bases[0] if len(new_bases) == 1 else np.concatenate(new_bases)
+        # the edges out of the sources push into no dependency
+        if d:
+            edges.append(kept)
         levels.append(pairs)
 
 
-def _backward(csr, dist: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray],
-              start: np.ndarray, base: np.ndarray, top: int):
+def _backward(dist: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray],
+              edges: list[list[tuple[np.ndarray, np.ndarray]]]):
     """Stores each non-source pair's dependency in its sigma slot, deepest
-    level first; empties levels but for level 1.
+    level first, from the forward pass's edges; empties edges, and levels
+    but for level 1.
 
     Before level d pushes into level d - 1, the dist slot of the pair at
-    position i of level d - 1 is set to -1 - done - i, where done counts
-    the pairs of the levels already pushed; it is the only level whose
-    slots are below -done, and i indexes its buffer."""
+    position i of level d is set to i. A stable argsort of a chunk's edges
+    on their position in level d - 1 and then the falling position of
+    their pair in level d makes the terms into each pair of level d - 1
+    come in the order of Brandes's walk down level d, which np.add.at
+    keeps. The edges come sorted on their first key already, and each pair
+    of level d - 1 has all its edges in one chunk."""
     if not levels:
         return
     delta = np.zeros(len(levels[-1]))
-    done = 0
     # level 1 would push only into the sources, whose own dependency is not
     # part of their betweenness
     while len(levels) > 1:
         level = levels.pop()
         below = levels[-1]
-        dist[below] = np.arange(-1 - done, -1 - done - len(below), -1, dtype=np.int32)
-        pairs, dw = level[::-1], delta[::-1]
-        bases = base[np.searchsorted(start, pairs, "right") - 1]
+        dist[level] = np.arange(len(level), dtype=np.int32)
+        up, down, grow = sigma[level], sigma[below], 1.0 + delta
         into = np.zeros(len(below))
-        for a, b in _chunks(csr, pairs, bases, top):
-            at, up = _expand(csr, pairs[a:b], bases[a:b])
-            rank = dist[up]
-            keep = np.flatnonzero(rank < -done)
-            up, at = up[keep], at[keep] + a
-            np.add.at(into, -1 - done - rank[keep],
-                      sigma[up] / sigma[pairs[at]] * (1.0 + dw[at]))
+        for at, found in edges.pop():
+            pos = dist[found]
+            order = np.argsort(np.multiply(at, len(level), dtype=np.int64) - pos, kind="stable")
+            at, pos = at[order], pos[order]
+            np.add.at(into, at, down[at] / up[pos] * grow[pos])
         sigma[level] = delta
         delta = into
-        done += len(below)
     sigma[levels[0]] = delta
 
 

@@ -372,9 +372,10 @@ class TestSweepMany:
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", 30 * 30 // 4)
         assert sweep_many([adj]) == [whole]
         assert_oracles(g, whole)
-        # the most sources whose (source, node) pairs fit the budget, in
-        # ascending order
-        step = metrics.SWEEP_SLOTS // 30
+        # the most sources whose bytes fit the budget of 24 a slot, in
+        # ascending order: a source holds 16 bytes a (source, node) pair and
+        # 8 a kept edge, at most one per edge
+        step = metrics.SWEEP_SLOTS * 24 // (16 * 30 + 8 * (sum(map(len, adj)) // 2))
         assert blocks == [(s, min(s + step, 30)) for s in range(0, 30, step)]
         assert len(blocks) >= 4
 
@@ -400,13 +401,16 @@ class TestSweepMany:
         assert_oracles(g, got[0])
         n = len(adj)
         assert blocks == [(0, n), (0, n)]
-        # a graph swept alone counts only its n x n pairs
+        # a graph swept alone counts only the bytes of its sources, 16 a
+        # (source, node) pair and 8 a kept edge: 10 x (16 x 10 + 8 x 12) =
+        # 2560, which 107 slots of 24 bytes hold and 106 do not
+        assert (n, sum(map(len, adj)) // 2) == (10, 12)
         blocks.clear()
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 107)
         assert sweep_many([adj]) == [got[0]]
         assert blocks == [(0, n)]
         blocks.clear()
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n - 1)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 106)
         assert sweep_many([adj]) == [got[0]]
         assert blocks == [(0, n - 1), (n - 1, n)]
 
@@ -432,11 +436,13 @@ class TestSweepMany:
 
     def test_exact_recount_in_runs_of_sources(self, monkeypatch):
         # one float pass of all 217 sources reaches 2**72 paths; the Python
-        # ints take 49 bytes a pair against 16, so they count in four runs
+        # ints take 49 bytes a pair against 16, and each source's 288 kept
+        # edges 8 bytes each, so they count in three runs
         g = diamond_chain(72)
         adj = g.undirected_adjacency()
-        n = len(adj)
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", n * n)
+        n, m = len(adj), sum(map(len, adj)) // 2
+        # the fewest slots of 24 bytes that hold the float pass
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", -(-n * (16 * n + 8 * m) // 24))
         passes = []
         kernel = metrics._brandes_pass
 
@@ -447,10 +453,10 @@ class TestSweepMany:
         monkeypatch.setattr(metrics, "_brandes_pass", spy)
         [got] = sweep_many([adj])
         assert_oracles(g, got)
-        step = n * n * 16 // 49 // n
+        step = metrics.SWEEP_SLOTS * 24 // (49 * n + 8 * m)
         assert passes == [(float, (0, n))] + [
             (object, (s, min(s + step, n))) for s in range(0, n, step)]
-        assert len(passes) == 5
+        assert len(passes) == 4
 
     @given(st.lists(st.integers(0, 9), max_size=40), st.integers(0, 30))
     def test_runs(self, weights, limit):
@@ -468,9 +474,9 @@ class TestSweepMany:
     @pytest.mark.parametrize("g, budget", [(complete(60), 500), (complete_bipartite(30, 30), 700),
                                            (complete_bipartite(1, 40), 30)])
     def test_dense_levels_expanded_in_chunks(self, monkeypatch, g, budget):
-        # level 2 of K60 lists 59 x 59 candidates per source; K30,30 also
-        # pushes back from a level of 29 x 30 per source; the star's center
-        # alone has more neighbors than the budget
+        # level 2 of K60 lists 59 x 59 candidates per source and level 1 of
+        # K30,30 30 x 30; the star's center alone has more neighbors than
+        # the budget
         adj = g.undirected_adjacency()
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
         sizes = []
@@ -485,6 +491,34 @@ class TestSweepMany:
         [got] = sweep_many([adj])
         assert_oracles(g, got)
         assert max(sizes) <= max(budget, max(map(len, adj)))
+
+    @pytest.mark.parametrize("side, budget", [(30, 1000), (40, 1500)])
+    def test_passes_hold_their_bytes(self, monkeypatch, side, budget):
+        # a source of K_{a,a} keeps the a x (a - 1) edges from level 1 to
+        # level 2, which a pass of several sources keeps in chunks; each
+        # float pass holds 16 bytes a (source, node) pair and 8 a kept edge
+        # within its budget of 24 bytes a slot, and the backward pass sorts
+        # and adds one chunk at a time
+        g = complete_bipartite(side, side)
+        adj = g.undirected_adjacency()
+        whole = alone(adj)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", budget)
+        held, chunks = [], []
+        forward = metrics._forward
+
+        def spy(csr, dist, sigma, pairs, bases, top):
+            levels, edges = forward(csr, dist, sigma, pairs, bases, top)
+            kept = [[len(at) for at, _ in level] for level in edges]
+            if sigma.dtype == float and len(pairs) > 1:
+                held.append(16 * len(dist) + 8 * sum(map(sum, kept)))
+            chunks.extend(kept)
+            return levels, edges
+
+        monkeypatch.setattr(metrics, "_forward", spy)
+        assert sweep_many([adj]) == [whole]
+        assert_oracles(g, whole)
+        assert held and max(held) <= budget * 24
+        assert max(map(len, chunks)) > 1 and max(map(max, chunks)) <= budget
 
     def test_float_overflow_is_silent(self):
         # 2**1030 paths overflow float64 to inf without a RuntimeWarning
