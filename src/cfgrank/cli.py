@@ -191,9 +191,7 @@ def cmd_analyze(args) -> int:
 
 
 def _load_dataset(path: Path) -> learn.LabeledDataset:
-    rows = feat.parse_feature_table(_read(path))
-    labeled = [r for r in rows if r.label is not None]
-    return learn.LabeledDataset(tuple(labeled))
+    return learn.LabeledDataset.from_arrays(*feat.read_labeled_table(_read(path)))
 
 
 def _hyper_from_args(args) -> learn.HyperParams:

@@ -14,6 +14,9 @@ import math
 import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from . import InputError, metrics
 from .graph import Cfg, Component, largest_component, largest_components
@@ -94,6 +97,9 @@ def _header() -> list[str]:
     return ["sample_id", *FEATURE_NAMES, "label"]
 
 
+_HEADER_LINE = ",".join(_header())
+
+
 def write_feature_table(rows: list[FeatureVector]) -> bytes:
     """CSV with the frozen schema; reals carry 17 significant digits."""
     buf = io.StringIO()
@@ -153,3 +159,56 @@ def parse_feature_table(data: bytes) -> list[FeatureVector]:
             raise BadValueError(rownum, "label", label_raw)
         rows.append(FeatureVector(sample_id=sample_id, values=tuple(values), label=label))
     return rows
+
+
+def labeled_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+    """X (rows x N_FEATURES, float64) and y (int64, 1 = malicious, 0 =
+    benign) of rows that all carry a label."""
+    X = np.array([r.values for r in rows], dtype=float).reshape(-1, N_FEATURES)
+    y = np.array([r.label == LABEL_MALICIOUS for r in rows], dtype=np.int64)
+    return X, y
+
+
+def _plain_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """labeled_arrays of the labeled rows of a plain table, which csv.reader
+    would split on its commas alone and parse_feature_table would take
+    without a word: UTF-8 with no quote, carriage return or NUL (which the
+    csv module of Python 3.10 rejects), the exact header, on every line 25
+    fields, none longer than csv.field_size_limit(), and a known label, and
+    every value one that float() reads as finite. None for any other table.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header, _, body = text.partition("\n")
+    lines = [line for line in body.split("\n") if line]
+    labels = [line[line.rfind(",") + 1:] for line in lines]
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or "\0" in text or header != _HEADER_LINE or \
+            not set(labels) <= {"", LABEL_MALICIOUS, LABEL_BENIGN} or \
+            any(line.count(",") != N_FEATURES + 1 or len(line) > limit for line in lines):
+        return None
+    try:
+        X = np.fromiter(map(float, chain.from_iterable(line.split(",")[1:-1] for line in lines)),
+                        float, len(lines) * N_FEATURES).reshape(-1, N_FEATURES)
+    except ValueError:
+        return None
+    if not np.isfinite(X).all():
+        return None
+    y = np.array([label == LABEL_MALICIOUS for label in labels], dtype=np.int64)
+    if "" in labels:
+        labeled = np.array([label != "" for label in labels])
+        X, y = X[labeled], y[labeled]
+    return X, y
+
+
+def read_labeled_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """labeled_arrays of the labeled rows of parse_feature_table(data); bad
+    input raises what parse_feature_table raises. A plain table
+    (_plain_arrays) streams its values through float() into one array and
+    makes no FeatureVector; any other goes through parse_feature_table."""
+    plain = _plain_arrays(data)
+    if plain is not None:
+        return plain
+    return labeled_arrays([r for r in parse_feature_table(data) if r.label is not None])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import DataError, json_line
 from .features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS,
-                       N_FEATURES, FeatureVector)
+                       N_FEATURES, FeatureVector, labeled_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -52,22 +52,24 @@ class NonFiniteModelError(DataError):
 
 class LabeledDataset:
     """Labeled feature rows as X (rows x N_FEATURES, float64) and y
-    (1 = malicious, 0 = benign), built once; a subset slices the arrays."""
+    (1 = malicious, 0 = benign); a subset slices the arrays."""
 
     def __init__(self, vectors: tuple[FeatureVector, ...]):
         vectors = tuple(vectors)
         for v in vectors:
             if v.label is None:
                 raise DataError(f"sample {v.sample_id!r} has no label")
-        self.X = np.array([v.values for v in vectors], dtype=float).reshape(-1, N_FEATURES)
-        self.y = np.array([1 if v.label == LABEL_MALICIOUS else 0 for v in vectors],
-                          dtype=np.int64)
+        self.X, self.y = labeled_arrays(vectors)
+
+    @classmethod
+    def from_arrays(cls, X: np.ndarray, y: np.ndarray) -> "LabeledDataset":
+        """The dataset of X and y as read_labeled_table returns them."""
+        data = cls.__new__(cls)
+        data.X, data.y = X, y
+        return data
 
     def subset(self, indices: list[int]) -> "LabeledDataset":
-        part = LabeledDataset(())
-        part.X = self.X[indices]
-        part.y = self.y[indices]
-        return part
+        return LabeledDataset.from_arrays(self.X[indices], self.y[indices])
 
     def __len__(self) -> int:
         return len(self.y)
@@ -207,57 +209,79 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tup
     return w[:-1], float(w[-1])
 
 
+# the row of a sort key, and the bootstrap count of a packed prefix sum
+_LOW = 0xFFFFFFFF
+
+
+def _rank_keys(X: np.ndarray) -> np.ndarray:
+    """Features x rows int64: each value's rank in its column, shifted 32
+    bits up. Equal values share a rank (-0.0 and 0.0 too), so ranks order
+    the rows as their values do, and so does any slice of the columns."""
+    XT = X.T
+    order = np.argsort(XT, axis=1)
+    xs = np.take_along_axis(XT, order, axis=1)
+    ranks = np.zeros(XT.shape, np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=ranks[:, 1:])
+    keys = np.empty_like(ranks)
+    np.put_along_axis(keys, order, ranks << 32, axis=1)
+    return keys
+
+
 def _best_split(
-    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, rows: np.ndarray,
+    XT: np.ndarray, keys: np.ndarray, counts: np.ndarray, rows: np.ndarray,
     feature_ids: np.ndarray, n: int, total_pos: float, min_leaf: int,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) among the sampled features, or None.
 
-    rows lists the node's distinct rows, in any order; w holds bootstrap
-    multiplicities and wy = w * y. Each sampled feature sorts the rows. A
-    split can only fall where the value changes, and there the prefix holds
-    exactly the rows whose value is at most that value, however ties were
-    ordered, so the weighted prefix sums equal the per-position counts over
-    the expanded bootstrap sample and the impurities match a sort of that
-    sample bit for bit. Threshold t splits into x <= t / x > t: the midpoint
-    of the two values, or the lower value where the midpoint rounds up to
-    the upper one (adjacent floats).
+    rows lists the node's distinct rows, in any order; keys are _rank_keys
+    of XT's columns; counts packs each row's bootstrap multiplicity w in
+    the low 32 bits and w * y above them, so one prefix sum counts both.
+    Each sampled feature sorts rank << 32 | row. A split can only fall
+    where the rank changes, and there the prefix holds exactly the rows
+    whose value is at most that value, however ties were ordered, so the
+    weighted prefix sums equal the per-position counts over the expanded
+    bootstrap sample and the impurities match a sort of that sample bit for
+    bit. Threshold t splits into x <= t / x > t: the midpoint of the two
+    values, or the lower value where the midpoint rounds up to the upper
+    one (adjacent floats).
     """
-    sub = rows[np.argsort(XT[feature_ids[:, None], rows], axis=1)]
-    xs = XT[feature_ids[:, None], sub]
-    left_n = np.cumsum(w[sub], axis=1)[:, :-1].astype(float)
-    left_pos = np.cumsum(wy[sub], axis=1)[:, :-1]
+    key = np.sort(keys[feature_ids[:, None], rows] | rows, axis=1)
+    sub = key & _LOW
+    rank = key >> 32
+    left = np.cumsum(counts[sub[:, :-1]], axis=1)
+    left_n = left & _LOW
+    ok = (rank[:, 1:] != rank[:, :-1]) & (left_n >= min_leaf) & (left_n <= n - min_leaf)
+    left = left[ok]
+    if not len(left):
+        return None
+    left_n = (left & _LOW).astype(float)
+    left_pos = left >> 32
     right_n = n - left_n
     right_pos = total_pos - left_pos
-    ok = (xs[:, 1:] != xs[:, :-1]) & (left_n >= min_leaf) & (right_n >= min_leaf)
     pl = left_pos / left_n
     pr = right_pos / right_n
     gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-    gini = np.where(ok, gini, np.inf)
-    cols = np.argmin(gini, axis=1)
-    scores = gini[np.arange(len(feature_ids)), cols]
-    # the first minimum in draw order: the first sampled feature keeps ties
-    best = int(np.argmin(scores))
-    if scores[best] == np.inf:
-        return None
-    j = cols[best]
-    lo, hi = float(xs[best, j]), float(xs[best, j + 1])
+    # the first minimum in row-major order: the first sampled feature keeps
+    # ties, then its first position
+    best, j = divmod(int(np.flatnonzero(ok)[np.argmin(gini)]), ok.shape[1])
+    f = int(feature_ids[best])
+    lo, hi = float(XT[f, sub[best, j]]), float(XT[f, sub[best, j + 1]])
     # near the ends of the float range the sum overflows where the halves do not
     t = (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
-    return int(feature_ids[best]), t if t < hi else lo
+    return f, t if t < hi else lo
 
 
 def _grow_tree(
-    XT: np.ndarray, w: np.ndarray, wy: np.ndarray, rows: np.ndarray,
+    XT: np.ndarray, keys: np.ndarray, counts: np.ndarray, rows: np.ndarray,
     rng: np.random.Generator, hyper: HyperParams, k: int, depth: int,
 ) -> dict:
-    n = int(w[rows].sum())
-    pos = float(wy[rows].sum())
+    total = int(counts[rows].sum())
+    n, pos = total & _LOW, float(total >> 32)
     if pos == 0 or pos == n or n < 2 * hyper.rf_min_leaf or \
             (hyper.rf_max_depth is not None and depth >= hyper.rf_max_depth):
         return {"leaf": pos / n}
     feature_ids = rng.choice(len(XT), size=k, replace=False)
-    split = _best_split(XT, w, wy, rows, feature_ids, n, pos, hyper.rf_min_leaf)
+    split = _best_split(XT, keys, counts, rows, feature_ids, n, pos, hyper.rf_min_leaf)
     if split is None:
         return {"leaf": pos / n}
     f, threshold = split
@@ -265,25 +289,29 @@ def _grow_tree(
     return {
         "feature": f,
         "threshold": threshold,
-        "left": _grow_tree(XT, w, wy, rows[goes_left], rng, hyper, k, depth + 1),
-        "right": _grow_tree(XT, w, wy, rows[~goes_left], rng, hyper, k, depth + 1),
+        "left": _grow_tree(XT, keys, counts, rows[goes_left], rng, hyper, k, depth + 1),
+        "right": _grow_tree(XT, keys, counts, rows[~goes_left], rng, hyper, k, depth + 1),
     }
 
 
-def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> list[dict]:
+def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int,
+                keys: np.ndarray | None = None) -> list[dict]:
     """Breiman's forest, each node sorting its own rows.
 
     A tree's bootstrap sample becomes row weights, and its root holds the
-    distinct rows drawn. Each split samples ceil(sqrt(d)) features.
+    distinct rows drawn. Each split samples ceil(sqrt(d)) features. keys
+    are X's _rank_keys, or the columns of a superset's that X's rows keep.
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
+    keys = _rank_keys(X) if keys is None else keys
     k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     trees = []
     for ti in range(hyper.rf_trees):
         rng = np.random.default_rng(seed + ti)
         w = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        trees.append(_grow_tree(XT, w, w * y, np.flatnonzero(w), rng, hyper, k, depth=0))
+        trees.append(_grow_tree(XT, keys, w | (w * y) << 32, np.flatnonzero(w), rng, hyper,
+                                k, depth=0))
     return trees
 
 
@@ -310,7 +338,7 @@ def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
 
 
 def _fit(kind: str, data: LabeledDataset, hyper: HyperParams | None,
-         seed: int) -> ModelParams:
+         seed: int, keys: np.ndarray | None = None) -> ModelParams:
     if kind not in KINDS:
         raise DataError(f"unknown classifier kind {kind!r}")
     if not len(data):
@@ -320,7 +348,7 @@ def _fit(kind: str, data: LabeledDataset, hyper: HyperParams | None,
     if y.min() == y.max():
         raise SingleClassError(LABEL_MALICIOUS if y[0] == 1 else LABEL_BENIGN)
     if kind == "rf":
-        return ModelParams(kind="rf", trees=_fit_forest(X, y, hyper, seed))
+        return ModelParams(kind="rf", trees=_fit_forest(X, y, hyper, seed, keys))
     # a step size too large, or features near the ends of the float range,
     # overflow; the result is checked below instead of warned about on the way
     with np.errstate(all="ignore"):
@@ -390,8 +418,11 @@ def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = 
     # tp, fn, fp, tn: 2 x (actually benign) + (predicted benign)
     counts = np.zeros(4, np.int64)
     constant: set[int] = set()
+    # ranked once; a fold's rows keep their order in the sliced columns
+    keys = _rank_keys(data.X) if kind == "rf" else None
     for fold, (train_idx, test_idx) in enumerate(splits):
-        model = _fit(kind, data.subset(train_idx), hyper, seed + fold)
+        model = _fit(kind, data.subset(train_idx), hyper, seed + fold,
+                     None if keys is None else keys[:, train_idx])
         constant.update(model.constant_features)
         benign = [label == LABEL_BENIGN for label in predict_many(model, data.X[test_idx])]
         counts += np.bincount(2 - 2 * data.y[test_idx] + benign, minlength=4)

@@ -1,14 +1,16 @@
 import csv
+import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgrank import InputError, metrics
+from cfgrank import InputError, features, metrics
 from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
                               N_FEATURES, NonFiniteValueError, extract_features,
-                              extract_features_many, parse_feature_table,
+                              extract_features_many, labeled_arrays,
+                              parse_feature_table, read_labeled_table,
                               write_feature_table)
 from cfgrank.graph import BasicBlock, build_cfg
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
@@ -167,3 +169,136 @@ class TestFeatureTable:
         rows = [FeatureVector(sid, tuple(vals), label)
                 for sid, vals, label in raw_rows]
         assert parse_feature_table(write_feature_table(rows)) == rows
+
+
+def table(*lines: str, end: str = "\n") -> bytes:
+    """A features table: the header, then lines, each ended by end."""
+    header = ",".join(["sample_id", *FEATURE_NAMES, "label"])
+    return "".join(line + end for line in (header, *lines)).encode()
+
+
+def plain_row(value: str = "0.5", sample_id: str = "s", label: str = "benign") -> str:
+    return ",".join([sample_id, value, *["0.5"] * (N_FEATURES - 1), label])
+
+
+# exact in .17g, adjacent floats, signed zeros, subnormals, the largest float
+TABLE_NUMBERS = ["0", "-0", "1", "0.5", "-2.25", "1.0000000000000002", "5e-324",
+                 "1.7976931348623157e+308", "12"]
+# what float() takes and the csv module does not split (underscores, other
+# digits, padding, signed and overflowing infinities, NaN) and what neither
+# takes; sample_ids and labels that need quotes or are no label
+TABLE_ODD = {
+    "value": st.sampled_from(["1_0", "\u0661", " 1.5 ", "1.5\x0b", "+inf", "-inf", "1e400",
+                              "1e-400", "nan", "", "x", "0x1", "1,5", '"2"', "2\n"]),
+    "sample_id": st.text(alphabet='ab,"\n\r \0', max_size=4) | st.text(max_size=3),
+    "label": st.sampled_from(["", "Benign", " benign", 'x"', "malicious,"]),
+}
+RARELY = st.integers(0, 9).map(lambda i: i == 0)
+
+
+@st.composite
+def feature_table_bytes(draw):
+    """A features table of up to six labeled or unlabeled rows, with up to
+    three odd sample_ids, values or labels, written by csv (quoted where
+    needed) or joined on bare commas, with LF or CRLF line ends; now and
+    then a mangled header, a field too many or too few, blank or
+    whitespace lines, or a byte that is not UTF-8."""
+    records = [["sample_id", *FEATURE_NAMES, "label"]]
+    if draw(RARELY):
+        records[0][draw(st.integers(0, N_FEATURES + 1))] = "x"
+    for i in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, len(TABLE_NUMBERS) - 1))
+        records.append([f"s{i}",
+                        *(TABLE_NUMBERS[(start + j) % len(TABLE_NUMBERS)]
+                          for j in range(N_FEATURES)),
+                        draw(st.sampled_from(["malicious", "benign", ""]))])
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3))) if len(records) > 1 else 0):
+        record = records[draw(st.integers(1, len(records) - 1))]
+        column = draw(st.integers(0, N_FEATURES + 1))
+        record[column] = draw(TABLE_ODD["sample_id" if column == 0 else
+                                        "label" if column == N_FEATURES + 1 else "value"])
+    if len(records) > 1 and draw(RARELY):
+        record = records[draw(st.integers(1, len(records) - 1))]
+        if draw(st.booleans()):
+            record.insert(draw(st.integers(0, len(record))), "0")
+        else:
+            del record[draw(st.integers(0, len(record) - 1))]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=end).writerows(records)
+        lines = buf.getvalue().split(end)[:-1]
+    else:
+        lines = [",".join(record) for record in records]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    data = (end.join(lines) + draw(st.sampled_from([end, ""]))).encode()
+    if draw(RARELY):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def field_by_field(data: bytes):
+    """labeled_arrays of parse_feature_table's labeled rows, or the class
+    and message of what it raised."""
+    try:
+        rows = parse_feature_table(data)
+    except InputError as e:
+        return type(e), str(e)
+    return labeled_arrays([r for r in rows if r.label is not None])
+
+
+class TestLabeledTableParity:
+    """read_labeled_table against parse_feature_table's rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(feature_table_bytes())
+    @example(table())
+    @example(table()[:-1])
+    @example(b"")
+    @example(table(plain_row()))
+    @example(table(plain_row(), end="\r\n"))
+    @example(table(plain_row(sample_id='"a,b"')))
+    @example(table("", "  ", plain_row()))
+    @example(table(plain_row("1_0")))
+    @example(table(plain_row("\u0661")))
+    @example(table(plain_row(" 1.5 ")))
+    @example(table(plain_row(), plain_row("+inf")))
+    @example(table(plain_row("1e400")))
+    @example(table(plain_row("nan")))
+    @example(table(plain_row(label=""), plain_row()))
+    @example(table(plain_row(label="weird")))
+    @example(table(plain_row() + ",0"))
+    @example(table(plain_row("0.5,0.5")))
+    @example(table(plain_row()[2:]))
+    @example(table(plain_row()[2:], plain_row("0.5,0.5")))
+    @example(table(plain_row(sample_id='"a')))
+    @example(table(plain_row(sample_id='"a'), plain_row(sample_id='b"')))
+    @example(table(plain_row(sample_id="a\rb")))
+    @example(table(plain_row(sample_id="a\0b")))
+    @example(table(plain_row(sample_id="s" * (csv.field_size_limit() + 1))))
+    @example(table(plain_row()) + b"\xff")
+    def test_same_arrays_or_same_error(self, data):
+        expected = field_by_field(data)
+        try:
+            got = read_labeled_table(data)
+        except InputError as e:
+            assert (type(e), str(e)) == expected
+            return
+        assert not isinstance(expected[0], type), expected
+        for array, want in zip(got, expected):
+            assert (array.dtype, array.shape) == (want.dtype, want.shape)
+            assert array.tobytes() == want.tobytes()
+
+    def test_plain_table_makes_no_rows(self, monkeypatch):
+        rng = random.Random(8)
+        rows = [random_vector(rng, rng.choice([None, "malicious", "benign"]))
+                for _ in range(50)]
+        data = write_feature_table(rows)
+        expected = field_by_field(data)
+        monkeypatch.setattr(features, "parse_feature_table", None)
+        X, y = read_labeled_table(data)
+        assert X.tobytes() == expected[0].tobytes()
+        assert y.tolist() == expected[1].tolist() == [
+            int(r.label == "malicious") for r in rows if r.label is not None]

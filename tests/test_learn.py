@@ -12,7 +12,7 @@ from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, ModelParams,
                            NonFiniteModelError, SingleClassError, _best_split,
-                           _fit_forest, _fit_logreg,
+                           _fit_forest, _fit_logreg, _rank_keys,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
                            model_to_json, predict, predict_many,
@@ -627,9 +627,18 @@ class TestForest:
               np.repeat([1, 0], 6), HyperParams(rf_trees=3), 0))
     @example((np.repeat([[5e-324], [1e-323]], 3, axis=0), np.repeat([0, 1], 3),
               HyperParams(rf_trees=2), 7))
+    # -0.0 and 0.0 tie below the chosen split, and above it
+    @example((np.repeat([[-0.0], [0.0], [5e-324]], 4, axis=0), np.repeat([1, 1, 0], 4),
+              HyperParams(rf_trees=3), 1))
+    @example((np.repeat([[-5e-324], [0.0], [-0.0]], 4, axis=0), np.repeat([1, 0, 0], 4),
+              HyperParams(rf_trees=3), 2))
     def test_generated_tables_equal_reference(self, case):
         X, y, hyper, seed = case
-        assert _fit_forest(X, y, hyper, seed) == reference_forest(X, y, hyper, seed)
+        trees, reference = _fit_forest(X, y, hyper, seed), reference_forest(X, y, hyper, seed)
+        assert trees == reference
+        # == takes -0.0 for 0.0; the model file does not
+        assert model_to_json(ModelParams(kind="rf", trees=trees)) == \
+            model_to_json(ModelParams(kind="rf", trees=reference))
 
     @pytest.mark.parametrize("values", ["ties", "rounded", "continuous"])
     def test_split_ignores_row_order(self, values):
@@ -637,9 +646,10 @@ class TestForest:
         X, y = forest_table(rng, 80, 23, values)
         w = np.bincount(rng.integers(0, 80, size=80), minlength=80)
         XT, wy, rows = np.ascontiguousarray(X.T), w * y, np.flatnonzero(w)
+        keys, counts = _rank_keys(X), w | wy << 32
         for _ in range(5):
             feature_ids = rng.choice(23, size=5, replace=False)
-            splits = {_best_split(XT, w, wy, order, feature_ids, 80, float(wy.sum()), 2)
+            splits = {_best_split(XT, keys, counts, order, feature_ids, 80, float(wy.sum()), 2)
                       for order in [rows] + [rng.permutation(rows) for _ in range(4)]}
             assert len(splits) == 1 and None not in splits
 
@@ -651,7 +661,10 @@ class TestForest:
             for i in range(len(y))))
         hyper = HyperParams(rf_trees=5)
         results = []
-        for fit in (_fit_forest, reference_forest):
+        # the reference ranks nothing; cross_validate hands _fit_forest the
+        # folds' slices of one ranking
+        for fit in (_fit_forest,
+                    lambda X, y, hyper, seed, keys: reference_forest(X, y, hyper, seed)):
             monkeypatch.setattr(learn, "_fit_forest", fit)
             results.append((cross_validate("rf", data, hyper, k=10, seed=4),
                             model_to_json(train("rf", data, hyper, seed=4))))
