@@ -149,22 +149,28 @@ def _standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, 
 
 
 def _logreg_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(z, grad_w, grad_b) of the mean L2-regularized log loss (bias unregularized)."""
-    z = X @ w + b
-    p = 1.0 / (1.0 + np.exp(-z))
-    residual = p - y
-    grad_w = X.T @ residual / len(y) + l2 * w
-    grad_b = float(residual.mean())
-    return z, grad_w, grad_b
+    w: np.ndarray, b: float, X: np.ndarray, yf: np.ndarray, l2: float, r: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """(grad_w, grad_b) of the mean L2-regularized log loss (bias
+    unregularized). yf is y as floats; r, of len(yf), is scratch and ends
+    up holding the residuals p - y."""
+    np.matmul(X, w, out=r)
+    r += b
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r += 1.0
+    np.divide(1.0, r, out=r)
+    r -= yf
+    # np.add.reduce(r) / len(r) is the bits of r.mean()
+    return X.T @ r / len(r) + l2 * w, float(np.add.reduce(r) / len(r))
 
 
 def logreg_loss_and_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean L2-regularized log loss with its gradient (bias unregularized)."""
-    z, grad_w, grad_b = _logreg_grad(w, b, X, y, l2)
+    z = X @ w + b
+    grad_w, grad_b = _logreg_grad(w, b, X, y.astype(float), l2, np.empty(len(y)))
     # stable log(1 + e^-|z|) formulation
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w @ w)
     return loss, grad_w, grad_b
@@ -174,9 +180,10 @@ def _fit_logreg(X: np.ndarray, y: np.ndarray, hyper: HyperParams) -> tuple[np.nd
     """Full-batch gradient descent; no epoch computes the loss."""
     w = np.zeros(X.shape[1])
     b = 0.0
+    yf, r = y.astype(float), np.empty(len(y))
     for _ in range(hyper.logreg_epochs):
-        _, grad_w, grad_b = _logreg_grad(w, b, X, y, hyper.logreg_l2)
-        w = w - hyper.logreg_lr * grad_w
+        grad_w, grad_b = _logreg_grad(w, b, X, yf, hyper.logreg_l2, r)
+        w -= hyper.logreg_lr * grad_w
         b = b - hyper.logreg_lr * grad_b
     return w, b
 
@@ -190,20 +197,19 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tup
     """
     rng = np.random.default_rng(seed)
     n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    signed = np.where(y == 1, 1.0, -1.0)
+    rows = list(np.hstack([X, np.ones((n, 1))]))
+    signed = np.where(y == 1, 1.0, -1.0).tolist()
     w = np.zeros(d + 1)
     lam = hyper.svm_lambda
     t = 0
     while t < hyper.svm_steps:
-        order = rng.permutation(n)
-        for i in order:
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = signed[i] * (Xa[i] @ w)
-            w = (1.0 - eta * lam) * w
+            margin = signed[i] * (rows[i] @ w)
+            w *= 1.0 - eta * lam
             if margin < 1.0:
-                w = w + eta * signed[i] * Xa[i]
+                w += eta * signed[i] * rows[i]
             if t >= hyper.svm_steps:
                 break
     return w[:-1], float(w[-1])
@@ -230,8 +236,9 @@ def _rank_keys(X: np.ndarray) -> np.ndarray:
 def _best_split(
     XT: np.ndarray, keys: np.ndarray, counts: np.ndarray, rows: np.ndarray,
     feature_ids: np.ndarray, n: int, total_pos: float, min_leaf: int,
-) -> tuple[int, float] | None:
-    """Best (feature, threshold) among the sampled features, or None.
+) -> tuple[int, float, np.ndarray, np.ndarray, int] | None:
+    """Best (feature, threshold, left rows, right rows, left total) among
+    the sampled features, or None.
 
     rows lists the node's distinct rows, in any order; keys are _rank_keys
     of XT's columns; counts packs each row's bootstrap multiplicity w in
@@ -243,7 +250,9 @@ def _best_split(
     bootstrap sample and the impurities match a sort of that sample bit for
     bit. Threshold t splits into x <= t / x > t: the midpoint of the two
     values, or the lower value where the midpoint rounds up to the upper
-    one (adjacent floats).
+    one (adjacent floats). Either lies in [lo, hi), so the children are the
+    chosen feature's sorted prefix and suffix, and the left total is the
+    packed prefix sum there.
     """
     key = np.sort(keys[feature_ids[:, None], rows] | rows, axis=1)
     sub = key & _LOW
@@ -251,9 +260,10 @@ def _best_split(
     left = np.cumsum(counts[sub[:, :-1]], axis=1)
     left_n = left & _LOW
     ok = (rank[:, 1:] != rank[:, :-1]) & (left_n >= min_leaf) & (left_n <= n - min_leaf)
-    left = left[ok]
-    if not len(left):
+    at = np.flatnonzero(ok)
+    if not len(at):
         return None
+    left = left.ravel()[at]
     left_n = (left & _LOW).astype(float)
     left_pos = left >> 32
     right_n = n - left_n
@@ -263,19 +273,20 @@ def _best_split(
     gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
     # the first minimum in row-major order: the first sampled feature keeps
     # ties, then its first position
-    best, j = divmod(int(np.flatnonzero(ok)[np.argmin(gini)]), ok.shape[1])
+    i = int(np.argmin(gini))
+    best, j = divmod(int(at[i]), ok.shape[1])
     f = int(feature_ids[best])
     lo, hi = float(XT[f, sub[best, j]]), float(XT[f, sub[best, j + 1]])
     # near the ends of the float range the sum overflows where the halves do not
     t = (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
-    return f, t if t < hi else lo
+    return f, t if t < hi else lo, sub[best, :j + 1], sub[best, j + 1:], int(left[i])
 
 
 def _grow_tree(
-    XT: np.ndarray, keys: np.ndarray, counts: np.ndarray, rows: np.ndarray,
+    XT: np.ndarray, keys: np.ndarray, counts: np.ndarray, rows: np.ndarray, total: int,
     rng: np.random.Generator, hyper: HyperParams, k: int, depth: int,
 ) -> dict:
-    total = int(counts[rows].sum())
+    """The subtree of rows, whose counts sum to the packed total."""
     n, pos = total & _LOW, float(total >> 32)
     if pos == 0 or pos == n or n < 2 * hyper.rf_min_leaf or \
             (hyper.rf_max_depth is not None and depth >= hyper.rf_max_depth):
@@ -284,13 +295,13 @@ def _grow_tree(
     split = _best_split(XT, keys, counts, rows, feature_ids, n, pos, hyper.rf_min_leaf)
     if split is None:
         return {"leaf": pos / n}
-    f, threshold = split
-    goes_left = XT[f, rows] <= threshold
+    f, threshold, left, right, left_total = split
     return {
         "feature": f,
         "threshold": threshold,
-        "left": _grow_tree(XT, keys, counts, rows[goes_left], rng, hyper, k, depth + 1),
-        "right": _grow_tree(XT, keys, counts, rows[~goes_left], rng, hyper, k, depth + 1),
+        "left": _grow_tree(XT, keys, counts, left, left_total, rng, hyper, k, depth + 1),
+        "right": _grow_tree(XT, keys, counts, right, total - left_total, rng, hyper, k,
+                            depth + 1),
     }
 
 
@@ -310,16 +321,10 @@ def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int,
     for ti in range(hyper.rf_trees):
         rng = np.random.default_rng(seed + ti)
         w = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        trees.append(_grow_tree(XT, keys, w | (w * y) << 32, np.flatnonzero(w), rng, hyper,
-                                k, depth=0))
+        counts = w | (w * y) << 32
+        trees.append(_grow_tree(XT, keys, counts, np.flatnonzero(w), int(counts.sum()), rng,
+                                hyper, k, depth=0))
     return trees
-
-
-def _tree_prob(tree: dict, x: list[float]) -> float:
-    node = tree
-    while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["leaf"]
 
 
 def _warn_constant(columns) -> None:
@@ -369,11 +374,17 @@ def predict_many(model: ModelParams, X: np.ndarray) -> list[str]:
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
         raise DataError(f"expected rows of {N_FEATURES} features, got shape {X.shape}")
     if model.kind == "rf":
+        nodes, roots, depth = _flat_forest(model.trees)
+        feature, threshold, left, right, leaf = np.array(nodes, dtype=float).T
+        feature, left, right = (a.astype(np.intp) for a in (feature, left, right))
+        # every row steps down every tree, one level a step; a leaf is its own child
+        node = np.tile(roots, (len(X), 1))
+        rows = np.arange(len(X))[:, None]
+        for _ in range(depth):
+            node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
         # rows x trees, C order: each row's mean is the same pairwise sum
         # as np.mean over that row's list of tree probabilities
-        probs = np.array([[_tree_prob(t, row) for t in model.trees] for row in X.tolist()],
-                         dtype=float).reshape(len(X), len(model.trees))
-        return [LABEL_MALICIOUS if p > 0.5 else LABEL_BENIGN for p in probs.mean(axis=1)]
+        return [LABEL_MALICIOUS if p > 0.5 else LABEL_BENIGN for p in leaf[node].mean(axis=1)]
     # one dot per row: a matrix-vector product may round z differently; a row
     # far outside the training range may overflow z to inf or NaN (benign)
     with np.errstate(all="ignore"):
@@ -463,30 +474,50 @@ def _feature_index(value) -> bool:
     return type(value) is int and 0 <= value < N_FEATURES
 
 
-def _check_forest(trees) -> None:
-    """Every node of every tree is a leaf with a probability, or a split on
-    a feature index with a finite threshold and two children. An explicit
-    stack, so a deep tree cannot exhaust the recursion limit."""
+def _flat_forest(trees) -> tuple[list[list], list[int], int]:
+    """The forest in pre-order as rows [feature, threshold, left, right,
+    leaf], the roots' rows and the greatest leaf depth; a leaf is its own
+    left and right child. Raises a DataError unless every node of every
+    tree is a leaf with a probability, or a split on a feature index with a
+    finite threshold and two children. An explicit stack, so a deep tree
+    cannot exhaust the recursion limit."""
     if not isinstance(trees, list) or not trees:
         raise DataError("rf model needs a non-empty list of trees")
-    stack = list(trees)
+    nodes, roots, depth = [], [], 0
+    # (node, its depth, its parent's row if it is a right child)
+    stack = [(tree, 0, None) for tree in reversed(trees)]
     while stack:
-        node = stack.pop()
+        node, d, parent = stack.pop()
+        i = len(nodes)
         if not isinstance(node, dict):
             raise DataError("rf tree node is not an object")
+        if d == 0:
+            roots.append(i)
+        elif parent is not None:
+            nodes[parent][3] = i
+        # floats, most of the values, skip _finite's call; a float in [0, 1] is finite
         if "leaf" in node:
-            if not (_finite(node["leaf"]) and 0 <= node["leaf"] <= 1):
-                raise DataError(f"rf leaf value {node['leaf']!r} is not a number in [0, 1]")
+            v = node["leaf"]
+            if not ((type(v) is float or _finite(v)) and 0 <= v <= 1):
+                raise DataError(f"rf leaf value {v!r} is not a number in [0, 1]")
+            nodes.append([0, 0.0, i, i, float(v)])
+            depth = max(depth, d)
             continue
-        if not _feature_index(node.get("feature")):
-            raise DataError(f"rf split feature {node.get('feature')!r} is not an index "
-                            f"below {N_FEATURES}")
-        if not _finite(node.get("threshold")):
-            raise DataError(f"rf split threshold {node.get('threshold')!r} is not finite")
-        for side in ("left", "right"):
-            if side not in node:
-                raise DataError(f"rf split node has no {side!r} child")
-            stack.append(node[side])
+        f, t = node.get("feature"), node.get("threshold")
+        if not _feature_index(f):
+            raise DataError(f"rf split feature {f!r} is not an index below {N_FEATURES}")
+        if not (math.isfinite(t) if type(t) is float else _finite(t)):
+            raise DataError(f"rf split threshold {t!r} is not finite")
+        try:
+            left, right = node["left"], node["right"]
+        except KeyError as e:
+            raise DataError(f"rf split node has no {e.args[0]!r} child") from None
+        # x <= t for a float x exactly when x <= the greatest float not above t
+        ft = float(t)
+        # in pre-order the left child is the next row; the right one sets its own
+        nodes.append([f, ft if ft <= t else math.nextafter(ft, -math.inf), i + 1, -1, 0.0])
+        stack += [(right, d + 1, i), (left, d + 1, None)]
+    return nodes, roots, depth
 
 
 def model_from_json(data: bytes) -> ModelParams:
@@ -513,7 +544,7 @@ def model_from_json(data: bytes) -> ModelParams:
 
     if kind == "rf":
         trees = field("trees")
-        _check_forest(trees)
+        _flat_forest(trees)
         return ModelParams(kind="rf", trees=trees)
     fields = {name: field(name) for name in
               ("weights", "bias", "feat_mean", "feat_std", "constant_features")}

@@ -5,8 +5,9 @@ largest_component_cfg, the subgraph the largest one induces), all-pairs
 BFS for distances, exhaustive shortest-path enumeration for betweenness.
 The exceptions are reference_brandes, a plain queue-based Brandes kept as
 the exact reference for graphs too large to enumerate, reference_forest,
-a random forest that re-sorts at every node, and reference_predict, which
-classifies one sample at a time.
+a random forest that re-sorts at every node, reference_predict, which
+classifies one sample at a time, and reference_pegasos, which allocates a
+new weight vector at every step.
 """
 
 from __future__ import annotations
@@ -334,3 +335,29 @@ def reference_predict(model: ModelParams, x: FeatureVector) -> str:
         return LABEL_MALICIOUS if prob > 0.5 else LABEL_BENIGN
     z = ((vec - model.feat_mean) / model.feat_std) @ model.weights + model.bias
     return LABEL_MALICIOUS if z > 0 else LABEL_BENIGN
+
+
+def reference_pegasos(X: np.ndarray, y: np.ndarray, hyper: HyperParams,
+                      seed: int) -> tuple[np.ndarray, float]:
+    """Pegasos with a new weight vector at every step and numpy-scalar
+    labels; the exact reference for cfgrank.learn._fit_svm, which scales
+    and updates one vector in place."""
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    signed = np.where(y == 1, 1.0, -1.0)
+    w = np.zeros(d + 1)
+    lam = hyper.svm_lambda
+    t = 0
+    while t < hyper.svm_steps:
+        order = rng.permutation(n)
+        for i in order:
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = signed[i] * (Xa[i] @ w)
+            w = (1.0 - eta * lam) * w
+            if margin < 1.0:
+                w = w + eta * signed[i] * Xa[i]
+            if t >= hyper.svm_steps:
+                break
+    return w[:-1], float(w[-1])

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -12,12 +13,13 @@ from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            ConfusionMatrix, EmptyDatasetError, HyperParams,
                            LabeledDataset, ModelParams,
                            NonFiniteModelError, SingleClassError, _best_split,
-                           _fit_forest, _fit_logreg, _rank_keys,
+                           _fit_forest, _fit_logreg, _fit_svm, _rank_keys,
                            compute_metrics, cross_validate,
                            logreg_loss_and_grad, model_from_json,
                            model_to_json, predict, predict_many,
                            stratified_kfold, train)
-from oracles import reference_forest, reference_predict, reference_tree_prob
+from oracles import (reference_forest, reference_pegasos, reference_predict,
+                     reference_tree_prob)
 
 
 def vec(values, label, sid="s"):
@@ -154,6 +156,21 @@ class TestTrain:
             fit_w, fit_b = _fit_logreg(X, y, hyper)
             assert fit_w.tolist() == w.tolist() and fit_b == b
 
+    @pytest.mark.parametrize("values", ["ties", "continuous"])
+    def test_pegasos_equals_reference(self, values):
+        # steps below n, equal to n, and about 2.5 n: the last draws three
+        # permutations and stops in the middle of one
+        rng = np.random.default_rng(9)
+        for n, d in ((17, 3), (60, 23)):
+            X, y = forest_table(rng, n, d, values)
+            X = (X - X.mean(axis=0)) / np.where(X.std(axis=0) == 0, 1.0, X.std(axis=0))
+            for steps in (n // 2, n, 5 * n // 2):
+                hyper = HyperParams(svm_steps=steps)
+                for seed in (0, 5, 31):
+                    w, b = _fit_svm(X, y, hyper, seed)
+                    ref_w, ref_b = reference_pegasos(X, y, hyper, seed)
+                    assert w.tolist() == ref_w.tolist() and b == ref_b
+
     def test_subset_slices_the_arrays(self):
         rows = gaussian_rows(random.Random(12), 15, 15)
         data = LabeledDataset(rows)
@@ -243,6 +260,29 @@ def as_vectors(X):
     return [FeatureVector(f"s{i}", tuple(r), None) for i, r in enumerate(X.tolist())]
 
 
+# row values: signed zeros, neighbours, the ends of the float range, and
+# values no threshold can be
+ROW_VALUES = [0.0, -0.0, 5e-324, -5e-324, 0.5, 1.0, 1.0000000000000002, -2.5,
+              1.7976931348623157e308, -math.inf, math.inf, math.nan]
+
+
+@st.composite
+def forests_and_rows(draw):
+    """(trees, X): up to 40 rows over a few values, and up to 9 trees of
+    unbalanced depth, bare leaves among them, whose thresholds are the
+    table's own finite values, so rows land exactly on <=."""
+    n = draw(st.integers(1, 40))
+    X = np.array(draw(st.lists(st.sampled_from(ROW_VALUES), min_size=n * N_FEATURES,
+                               max_size=n * N_FEATURES))).reshape(n, N_FEATURES)
+    finite = [v for v in X.ravel().tolist() if math.isfinite(v)] or [0.0, -0.0]
+    leaf = st.builds(lambda v: {"leaf": v}, st.sampled_from([0.0, 0.5, 1.0]))
+    tree = st.recursive(leaf, lambda children: st.builds(
+        lambda f, t, left, right: {"feature": f, "threshold": t, "left": left, "right": right},
+        st.integers(0, N_FEATURES - 1), st.sampled_from(finite), children, children),
+        max_leaves=12)
+    return draw(st.lists(tree, min_size=1, max_size=9)), X
+
+
 class TestPredictMany:
     """Whole-table prediction against reference_predict, one sample at a time."""
 
@@ -317,6 +357,24 @@ class TestPredictMany:
         X0 = np.tile(model.feat_mean, (50, 1))
         X0[:, ::2] = rng.normal(size=(50, 12))
         assert self.check(model, X0) == ["benign"] * 50
+
+    @settings(max_examples=300, deadline=None)
+    @given(forests_and_rows())
+    def test_generated_forests(self, case):
+        trees, X = case
+        model = ModelParams(kind="rf", trees=trees)
+        expected = self.check(model, X)
+        assert predict_many(model_from_json(model_to_json(model)), X) == expected
+        assert predict_many(model, X[:0]) == []
+
+    def test_integer_threshold_compares_exactly(self):
+        # a JSON threshold of 2^53 + 3 rounds up to the float 2^53 + 4, which
+        # is above it and must go right (a numpy scalar compare would round)
+        t = 2 ** 53 + 3
+        model = model_from_json(rf_payload([stump(0, t, 0.0, 1.0)]))
+        X = np.zeros((4, N_FEATURES))
+        X[:, 0] = [2.0 ** 53 + 2, 2.0 ** 53 + 4, float(t), -float(t)]
+        assert predict_many(model, X) == ["benign", "malicious", "malicious", "benign"]
 
     def test_wrong_width_rejected(self):
         model = ModelParams(kind="rf", trees=[{"leaf": 1.0}])
@@ -649,9 +707,17 @@ class TestForest:
         keys, counts = _rank_keys(X), w | wy << 32
         for _ in range(5):
             feature_ids = rng.choice(23, size=5, replace=False)
-            splits = {_best_split(XT, keys, counts, order, feature_ids, 80, float(wy.sum()), 2)
-                      for order in [rows] + [rng.permutation(rows) for _ in range(4)]}
-            assert len(splits) == 1 and None not in splits
+            splits = set()
+            for order in [rows] + [rng.permutation(rows) for _ in range(4)]:
+                f, t, left, right, left_total = _best_split(
+                    XT, keys, counts, order, feature_ids, 80, float(wy.sum()), 2)
+                # the children are the rows on either side of the threshold
+                assert sorted(left.tolist()) == sorted(order[XT[f, order] <= t].tolist())
+                assert sorted(right.tolist()) == sorted(order[XT[f, order] > t].tolist())
+                assert left_total == counts[left].sum()
+                splits.add((f, t, frozenset(left.tolist()), frozenset(right.tolist()),
+                            left_total))
+            assert len(splits) == 1
 
     def test_cross_validate_and_train_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(3)
