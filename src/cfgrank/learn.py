@@ -10,6 +10,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,12 @@ class ModelParams:
     constant_features: tuple[int, ...] = ()
     # random forest: nested {"feature", "threshold", "left", "right"} / {"leaf": p}
     trees: list[dict] = field(default_factory=list)
+
+    @cached_property
+    def flat_forest(self) -> tuple:
+        """The trees as flat arrays, built on first use and then kept, so
+        trees must not change after it; see _flat_forest."""
+        return _flat_forest(self.trees)
 
 
 @dataclass(frozen=True)
@@ -374,9 +381,7 @@ def predict_many(model: ModelParams, X: np.ndarray) -> list[str]:
     if X.ndim != 2 or X.shape[1] != N_FEATURES:
         raise DataError(f"expected rows of {N_FEATURES} features, got shape {X.shape}")
     if model.kind == "rf":
-        nodes, roots, depth = _flat_forest(model.trees)
-        feature, threshold, left, right, leaf = np.array(nodes, dtype=float).T
-        feature, left, right = (a.astype(np.intp) for a in (feature, left, right))
+        feature, threshold, left, right, leaf, roots, depth = model.flat_forest
         # every row steps down every tree, one level a step; a leaf is its own child
         node = np.tile(roots, (len(X), 1))
         rows = np.arange(len(X))[:, None]
@@ -474,13 +479,13 @@ def _feature_index(value) -> bool:
     return type(value) is int and 0 <= value < N_FEATURES
 
 
-def _flat_forest(trees) -> tuple[list[list], list[int], int]:
-    """The forest in pre-order as rows [feature, threshold, left, right,
-    leaf], the roots' rows and the greatest leaf depth; a leaf is its own
-    left and right child. Raises a DataError unless every node of every
-    tree is a leaf with a probability, or a split on a feature index with a
-    finite threshold and two children. An explicit stack, so a deep tree
-    cannot exhaust the recursion limit."""
+def _flat_forest(trees) -> tuple:
+    """The forest in pre-order as arrays feature, threshold, left, right
+    and leaf, one entry a node, then the roots' nodes and the greatest leaf
+    depth; a leaf is its own left and right child. Raises a DataError
+    unless every node of every tree is a leaf with a probability, or a split
+    on a feature index with a finite threshold and two children. An
+    explicit stack, so a deep tree cannot exhaust the recursion limit."""
     if not isinstance(trees, list) or not trees:
         raise DataError("rf model needs a non-empty list of trees")
     nodes, roots, depth = [], [], 0
@@ -517,7 +522,9 @@ def _flat_forest(trees) -> tuple[list[list], list[int], int]:
         # in pre-order the left child is the next row; the right one sets its own
         nodes.append([f, ft if ft <= t else math.nextafter(ft, -math.inf), i + 1, -1, 0.0])
         stack += [(right, d + 1, i), (left, d + 1, None)]
-    return nodes, roots, depth
+    feature, threshold, left, right, leaf = np.array(nodes, dtype=float).T
+    feature, left, right = (a.astype(np.intp) for a in (feature, left, right))
+    return feature, threshold, left, right, leaf, roots, depth
 
 
 def model_from_json(data: bytes) -> ModelParams:
@@ -543,9 +550,9 @@ def model_from_json(data: bytes) -> ModelParams:
         return raw[name]
 
     if kind == "rf":
-        trees = field("trees")
-        _flat_forest(trees)
-        return ModelParams(kind="rf", trees=trees)
+        model = ModelParams(kind="rf", trees=field("trees"))
+        model.flat_forest  # validates, and is kept for predict
+        return model
     fields = {name: field(name) for name in
               ("weights", "bias", "feat_mean", "feat_std", "constant_features")}
     for name in ("weights", "feat_mean", "feat_std"):

@@ -1,7 +1,8 @@
 """Synthetic bytecode: decoding, linear-sweep CFG recovery, corpus generation.
 
-The .sbc format packs one instruction per 4-byte record: an opcode byte
-followed by a 24-bit big-endian operand. Addresses are instruction indices.
+The .sbc format packs one instruction per 4-byte record, a 32-bit
+big-endian word: an opcode byte followed by a 24-bit operand. A program is
+a tuple of SbcInstruction, and addresses are positions in it.
 Linear sweep keeps dead code visible, so unreachable regions surface as
 extra weak components in the recovered CFG.
 """
@@ -9,8 +10,9 @@ extra weak components in the recovered CFG.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import struct
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import InputError
 from .graph import BasicBlock, Cfg, build_cfg
@@ -26,10 +28,14 @@ class Opcode(IntEnum):
     HALT = 6
 
 
+# opcode byte -> Opcode
+_OPCODES = tuple(Opcode)
 # opcodes that carry a target operand
 _TARGETED = {Opcode.JMP, Opcode.BR, Opcode.CALL}
 # opcodes that end a basic block
 _TERMINATORS = {Opcode.JMP, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT}
+# terminators with no edge to the next instruction
+_NO_FALL_THROUGH = {Opcode.JMP, Opcode.RET, Opcode.HALT}
 
 RECORD_SIZE = 4
 
@@ -55,105 +61,65 @@ class TargetOutOfBoundsError(InputError):
         self.target = target
 
 
-@dataclass(frozen=True)
-class SbcInstruction:
-    index: int
+class SbcInstruction(NamedTuple):
+    """One record; a program is a tuple of them, addressed by position."""
     opcode: Opcode
     operand: int | None = None
 
 
-@dataclass(frozen=True)
-class SbcProgram:
-    instructions: tuple[SbcInstruction, ...]
+def decode(data: bytes) -> tuple[SbcInstruction, ...]:
+    """Decode .sbc bytes into a program, validating control-flow targets.
 
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-
-def decode(data: bytes) -> SbcProgram:
-    """Decode .sbc bytes into a program, validating control-flow targets."""
-    if len(data) == 0 or len(data) % RECORD_SIZE != 0:
+    Raises the error of the first bad record."""
+    n, ragged = divmod(len(data), RECORD_SIZE)
+    if n == 0 or ragged:
         raise BadLengthError(len(data))
-    n = len(data) // RECORD_SIZE
-    instructions = []
-    for i in range(n):
-        rec = data[i * RECORD_SIZE:(i + 1) * RECORD_SIZE]
-        try:
-            op = Opcode(rec[0])
-        except ValueError:
-            raise UnknownOpcodeError(i, rec[0]) from None
-        operand = None
-        if op in _TARGETED:
-            operand = int.from_bytes(rec[1:4], "big")
-            if operand >= n:
-                raise TargetOutOfBoundsError(i, operand, n)
-        instructions.append(SbcInstruction(index=i, opcode=op, operand=operand))
-    return SbcProgram(instructions=tuple(instructions))
+    program = []
+    for i, (word,) in enumerate(struct.iter_unpack(">I", data)):
+        op, operand = word >> 24, word & 0xFFFFFF
+        if op >= len(_OPCODES):
+            raise UnknownOpcodeError(i, op)
+        op = _OPCODES[op]
+        if op not in _TARGETED:
+            operand = None
+        elif operand >= n:
+            raise TargetOutOfBoundsError(i, operand, n)
+        program.append(SbcInstruction(op, operand))
+    return tuple(program)
 
 
-def encode(p: SbcProgram) -> bytes:
+def encode(p: tuple[SbcInstruction, ...]) -> bytes:
     """Inverse of decode."""
-    out = bytearray()
-    for ins in p.instructions:
-        out.append(int(ins.opcode))
-        out += (ins.operand or 0).to_bytes(3, "big")
-    return bytes(out)
+    # x >> 24 is 0 exactly when 0 <= x < 2^24; a wider operand would spill into the opcode
+    if any((operand or 0) >> 24 for _, operand in p):
+        raise OverflowError("an operand does not fit in 24 bits")
+    return struct.pack(f">{len(p)}I", *(op << 24 | (operand or 0) for op, operand in p))
 
 
-def recover_cfg(p: SbcProgram, sample_id: str = "") -> Cfg:
+def recover_cfg(p: tuple[SbcInstruction, ...], sample_id: str = "") -> Cfg:
     """Linear-sweep basic-block recovery.
 
-    Leaders are index 0, every branch/jump/call target, and the successor of
-    every BR and CALL. A block runs from its leader through the next
-    terminator (inclusive) or up to the next leader. Blocks ending in a
-    plain instruction fall through to the next block.
+    Blocks start at index 0, at every branch/jump/call target and after
+    every terminator, so dead code still gets blocks. A block runs up to the
+    next start. A block ending in JMP, BR or CALL has an edge to the target;
+    one ending in anything but JMP, RET or HALT falls through to the next.
     """
-    n = len(p.instructions)
-    leaders = {0}
-    for ins in p.instructions:
-        if ins.opcode in _TARGETED:
-            leaders.add(ins.operand)
-        if ins.opcode in (Opcode.BR, Opcode.CALL) and ins.index + 1 < n:
-            leaders.add(ins.index + 1)
-
-    # carve instruction ranges: a new block starts at every leader and after
-    # every terminator (linear sweep, so dead code still gets blocks)
-    starts = []
-    block_of_instr = [0] * n
-    current = -1
-    prev_terminated = True
-    for i, ins in enumerate(p.instructions):
-        if i in leaders or prev_terminated:
-            starts.append(i)
-            current += 1
-        block_of_instr[i] = current
-        prev_terminated = ins.opcode in _TERMINATORS
-
-    blocks = []
-    for bi, start in enumerate(starts):
-        end = starts[bi + 1] if bi + 1 < len(starts) else n
+    n = len(p)
+    starts = sorted({0} | {operand for op, operand in p if op in _TARGETED}
+                    | {i + 1 for i, (op, _) in enumerate(p[:-1]) if op in _TERMINATORS})
+    blocks, edges = [], []
+    for start, end in zip(starts, starts[1:] + [n]):
         count = end - start
         blocks.append(BasicBlock(address=start, size=RECORD_SIZE * count, instr_count=count))
-
-    edges: list[tuple[int, int]] = []
-    for bi, start in enumerate(starts):
-        end = starts[bi + 1] if bi + 1 < len(starts) else n
-        last = p.instructions[end - 1]
-        if last.opcode == Opcode.JMP:
-            edges.append((start, starts[block_of_instr[last.operand]]))
-        elif last.opcode in (Opcode.BR, Opcode.CALL):
-            edges.append((start, starts[block_of_instr[last.operand]]))
-            if end < n:
-                edges.append((start, starts[block_of_instr[end]]))
-        elif last.opcode in (Opcode.RET, Opcode.HALT):
-            pass
-        elif end < n:
-            # block cut short by the next leader: plain fall-through
-            edges.append((start, starts[block_of_instr[end]]))
+        op, operand = p[end - 1]
+        if op in _TARGETED:
+            edges.append((start, operand))
+        if op not in _NO_FALL_THROUGH and end < n:
+            edges.append((start, end))
     return build_cfg(sample_id, blocks, edges)
 
 
-def _gen_enmeshed(rng: random.Random) -> SbcProgram:
+def _gen_enmeshed(rng: random.Random) -> tuple[SbcInstruction, ...]:
     """Small, branch-dense, single-component program.
 
     Every instruction but the last is a conditional branch with a random
@@ -161,18 +127,17 @@ def _gen_enmeshed(rng: random.Random) -> SbcProgram:
     branch chords keep distances (and thus closeness) high.
     """
     n = rng.randint(8, 14)
-    instructions = []
-    for i in range(n - 1):
+    program = []
+    for _ in range(n - 1):
         if rng.random() < 0.8:
-            target = rng.randrange(n)
-            instructions.append(SbcInstruction(i, Opcode.BR, target))
+            program.append(SbcInstruction(Opcode.BR, rng.randrange(n)))
         else:
-            instructions.append(SbcInstruction(i, Opcode.OP))
-    instructions.append(SbcInstruction(n - 1, Opcode.HALT))
-    return SbcProgram(instructions=tuple(instructions))
+            program.append(SbcInstruction(Opcode.OP))
+    program.append(SbcInstruction(Opcode.HALT))
+    return tuple(program)
 
 
-def _gen_fragmented(rng: random.Random) -> SbcProgram:
+def _gen_fragmented(rng: random.Random) -> tuple[SbcInstruction, ...]:
     """A long chain-like main region plus 2-8 unreachable function regions.
 
     The main region dominates in size so it is the largest component, and
@@ -180,38 +145,28 @@ def _gen_fragmented(rng: random.Random) -> SbcProgram:
     no incoming edges, so each one is a separate component.
     """
     main_blocks = rng.randint(24, 40)
-    instructions: list[SbcInstruction] = []
-
-    def emit(op: Opcode, operand: int | None = None):
-        instructions.append(SbcInstruction(len(instructions), op, operand))
-
-    # main region: each block is OP + JMP to the next block's leader,
-    # with a couple of extra forward chords
-    block_leaders = []
-    for b in range(main_blocks):
-        block_leaders.append(len(instructions))
-        emit(Opcode.OP)
-        if b + 1 < main_blocks:
-            emit(Opcode.JMP, len(instructions) + 1)
-        else:
-            emit(Opcode.HALT)
+    # main region: block b is OP + JMP to block b + 1 (the last one OP + HALT),
+    # so block b starts at 2b
+    program = []
+    for b in range(1, main_blocks):
+        program += [SbcInstruction(Opcode.OP), SbcInstruction(Opcode.JMP, 2 * b)]
+    program += [SbcInstruction(Opcode.OP), SbcInstruction(Opcode.HALT)]
     for _ in range(rng.randint(0, 2)):
         src_block = rng.randrange(main_blocks - 1)
         dst_block = rng.randrange(main_blocks)
         # rewrite the JMP of src_block to a BR chord; fall-through persists
-        jmp_at = block_leaders[src_block] + 1
-        instructions[jmp_at] = SbcInstruction(jmp_at, Opcode.BR, block_leaders[dst_block])
+        program[2 * src_block + 1] = SbcInstruction(Opcode.BR, 2 * dst_block)
 
     # dead regions: never referenced, each ends in RET
     for _ in range(rng.randint(2, 8)):
         region_len = rng.randint(1, 3)
-        for _ in range(region_len - 1):
-            emit(Opcode.OP)
-        emit(Opcode.RET)
-    return SbcProgram(instructions=tuple(instructions))
+        program += [SbcInstruction(Opcode.OP)] * (region_len - 1)
+        program.append(SbcInstruction(Opcode.RET))
+    return tuple(program)
 
 
-def generate_corpus(count: int, profile: str, seed: int) -> list[SbcProgram]:
+def generate_corpus(count: int, profile: str, seed: int,
+                    ) -> list[tuple[SbcInstruction, ...]]:
     """Deterministic synthetic corpus; per-program sub-seed is seed + index."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: union-find for components (and
 largest_component_cfg, the subgraph the largest one induces), all-pairs
-BFS for distances, exhaustive shortest-path enumeration for betweenness.
-The exceptions are reference_brandes, a plain queue-based Brandes kept as
-the exact reference for graphs too large to enumerate, reference_forest,
-a random forest that re-sorts at every node, reference_predict, which
-classifies one sample at a time, and reference_pegasos, which allocates a
-new weight vector at every step.
+BFS for distances, exhaustive shortest-path enumeration for betweenness,
+and a second walk that maps every instruction to its block for sbc block
+recovery. The exceptions are reference_brandes, a plain queue-based
+Brandes kept as the exact reference for graphs too large to enumerate,
+reference_forest, a random forest that re-sorts at every node,
+reference_predict, which classifies one sample at a time, and
+reference_pegasos, which allocates a new weight vector at every step.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from cfgrank.features import LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES, FeatureV
 from cfgrank import DataError
 from cfgrank.learn import HyperParams, ModelParams
 from cfgrank.metrics import DisconnectedGraphError
+from cfgrank.sbc import RECORD_SIZE, Opcode
 
 
 def union_find_components(n: int, edges) -> list[set[int]]:
@@ -202,6 +204,56 @@ def reference_brandes(g: Cfg) -> dict[int, float]:
     return {u: raw[u] / norm for u in range(n)}
 
 
+def reference_recover_cfg(p, sample_id: str = "") -> Cfg:
+    """Linear-sweep block recovery over (opcode, operand) pairs; the
+    reference for cfgrank.sbc.recover_cfg. Leaders are index 0, every
+    target and the successor of every BR and CALL; a new block also starts
+    after every terminator; edges go to the block holding each target or
+    the next instruction."""
+    targeted = (Opcode.JMP, Opcode.BR, Opcode.CALL)
+    terminators = (Opcode.JMP, Opcode.BR, Opcode.CALL, Opcode.RET, Opcode.HALT)
+    n = len(p)
+    leaders = {0}
+    for i, (opcode, operand) in enumerate(p):
+        if opcode in targeted:
+            leaders.add(operand)
+        if opcode in (Opcode.BR, Opcode.CALL) and i + 1 < n:
+            leaders.add(i + 1)
+
+    starts = []
+    block_of_instr = [0] * n
+    current = -1
+    prev_terminated = True
+    for i, (opcode, _) in enumerate(p):
+        if i in leaders or prev_terminated:
+            starts.append(i)
+            current += 1
+        block_of_instr[i] = current
+        prev_terminated = opcode in terminators
+
+    blocks = []
+    for bi, start in enumerate(starts):
+        end = starts[bi + 1] if bi + 1 < len(starts) else n
+        count = end - start
+        blocks.append(BasicBlock(address=start, size=RECORD_SIZE * count, instr_count=count))
+
+    edges: list[tuple[int, int]] = []
+    for bi, start in enumerate(starts):
+        end = starts[bi + 1] if bi + 1 < len(starts) else n
+        opcode, operand = p[end - 1]
+        if opcode == Opcode.JMP:
+            edges.append((start, starts[block_of_instr[operand]]))
+        elif opcode in (Opcode.BR, Opcode.CALL):
+            edges.append((start, starts[block_of_instr[operand]]))
+            if end < n:
+                edges.append((start, starts[block_of_instr[end]]))
+        elif opcode in (Opcode.RET, Opcode.HALT):
+            pass
+        elif end < n:
+            edges.append((start, starts[block_of_instr[end]]))
+    return build_cfg(sample_id, blocks, edges)
+
+
 def diamond_chain(diamonds: int, sample_id: str = "diamonds", ways: int = 2) -> Cfg:
     """Stacked if/else diamonds, or switches of `ways` arms: the number of
     shortest paths from the first block to the last is ways**diamonds."""
@@ -320,7 +372,8 @@ def reference_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int
 def reference_tree_prob(tree: dict, x: np.ndarray) -> float:
     node = tree
     while "leaf" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+        # a Python float against the JSON int or float: exact at any size
+        node = node["left"] if float(x[node["feature"]]) <= node["threshold"] else node["right"]
     return node["leaf"]
 
 

@@ -14,7 +14,7 @@ from cfgrank import features as feat
 from cfgrank import ingest, learn, metrics, report, sbc
 from cfgrank.cli import main as cli_main
 from cfgrank.graph import largest_component
-from cfgrank.sbc import Opcode, SbcInstruction, SbcProgram
+from cfgrank.sbc import Opcode, SbcInstruction
 from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
                      random_cfg, random_connected_cfg, self_loop_nodes)
 
@@ -237,13 +237,13 @@ class TestCriterion6RoundTrips:
 
 class TestCriterion7SbcHandTraces:
     def test_branch_jump_program(self):
-        p = SbcProgram(tuple([
-            SbcInstruction(0, Opcode.BR, 3),
-            SbcInstruction(1, Opcode.OP),
-            SbcInstruction(2, Opcode.JMP, 4),
-            SbcInstruction(3, Opcode.OP),
-            SbcInstruction(4, Opcode.RET),
-        ]))
+        p = (
+            SbcInstruction(Opcode.BR, 3),
+            SbcInstruction(Opcode.OP),
+            SbcInstruction(Opcode.JMP, 4),
+            SbcInstruction(Opcode.OP),
+            SbcInstruction(Opcode.RET),
+        )
         g = sbc.recover_cfg(p)
         assert [(b.address, b.instr_count) for b in g.blocks] == \
             [(0, 1), (1, 2), (3, 1), (4, 1)]
@@ -252,18 +252,18 @@ class TestCriterion7SbcHandTraces:
         assert largest_component(g).count == 1
 
     def test_dead_code_program(self):
-        p = SbcProgram(tuple([
-            SbcInstruction(0, Opcode.HALT),
-            SbcInstruction(1, Opcode.OP),
-            SbcInstruction(2, Opcode.RET),
-        ]))
+        p = (
+            SbcInstruction(Opcode.HALT),
+            SbcInstruction(Opcode.OP),
+            SbcInstruction(Opcode.RET),
+        )
         g = sbc.recover_cfg(p)
         assert [(b.address, b.instr_count) for b in g.blocks] == [(0, 1), (1, 2)]
         assert g.edges == ()
         assert largest_component(g).count == 2
 
     def test_minimal_program(self):
-        g = sbc.recover_cfg(SbcProgram((SbcInstruction(0, Opcode.RET),)))
+        g = sbc.recover_cfg((SbcInstruction(Opcode.RET),))
         assert (g.node_count, g.edge_count) == (1, 0)
         ok(7, "(3 hand-traced programs)")
 

@@ -374,7 +374,7 @@ class TestPredictMany:
         model = model_from_json(rf_payload([stump(0, t, 0.0, 1.0)]))
         X = np.zeros((4, N_FEATURES))
         X[:, 0] = [2.0 ** 53 + 2, 2.0 ** 53 + 4, float(t), -float(t)]
-        assert predict_many(model, X) == ["benign", "malicious", "malicious", "benign"]
+        assert self.check(model, X) == ["benign", "malicious", "malicious", "benign"]
 
     def test_wrong_width_rejected(self):
         model = ModelParams(kind="rf", trees=[{"leaf": 1.0}])

@@ -1,31 +1,42 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfgrank import InputError
 from cfgrank.graph import largest_component
 from cfgrank.sbc import (BadLengthError, Opcode, SbcInstruction,
-                         SbcProgram, TargetOutOfBoundsError,
-                         UnknownOpcodeError, decode, encode, generate_corpus,
-                         recover_cfg)
+                         TargetOutOfBoundsError, UnknownOpcodeError, decode,
+                         encode, generate_corpus, recover_cfg)
+from oracles import reference_recover_cfg
 
 
 def prog(*instrs):
-    out = []
-    for i, (op, operand) in enumerate(instrs):
-        out.append(SbcInstruction(index=i, opcode=op, operand=operand))
-    return SbcProgram(instructions=tuple(out))
+    return tuple(SbcInstruction(op, operand) for op, operand in instrs)
 
 
 def record(opcode, operand=0):
     return bytes([opcode]) + operand.to_bytes(3, "big")
 
 
+@st.composite
+def valid_programs(draw):
+    """Bytes of 1-40 records of all seven opcodes; a target is below the
+    length, any other operand is arbitrary."""
+    n = draw(st.integers(1, 40))
+    ops = draw(st.lists(st.sampled_from(list(Opcode)), min_size=n, max_size=n))
+    return b"".join(
+        record(op, draw(st.integers(0, n - 1)) if op in (Opcode.JMP, Opcode.BR, Opcode.CALL)
+               else draw(st.integers(0, 2 ** 24 - 1)))
+        for op in ops)
+
+
 class TestDecode:
     def test_jmp_decodes(self):
         p = decode(record(2, 3) + record(1) + record(1) + record(5))
-        assert p.instructions[0].opcode == Opcode.JMP
-        assert p.instructions[0].operand == 3
+        assert p[0] == (Opcode.JMP, 3)
+        assert p[1] == (Opcode.OP, None)
 
     def test_empty_input(self):
         with pytest.raises(BadLengthError):
@@ -44,6 +55,21 @@ class TestDecode:
         with pytest.raises(TargetOutOfBoundsError):
             decode(record(2, 5) + record(5))
 
+    @pytest.mark.parametrize("data, error, index", [
+        (record(1) + record(2, 4) + record(1) + record(9), TargetOutOfBoundsError, 1),
+        (record(1) + record(9) + record(1) + record(3, 4), UnknownOpcodeError, 1),
+        (record(9) + b"\x02", BadLengthError, None),
+        (record(9) + b"\x02\xff", BadLengthError, None),
+        (record(9) + b"\x02\xff\xff", BadLengthError, None),
+    ], ids=["target-then-opcode", "opcode-then-target", "5-bytes", "6-bytes", "7-bytes"])
+    def test_first_bad_record_wins(self, data, error, index):
+        with pytest.raises(error) as exc:
+            decode(data)
+        if index is None:
+            assert exc.value.length == len(data)
+        else:
+            assert exc.value.index == index
+
     def test_fuzz_never_panics(self):
         rng = random.Random(99)
         for _ in range(300):
@@ -59,8 +85,25 @@ class TestDecode:
             for p in generate_corpus(10, profile, 5):
                 assert decode(encode(p)) == p
 
+    @pytest.mark.parametrize("operand", [-1, 2 ** 24])
+    def test_encode_rejects_a_wide_operand(self, operand):
+        with pytest.raises(OverflowError):
+            encode(prog((Opcode.OP, None), (Opcode.JMP, operand)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["enmeshed", "fragmented"]), st.integers(0, 2 ** 32))
+    def test_generated_programs_round_trip(self, profile, seed):
+        p = generate_corpus(1, profile, seed)[0]
+        assert decode(encode(p)) == p
+
 
 class TestRecoverCfg:
+    @settings(max_examples=500, deadline=None)
+    @given(valid_programs())
+    def test_equals_reference(self, data):
+        p = decode(data)
+        assert recover_cfg(p, "s") == reference_recover_cfg(p, "s")
+
     def test_hand_trace_branch_jump(self):
         # 0:BR 3, 1:OP, 2:JMP 4, 3:OP, 4:RET
         p = prog((Opcode.BR, 3), (Opcode.OP, None), (Opcode.JMP, 4),
