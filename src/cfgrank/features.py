@@ -97,9 +97,6 @@ def _header() -> list[str]:
     return ["sample_id", *FEATURE_NAMES, "label"]
 
 
-_HEADER_LINE = ",".join(_header())
-
-
 def write_feature_table(rows: list[FeatureVector]) -> bytes:
     """CSV with the frozen schema; reals carry 17 significant digits."""
     buf = io.StringIO()
@@ -112,103 +109,87 @@ def write_feature_table(rows: list[FeatureVector]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _csv_rows(text: str):
-    """csv.reader over text; a record that it rejects, such as one with a
-    field longer than csv.field_size_limit(), is an InputError naming its line."""
+_LABELS = ("", LABEL_MALICIOUS, LABEL_BENIGN)
+
+
+def _records(text: str) -> tuple[list[list[str]], InputError | None]:
+    """csv.reader's records of text, and the error naming the line of the
+    csv.Error that ended them early (None if none did). Text with no quote,
+    carriage return or NUL and no line longer than csv.field_size_limit()
+    is split on its newlines and commas, which gives the same records."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if not ('"' in text or "\r" in text or "\0" in text) and \
+            max(map(len, lines), default=0) <= csv.field_size_limit():
+        return [line.split(",") if line else [] for line in lines], None
+    records: list[list[str]] = []
     reader = csv.reader(io.StringIO(text))
     try:
-        yield from reader
+        records.extend(reader)
     except csv.Error as e:
-        raise InputError(f"line {reader.line_num}: {e}") from None
+        return records, InputError(f"line {reader.line_num}: {e}")
+    return records, None
 
 
-def parse_feature_table(data: bytes) -> list[FeatureVector]:
-    """Parse and validate a feature CSV written by write_feature_table."""
+def _read_table(data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
+    """The sample_ids, values (rows x N_FEATURES, float64) and labels ("" for
+    none) of a feature CSV's non-empty rows. Every check of the table is
+    made here: bad input raises the error of its first offender in file
+    order, with rows numbered from 1 after the header, empty ones counted."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"not valid UTF-8 at byte {e.start}") from None
-    reader = _csv_rows(text)
-    header = next(reader, None)
-    if header is None:
-        raise InputError("empty file")
-    if header != _header():
-        raise InputError(f"unexpected header {reprlib.repr(header)}")
-    rows: list[FeatureVector] = []
-    for rownum, fields in enumerate(reader, start=1):
-        if not fields:
-            continue
-        if len(fields) != N_FEATURES + 2:
-            raise BadValueError(rownum, "<row>", f"{len(fields)} fields")
-        sample_id = fields[0]
-        values = []
-        for name, raw in zip(FEATURE_NAMES, fields[1:-1]):
-            try:
-                v = float(raw)
-            except ValueError:
-                raise BadValueError(rownum, name, raw) from None
-            if not math.isfinite(v):
-                raise NonFiniteValueError(rownum, name, raw)
-            values.append(v)
-        label_raw = fields[-1]
-        if label_raw == "":
-            label = None
-        elif label_raw in (LABEL_MALICIOUS, LABEL_BENIGN):
-            label = label_raw
-        else:
-            raise BadValueError(rownum, "label", label_raw)
-        rows.append(FeatureVector(sample_id=sample_id, values=tuple(values), label=label))
-    return rows
-
-
-def labeled_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    """X (rows x N_FEATURES, float64) and y (int64, 1 = malicious, 0 =
-    benign) of rows that all carry a label."""
-    X = np.array([r.values for r in rows], dtype=float).reshape(-1, N_FEATURES)
-    y = np.array([r.label == LABEL_MALICIOUS for r in rows], dtype=np.int64)
-    return X, y
-
-
-def _plain_arrays(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """labeled_arrays of the labeled rows of a plain table, which csv.reader
-    would split on its commas alone and parse_feature_table would take
-    without a word: UTF-8 with no quote, carriage return or NUL (which the
-    csv module of Python 3.10 rejects), the exact header, on every line 25
-    fields, none longer than csv.field_size_limit(), and a known label, and
-    every value one that float() reads as finite. None for any other table.
-    """
+    records, error = _records(text)
+    if not records:
+        raise error or InputError("empty file")
+    if records[0] != _header():
+        raise InputError(f"unexpected header {reprlib.repr(records[0])}")
+    rows = [fields for fields in records[1:] if fields]
+    bad = next((i for i, fields in enumerate(rows)
+                if len(fields) != N_FEATURES + 2 or fields[-1] not in _LABELS), len(rows))
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    header, _, body = text.partition("\n")
-    lines = [line for line in body.split("\n") if line]
-    labels = [line[line.rfind(",") + 1:] for line in lines]
-    limit = csv.field_size_limit()
-    if '"' in text or "\r" in text or "\0" in text or header != _HEADER_LINE or \
-            not set(labels) <= {"", LABEL_MALICIOUS, LABEL_BENIGN} or \
-            any(line.count(",") != N_FEATURES + 1 or len(line) > limit for line in lines):
-        return None
-    try:
-        X = np.fromiter(map(float, chain.from_iterable(line.split(",")[1:-1] for line in lines)),
-                        float, len(lines) * N_FEATURES).reshape(-1, N_FEATURES)
+        X = np.fromiter(map(float, chain.from_iterable(fields[1:-1] for fields in rows[:bad])),
+                        float, bad * N_FEATURES)
+        finite = np.isfinite(X).all()
     except ValueError:
-        return None
-    if not np.isfinite(X).all():
-        return None
+        finite = False
+    if error or bad < len(rows) or not finite:
+        # field by field (width, values, then label): the first bad value,
+        # or else row bad, raises here, so only a csv error can be left
+        for rownum, fields in enumerate(records[1:], start=1):
+            if not fields:
+                continue
+            if len(fields) != N_FEATURES + 2:
+                raise BadValueError(rownum, "<row>", f"{len(fields)} fields")
+            for name, raw in zip(FEATURE_NAMES, fields[1:-1]):
+                try:
+                    v = float(raw)
+                except ValueError:
+                    raise BadValueError(rownum, name, raw) from None
+                if not math.isfinite(v):
+                    raise NonFiniteValueError(rownum, name, raw)
+            if fields[-1] not in _LABELS:
+                raise BadValueError(rownum, "label", fields[-1])
+        raise error
+    return [row[0] for row in rows], X.reshape(-1, N_FEATURES), [row[-1] for row in rows]
+
+
+def parse_feature_table(data: bytes) -> list[FeatureVector]:
+    """Parse and validate a feature CSV written by write_feature_table."""
+    sample_ids, X, labels = _read_table(data)
+    return [FeatureVector(sample_id, tuple(values), label or None)
+            for sample_id, values, label in zip(sample_ids, X.tolist(), labels)]
+
+
+def read_labeled_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """X (rows x N_FEATURES, float64) and y (int64, 1 = malicious, 0 =
+    benign) of the labeled rows of a feature CSV, read without a row object;
+    bad input raises what parse_feature_table raises."""
+    _, X, labels = _read_table(data)
     y = np.array([label == LABEL_MALICIOUS for label in labels], dtype=np.int64)
     if "" in labels:
         labeled = np.array([label != "" for label in labels])
         X, y = X[labeled], y[labeled]
     return X, y
-
-
-def read_labeled_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """labeled_arrays of the labeled rows of parse_feature_table(data); bad
-    input raises what parse_feature_table raises. A plain table
-    (_plain_arrays) streams its values through float() into one array and
-    makes no FeatureVector; any other goes through parse_feature_table."""
-    plain = _plain_arrays(data)
-    if plain is not None:
-        return plain
-    return labeled_arrays([r for r in parse_feature_table(data) if r.label is not None])

@@ -13,9 +13,11 @@ import json
 import logging
 import reprlib
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NoReturn
 
 from . import InputError, json_line
-from .graph import BasicBlock, Cfg, build_cfg
+from .graph import BasicBlock, Cfg, DanglingEdgeError, build_cfg
 
 log = logging.getLogger(__name__)
 
@@ -271,7 +273,7 @@ def parse_canonical(data: bytes) -> Cfg:
     raw = _json(data)
     columns = _bulk_checked(raw)
     if columns is None:
-        return _parse_canonical_checked(raw)
+        _raise_first_error(raw)
     sample_id, addrs, sizes, ninstrs, ends = columns
     if addrs != sorted(addrs):
         order = sorted(range(len(addrs)), key=addrs.__getitem__)
@@ -283,7 +285,7 @@ def parse_canonical(data: bytes) -> Cfg:
 
 def _bulk_checked(raw):
     """(sample_id, addrs, sizes, ninstrs, edge endpoints end to end) of a
-    canonical document that passes every check of _parse_canonical_checked,
+    canonical document that passes every check of _raise_first_error,
     taken a column at a time; None if one fails."""
     try:
         sample_id, nodes, edges = raw["sample_id"], raw["nodes"], raw["edges"]
@@ -308,8 +310,9 @@ def _bulk_checked(raw):
     return sample_id, addrs, sizes, ninstrs, ends
 
 
-def _parse_canonical_checked(raw) -> Cfg:
-    """parse_canonical field by field; raises on the first offender."""
+def _raise_first_error(raw) -> NoReturn:
+    """Raise the error of the first offender in a canonical document that
+    _bulk_checked rejected, checking its fields one at a time in order."""
     if not isinstance(raw, dict):
         raise SchemaError("<root>", "expected a JSON object")
     sample_id = _require(raw, "sample_id", str, "<root>")
@@ -318,7 +321,6 @@ def _parse_canonical_checked(raw) -> Cfg:
     nodes_raw = _require(raw, "nodes", list, "<root>")
     if not nodes_raw:
         raise SchemaError("nodes", "must contain at least one node")
-    blocks: list[BasicBlock] = []
     seen: set[int] = set()
     for i, n in enumerate(nodes_raw):
         ctx = f"nodes[{i}]"
@@ -328,17 +330,14 @@ def _parse_canonical_checked(raw) -> Cfg:
         if addr in seen:
             raise DuplicateAddressError(addr)
         seen.add(addr)
-        blocks.append(BasicBlock(
-            address=addr,
-            size=_require(n, "size", int, ctx),
-            instr_count=_require(n, "ninstr", int, ctx),
-        ))
+        _require(n, "size", int, ctx)
+        _require(n, "ninstr", int, ctx)
     edges_raw = _require(raw, "edges", list, "<root>")
-    edges: list[tuple[int, int]] = []
     for i, e in enumerate(edges_raw):
-        ctx = f"edges[{i}]"
         if (not isinstance(e, list) or len(e) != 2
                 or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e)):
-            raise SchemaError(ctx, f"expected [addr, addr], got {reprlib.repr(e)}")
-        edges.append((e[0], e[1]))
-    return build_cfg(sample_id, blocks, edges)
+            raise SchemaError(f"edges[{i}]", f"expected [addr, addr], got {reprlib.repr(e)}")
+    for x in chain.from_iterable(edges_raw):
+        if x not in seen:
+            raise DanglingEdgeError(x)
+    raise AssertionError("_bulk_checked rejected a canonical document that every field check passes")

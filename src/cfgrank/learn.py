@@ -16,7 +16,7 @@ import numpy as np
 
 from . import DataError, json_line
 from .features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS,
-                       N_FEATURES, FeatureVector, labeled_arrays)
+                       N_FEATURES, FeatureVector)
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +60,8 @@ class LabeledDataset:
         for v in vectors:
             if v.label is None:
                 raise DataError(f"sample {v.sample_id!r} has no label")
-        self.X, self.y = labeled_arrays(vectors)
+        self.X = np.array([v.values for v in vectors], dtype=float).reshape(-1, N_FEATURES)
+        self.y = np.array([v.label == LABEL_MALICIOUS for v in vectors], dtype=np.int64)
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, y: np.ndarray) -> "LabeledDataset":

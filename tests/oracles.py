@@ -7,22 +7,30 @@ and a second walk that maps every instruction to its block for sbc block
 recovery. The exceptions are reference_brandes, a plain queue-based
 Brandes kept as the exact reference for graphs too large to enumerate,
 reference_forest, a random forest that re-sorts at every node,
-reference_predict, which classifies one sample at a time, and
-reference_pegasos, which allocates a new weight vector at every step.
+reference_predict, which classifies one sample at a time,
+reference_pegasos, which allocates a new weight vector at every step, and
+two parsers that check their input field by field and raise on the first
+offender: reference_parse_feature_table, for the features table, and
+reference_parse_canonical, for a decoded canonical graph document.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
+import reprlib
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
-from cfgrank.features import LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES, FeatureVector
-from cfgrank import DataError
+from cfgrank.features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES,
+                              BadValueError, FeatureVector, NonFiniteValueError)
+from cfgrank import DataError, InputError
+from cfgrank.ingest import DuplicateAddressError, SchemaError, _encodes, _require
 from cfgrank.learn import HyperParams, ModelParams
 from cfgrank.metrics import DisconnectedGraphError
 from cfgrank.sbc import RECORD_SIZE, Opcode
@@ -414,3 +422,96 @@ def reference_pegasos(X: np.ndarray, y: np.ndarray, hyper: HyperParams,
             if t >= hyper.svm_steps:
                 break
     return w[:-1], float(w[-1])
+
+
+def _header() -> list[str]:
+    return ["sample_id", *FEATURE_NAMES, "label"]
+
+
+def _csv_rows(text: str):
+    """csv.reader over text; a record that it rejects, such as one with a
+    field longer than csv.field_size_limit(), is an InputError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise InputError(f"line {reader.line_num}: {e}") from None
+
+
+def reference_parse_feature_table(data: bytes) -> list[FeatureVector]:
+    """A features table row by row and field by field through csv.reader;
+    the reference for cfgrank.features.parse_feature_table and
+    read_labeled_table, rows and errors alike."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"not valid UTF-8 at byte {e.start}") from None
+    reader = _csv_rows(text)
+    header = next(reader, None)
+    if header is None:
+        raise InputError("empty file")
+    if header != _header():
+        raise InputError(f"unexpected header {reprlib.repr(header)}")
+    rows: list[FeatureVector] = []
+    for rownum, fields in enumerate(reader, start=1):
+        if not fields:
+            continue
+        if len(fields) != N_FEATURES + 2:
+            raise BadValueError(rownum, "<row>", f"{len(fields)} fields")
+        sample_id = fields[0]
+        values = []
+        for name, raw in zip(FEATURE_NAMES, fields[1:-1]):
+            try:
+                v = float(raw)
+            except ValueError:
+                raise BadValueError(rownum, name, raw) from None
+            if not math.isfinite(v):
+                raise NonFiniteValueError(rownum, name, raw)
+            values.append(v)
+        label_raw = fields[-1]
+        if label_raw == "":
+            label = None
+        elif label_raw in (LABEL_MALICIOUS, LABEL_BENIGN):
+            label = label_raw
+        else:
+            raise BadValueError(rownum, "label", label_raw)
+        rows.append(FeatureVector(sample_id=sample_id, values=tuple(values), label=label))
+    return rows
+
+
+def reference_parse_canonical(raw) -> Cfg:
+    """A decoded canonical document field by field into a Cfg through
+    build_cfg; raises on the first offender. The reference for
+    cfgrank.ingest.parse_canonical, Cfgs and errors alike."""
+    if not isinstance(raw, dict):
+        raise SchemaError("<root>", "expected a JSON object")
+    sample_id = _require(raw, "sample_id", str, "<root>")
+    if not _encodes(sample_id):
+        raise SchemaError("<root>.sample_id", f"{reprlib.repr(sample_id)} is not encodable as UTF-8")
+    nodes_raw = _require(raw, "nodes", list, "<root>")
+    if not nodes_raw:
+        raise SchemaError("nodes", "must contain at least one node")
+    blocks: list[BasicBlock] = []
+    seen: set[int] = set()
+    for i, n in enumerate(nodes_raw):
+        ctx = f"nodes[{i}]"
+        if not isinstance(n, dict):
+            raise SchemaError(ctx, "expected an object")
+        addr = _require(n, "addr", int, ctx)
+        if addr in seen:
+            raise DuplicateAddressError(addr)
+        seen.add(addr)
+        blocks.append(BasicBlock(
+            address=addr,
+            size=_require(n, "size", int, ctx),
+            instr_count=_require(n, "ninstr", int, ctx),
+        ))
+    edges_raw = _require(raw, "edges", list, "<root>")
+    edges: list[tuple[int, int]] = []
+    for i, e in enumerate(edges_raw):
+        ctx = f"edges[{i}]"
+        if (not isinstance(e, list) or len(e) != 2
+                or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in e)):
+            raise SchemaError(ctx, f"expected [addr, addr], got {reprlib.repr(e)}")
+        edges.append((e[0], e[1]))
+    return build_cfg(sample_id, blocks, edges)

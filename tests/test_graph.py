@@ -31,6 +31,10 @@ class TestBuildCfg:
             build_cfg("s", blocks_at(0, 4), [(0, 8)])
         assert exc.value.address == 8
 
+    def test_duplicate_block_address(self):
+        with pytest.raises(InputError, match=r"^duplicate block address 8$"):
+            build_cfg("s", blocks_at(8, 0, 8), [])
+
     def test_empty_block_list(self):
         with pytest.raises(InputError, match="at least one basic block"):
             build_cfg("s", [], [])
