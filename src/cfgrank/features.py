@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import reprlib
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -112,54 +112,59 @@ def write_feature_table(rows: list[FeatureVector]) -> bytes:
 _LABELS = ("", LABEL_MALICIOUS, LABEL_BENIGN)
 
 
-def _records(text: str) -> tuple[list[list[str]], InputError | None]:
-    """csv.reader's records of text, and the error naming the line of the
-    csv.Error that ended them early (None if none did). Text with no quote,
-    carriage return or NUL and no line longer than csv.field_size_limit()
-    is split on its newlines and commas, which gives the same records."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if not ('"' in text or "\r" in text or "\0" in text) and \
-            max(map(len, lines), default=0) <= csv.field_size_limit():
-        return [line.split(",") if line else [] for line in lines], None
-    records: list[list[str]] = []
+def _records(text: str) -> Iterator[list[str]]:
+    """csv.reader's records of text; a csv.Error, such as a field longer
+    than csv.field_size_limit(), is an InputError naming its line. Text with
+    no quote, carriage return or NUL and no line longer than that limit is
+    split on its newlines and commas, which gives the same records."""
+    if not ('"' in text or "\r" in text or "\0" in text):
+        lines = text.split("\n")
+        if max(map(len, lines)) <= csv.field_size_limit():
+            if not lines[-1]:
+                lines.pop()
+            yield from (line.split(",") if line else [] for line in lines)
+            return
     reader = csv.reader(io.StringIO(text))
     try:
-        records.extend(reader)
+        yield from reader
     except csv.Error as e:
-        return records, InputError(f"line {reader.line_num}: {e}")
-    return records, None
+        raise InputError(f"line {reader.line_num}: {e}") from None
 
 
-def _read_table(data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
-    """The sample_ids, values (rows x N_FEATURES, float64) and labels ("" for
-    none) of a feature CSV's non-empty rows. Every check of the table is
-    made here: bad input raises the error of its first offender in file
-    order, with rows numbered from 1 after the header, empty ones counted."""
+def _read_table(data: bytes) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The sample_id and label ("" for none) of each non-empty row of a
+    feature CSV, and the rows' values (rows x N_FEATURES, float64). Every
+    check of the table is made here: bad input raises the error of its first
+    offender in file order, with rows numbered from 1 after the header,
+    empty ones counted."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"not valid UTF-8 at byte {e.start}") from None
-    records, error = _records(text)
-    if not records:
-        raise error or InputError("empty file")
-    if records[0] != _header():
-        raise InputError(f"unexpected header {reprlib.repr(records[0])}")
-    rows = [fields for fields in records[1:] if fields]
-    bad = next((i for i, fields in enumerate(rows)
-                if len(fields) != N_FEATURES + 2 or fields[-1] not in _LABELS), len(rows))
+    records = _records(text)
+    header = next(records, None)
+    if header != _header():
+        raise InputError("empty file" if header is None else
+                         f"unexpected header {reprlib.repr(header)}")
+    rows: list[tuple[str, str]] = []
+
+    def values():
+        for fields in filter(None, records):
+            if len(fields) != N_FEATURES + 2 or fields[-1] not in _LABELS:
+                raise ValueError
+            rows.append((fields[0], fields[-1]))
+            yield fields[1:-1]
+
     try:
-        X = np.fromiter(map(float, chain.from_iterable(fields[1:-1] for fields in rows[:bad])),
-                        float, bad * N_FEATURES)
-        finite = np.isfinite(X).all()
-    except ValueError:
-        finite = False
-    if error or bad < len(rows) or not finite:
-        # field by field (width, values, then label): the first bad value,
-        # or else row bad, raises here, so only a csv error can be left
-        for rownum, fields in enumerate(records[1:], start=1):
-            if not fields:
+        X = np.fromiter(map(float, chain.from_iterable(values())), float)
+        if not np.isfinite(X).all():
+            raise ValueError
+    except (ValueError, InputError):
+        # some check failed: walk the table again field by field (width,
+        # values, then label), which raises the first offender's error;
+        # row 0 is the header
+        for rownum, fields in enumerate(_records(text)):
+            if not (rownum and fields):
                 continue
             if len(fields) != N_FEATURES + 2:
                 raise BadValueError(rownum, "<row>", f"{len(fields)} fields")
@@ -172,24 +177,23 @@ def _read_table(data: bytes) -> tuple[list[str], np.ndarray, list[str]]:
                     raise NonFiniteValueError(rownum, name, raw)
             if fields[-1] not in _LABELS:
                 raise BadValueError(rownum, "label", fields[-1])
-        raise error
-    return [row[0] for row in rows], X.reshape(-1, N_FEATURES), [row[-1] for row in rows]
+        raise AssertionError("a table that failed a check passed the walk") from None
+    return rows, X.reshape(-1, N_FEATURES)
 
 
 def parse_feature_table(data: bytes) -> list[FeatureVector]:
     """Parse and validate a feature CSV written by write_feature_table."""
-    sample_ids, X, labels = _read_table(data)
+    rows, X = _read_table(data)
     return [FeatureVector(sample_id, tuple(values), label or None)
-            for sample_id, values, label in zip(sample_ids, X.tolist(), labels)]
+            for (sample_id, label), values in zip(rows, X.tolist())]
 
 
 def read_labeled_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """X (rows x N_FEATURES, float64) and y (int64, 1 = malicious, 0 =
     benign) of the labeled rows of a feature CSV, read without a row object;
     bad input raises what parse_feature_table raises."""
-    _, X, labels = _read_table(data)
-    y = np.array([label == LABEL_MALICIOUS for label in labels], dtype=np.int64)
-    if "" in labels:
-        labeled = np.array([label != "" for label in labels])
-        X, y = X[labeled], y[labeled]
-    return X, y
+    rows, X = _read_table(data)
+    code = np.array([_LABELS.index(label) for _, label in rows], dtype=np.int64)
+    if not code.all():  # code 0: no label
+        X, code = X[code > 0], code[code > 0]
+    return X, (code == _LABELS.index(LABEL_MALICIOUS)).astype(np.int64)

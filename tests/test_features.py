@@ -288,7 +288,7 @@ class TestLabeledTableParity:
     @example(table(plain_row(sample_id="a\0b")))
     @example(table(plain_row(sample_id="s" * (csv.field_size_limit() + 1))))
     @example(table(plain_row()) + b"\xff")
-    # the first offender in file order wins over a csv error held after it
+    # the first offender in file order wins over a csv error after it
     @example(table(plain_row("x"), plain_row(sample_id="s" * (csv.field_size_limit() + 1))))
     @example(table(plain_row(sample_id='"a"'), plain_row("x"), '"b'))
     @example(table(plain_row("nan"), plain_row(label="weird")))
