@@ -144,10 +144,22 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _graph_paths(graph_dir: Path) -> list[Path]:
+    """sorted(graph_dir.glob("*.graph.json")) from one os.scandir, sorted on
+    the names: every entry whose name ends in .graph.json, a dotfile or a
+    directory too, and none if the directory cannot be listed."""
+    try:
+        with os.scandir(graph_dir) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".graph.json"))
+    except OSError:
+        names = []
+    return [graph_dir / name for name in names]
+
+
 def _load_graph_dir(graph_dir: Path):
     """The canonical graphs in a directory, by sample_id; an error in a
     file's content names the file."""
-    paths = sorted(graph_dir.glob("*.graph.json"))
+    paths = _graph_paths(graph_dir)
     if not paths:
         raise InputError(f"no *.graph.json files in {graph_dir}")
     graphs = []

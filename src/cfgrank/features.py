@@ -61,36 +61,49 @@ class FeatureVector:
             raise ValueError(f"bad label {self.label!r}")
 
 
-def _stat_tuple(s: metrics.PathStats) -> tuple[float, ...]:
-    return (s.min, s.max, s.mean, s.median, s.std)
-
-
-def extract_features(g: Cfg, component: Component | None = None,
-                     swept: metrics.Sweep | None = None) -> FeatureVector:
+def extract_features(g: Cfg, stats: Sequence[float] | None = None) -> FeatureVector:
     """Compute the frozen 23-entry descriptor of one CFG.
 
-    component is largest_component(g) and swept is the metrics.sweep_many
-    Sweep of its CSR; each is computed here unless the caller already has it.
+    stats are the 20 centrality and path statistics of its largest
+    component, in FEATURE_NAMES order, computed here unless the caller
+    already has them.
     """
-    component = component or largest_component(g)
-    swept = swept or metrics.sweep_many([(component.indptr, component.indices)])[0]
-    values: list[float] = []
-    for scores in (swept.betweenness(), swept.closeness,
-                   metrics.degree_scores(component.indptr, component.loops)):
-        values.extend(_stat_tuple(metrics.summary_stats(scores)))
-    values.extend(_stat_tuple(swept.path_stats()))
-    values.append(metrics.density(g))
-    values.append(float(g.node_count))
-    values.append(float(g.edge_count))
-    return FeatureVector(sample_id=g.sample_id, values=tuple(values))
+    if stats is None:
+        [stats] = _statistics([largest_component(g)])
+    return FeatureVector(g.sample_id, (*stats, metrics.density(g), float(g.node_count),
+                                       float(g.edge_count)))
 
 
 def extract_features_many(graphs: Sequence[Cfg]) -> list[FeatureVector]:
     """extract_features of each CFG, in input order, from one
-    largest_components call and one metrics.sweep_many call over its CSRs."""
-    components = largest_components(graphs)
-    swept = metrics.sweep_many((c.indptr, c.indices) for c in components)
-    return [extract_features(g, c, s) for g, c, s in zip(graphs, components, swept)]
+    largest_components call over the corpus."""
+    if not graphs:
+        return []
+    return [extract_features(g, stats)
+            for g, stats in zip(graphs, _statistics(largest_components(graphs)))]
+
+
+def _statistics(components: list[Component]) -> list[list[float]]:
+    """The 20 centrality and path statistics of each component, in
+    FEATURE_NAMES order, from one metrics.sweep_many call over their CSRs;
+    all 0 for a component of one node. The components of each size n are
+    summarized together, one row a component: a (components x 3 x n) array
+    of betweenness, closeness and degree scores, and the hop histograms."""
+    raw, closeness, hops = metrics.sweep_many((c.indptr, c.indices) for c in components)
+    degree = metrics.degree_scores((c.indptr, c.loops) for c in components)
+    sizes = np.array([len(c.indptr) - 1 for c in components])
+    first = np.cumsum(sizes) - sizes
+    stats = np.zeros((len(components), 20))
+    for n in sorted(set(sizes.tolist()) - {1}):
+        members = np.flatnonzero(sizes == n)
+        nodes = first[members, None] + np.arange(n)
+        # normalized to [0, 1], endpoints excluded: nothing lies between
+        # the pairs of two nodes
+        scores = np.stack((raw[nodes] / max((n - 1) * (n - 2), 1), closeness[nodes],
+                           degree[nodes]), axis=1)
+        stats[members, :15] = metrics.summary_rows(scores).reshape(len(members), 15)
+        stats[members, 15:] = metrics.path_rows(hops[nodes[:, 1:]])
+    return stats.tolist()
 
 
 def _header() -> list[str]:
@@ -98,15 +111,25 @@ def _header() -> list[str]:
 
 
 def write_feature_table(rows: list[FeatureVector]) -> bytes:
-    """CSV with the frozen schema; reals carry 17 significant digits."""
+    """CSV with the frozen schema; reals carry 17 significant digits. Only a
+    row whose sample_id csv.writer may quote goes through it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_header())
     for row in rows:
-        writer.writerow([row.sample_id,
-                         *(f"{v:.17g}" for v in row.values),
-                         row.label or ""])
+        values = _VALUES % row.values
+        if _QUOTED.isdisjoint(row.sample_id):
+            buf.write(f"{row.sample_id},{values},{row.label or ''}\n")
+        else:
+            writer.writerow([row.sample_id, *values.split(","), row.label or ""])
     return buf.getvalue().encode("utf-8")
+
+
+# a row's reals, formatted in one step
+_VALUES = ",".join(["%.17g"] * N_FEATURES)
+# csv.writer quotes a field only if it holds the delimiter, the quote or a
+# line end (Python 3.11's writer only the "\n" of lineterminator, not "\r")
+_QUOTED = frozenset(',"\r\n')
 
 
 _LABELS = ("", LABEL_MALICIOUS, LABEL_BENIGN)

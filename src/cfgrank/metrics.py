@@ -8,10 +8,10 @@ is defined on the full directed graph.
 Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
 per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
-component (graph.largest_components), and returns a list of one Sweep per
-graph. Both batched kernels search the disjoint union of their graphs that
-_union builds, and a Brandes pass writes each of its outputs (closeness,
-dependencies and the hop histogram) into one array per node of that union.
+component (graph.largest_components). Both batched kernels search the
+disjoint union of their graphs that _union builds, and a Brandes pass
+writes each of its outputs (closeness, dependencies and the hop histogram)
+into one array per node of that union, which sweep_many returns.
 One rule, _runs, cuts all of this work to a budget: consecutive items,
 each run as long as its weights sum to at most the limit, one item at the
 least. It cuts the graphs into groups on sources x (n + 2m) slots, a
@@ -24,14 +24,15 @@ runs of sources of the same bytes, so they are always exact.
 closeness_many() gives the same closeness from a bit-parallel BFS with no
 path counts, its graphs cut into passes on rows x words against
 BATCH_WORDS, and degree_scores() degree centrality from the same CSR.
+
+summary_rows() and path_rows() summarize many graphs of one size at once,
+one row a graph, and row_sums() adds each row one term at a time, so every
+statistic is the one that Python 3.11's sum() gives on any Python.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -73,67 +74,15 @@ class DisconnectedGraphError(ValueError):
         super().__init__("centrality requires a connected graph; pass one component")
 
 
-@dataclass(frozen=True)
-class PathStats:
-    min: float
-    max: float
-    mean: float
-    median: float
-    std: float
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """What one Brandes pass from every source yields on a connected graph.
-
-    raw_betweenness counts every pair from both endpoints; hops[d] is the
-    number of unordered node pairs at hop distance d.
-    """
-    raw_betweenness: list[float]
-    closeness: list[float]
-    hops: list[int]
-
-    def betweenness(self) -> list[float]:
-        """Normalized to [0, 1], endpoints excluded; 0 below three nodes."""
-        n = len(self.raw_betweenness)
-        if n < 3:
-            return [0.0] * n
-        norm = (n - 1) * (n - 2)
-        return [r / norm for r in self.raw_betweenness]
-
-    def path_stats(self) -> PathStats:
-        """summary_stats of the list in which each d occurs hops[d] times.
-
-        Every step is the one summary_stats takes on the sorted list: the
-        sum of small integers is exact, and the squared deviations are
-        summed one by one in ascending order, so each field comes out bit
-        for bit the same.
-        """
-        hops = self.hops
-        k = sum(hops)
-        if not k:
-            return PathStats(0.0, 0.0, 0.0, 0.0, 0.0)
-        present = [d for d, count in enumerate(hops) if count]
-
-        def nth(i: int) -> float:
-            for d in present:
-                i -= hops[d]
-                if i < 0:
-                    return float(d)
-            raise IndexError(i)
-
-        mean = sum(d * hops[d] for d in present) / k
-        median = nth(k // 2) if k % 2 else (nth(k // 2 - 1) + nth(k // 2)) / 2
-        var = sum(chain.from_iterable(repeat((float(d) - mean) ** 2, hops[d])
-                                      for d in present)) / k
-        return PathStats(float(present[0]), float(present[-1]), mean, median,
-                         math.sqrt(var))
-
-
-def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
-    """The Sweep of each connected graph, given as CSR (indptr, indices), in
-    input order: every source's Brandes pass, with exact path counts and
-    each dependency sum taken in Brandes's order.
+def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw betweenness, closeness and hop histogram of connected graphs,
+    given as CSR (indptr, indices), one entry a node of their disjoint
+    union (_union's numbering, graphs in input order): every source's
+    Brandes pass, with exact path counts and each dependency sum taken in
+    Brandes's order. Raw betweenness counts every pair from both endpoints;
+    hops[f + d] is the number of unordered node pairs at hop distance d of
+    the graph whose first node is f, 0 at d = 0.
 
     Source-batched Brandes (McLaughlin & Bader, SC 2014): _runs cuts the
     graphs into groups of at most SWEEP_SLOTS slots, and each group is
@@ -141,11 +90,13 @@ def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
     """
     graphs = list(csrs)
     slots = [(len(indptr) - 1) * (len(indptr) - 1 + len(indices)) for indptr, indices in graphs]
-    return [swept for a, b in _runs(slots, SWEEP_SLOTS) for swept in _sweep_group(graphs[a:b])]
+    groups = [_sweep_group(graphs[a:b]) for a, b in _runs(slots, SWEEP_SLOTS)]
+    return tuple(map(np.concatenate, zip(*groups)))
 
 
-def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
-    """Sweeps of CSR graphs that fit SWEEP_SLOTS together, or of one graph
+def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sweep_many of CSR graphs that fit SWEEP_SLOTS together, or of one graph
     that does not, in passes of sources whose bytes _runs cuts to
     SWEEP_SLOTS x 24: 16 a (source, node) pair and 8 a kept edge. A float64
     pass whose counts reach 2**53 is counted again with Python ints, in
@@ -162,10 +113,11 @@ def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]) -> list[Sweep]:
         if not _brandes_pass(csr, owner, a, b, raw, close, hops, float):
             for c, d in _runs((_EXACT_PAIR_BYTES * owner[1] + kept)[a:b], budget):
                 _brandes_pass(csr, owner, a + c, a + d, raw, close, hops, object)
-    # hops[f] counts each source once, from itself
-    return [Sweep(raw[f:f + n].tolist(), close[f:f + n].tolist(),
-                  [0, *(np.trim_zeros(hops[f + 1:f + n], "b") // 2).tolist()])
-            for f, n in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist())]
+    # each pair is counted from both of its ends, and hops[f] counts each
+    # source once, from itself
+    hops //= 2
+    hops[np.cumsum(sizes) - sizes] = 0
+    return raw, close, hops
 
 
 def _union(graphs: list[tuple[np.ndarray, np.ndarray]]
@@ -175,10 +127,19 @@ def _union(graphs: list[tuple[np.ndarray, np.ndarray]]
     (indptr, deg, indices) with int32 indices, the graph sizes, and each
     node's first node of its graph."""
     sizes = np.array([len(indptr) - 1 for indptr, _ in graphs])
-    firsts = np.cumsum(sizes) - sizes
-    deg = np.concatenate([np.diff(indptr) for indptr, _ in graphs])
-    indices = np.concatenate([nbrs + f for (_, nbrs), f in zip(graphs, firsts.tolist())])
-    return (np.concatenate(([0], np.cumsum(deg))), deg, indices), sizes, np.repeat(firsts, sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    deg = _degrees([indptr for indptr, _ in graphs])
+    indices = np.concatenate([nbrs for _, nbrs in graphs])
+    indices += np.repeat(first, deg)
+    return (np.concatenate(([0], np.cumsum(deg))), deg, indices), sizes, first
+
+
+def _degrees(indptrs: list[np.ndarray]) -> np.ndarray:
+    """The neighbor count of every node of CSR graphs, given by their
+    indptrs, in _union's numbering."""
+    ends = np.cumsum([len(indptr) for indptr in indptrs])
+    # the differences across the boundary of two graphs' indptrs
+    return np.delete(np.diff(np.concatenate(indptrs)), ends[:-1] - 1)
 
 
 def _runs(weights, limit: int) -> list[tuple[int, int]]:
@@ -424,15 +385,18 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> l
     return (missing.sum(axis=1) - levels * padding)[rank].tolist()
 
 
-def degree_scores(indptr: np.ndarray, loops) -> list[float]:
-    """Undirected degree over n-1 of a CSR graph's nodes; each node in loops
-    (its self-loop nodes, none twice) adds 1 to its degree."""
-    n = len(indptr) - 1
-    if n == 1:
-        return [0.0]
-    deg = np.diff(indptr)
-    deg[loops] += 1
-    return (deg / (n - 1)).tolist()
+def degree_scores(graphs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Undirected degree over n - 1 of every node of CSR graphs, given as
+    (indptr, loops), one entry a node of their disjoint union (_union's
+    numbering); each node in loops (its graph's self-loop nodes, none
+    twice) adds 1 to its degree, and a graph of one node scores 0."""
+    indptrs, loops = zip(*graphs)
+    sizes = np.array([len(indptr) - 1 for indptr in indptrs])
+    first = np.cumsum(sizes) - sizes
+    deg = _degrees(indptrs)
+    deg[np.concatenate(loops) + np.repeat(first, [len(nodes) for nodes in loops])] += 1
+    deg[first[sizes == 1]] = 0
+    return deg / np.repeat(np.maximum(sizes - 1, 1), sizes)
 
 
 def density(g: Cfg) -> float:
@@ -443,16 +407,66 @@ def density(g: Cfg) -> float:
     return g.edge_count / (n * (n - 1))
 
 
-def summary_stats(values: list[float]) -> PathStats:
-    """min/max/mean/median/population-std of a non-empty value list."""
-    if not values:
-        raise ValueError("summary_stats needs at least one value")
-    ordered = sorted(values)
-    k = len(ordered)
-    mean = sum(ordered) / k
-    if k % 2:
-        median = ordered[k // 2]
-    else:
-        median = (ordered[k // 2 - 1] + ordered[k // 2]) / 2
-    var = sum((v - mean) ** 2 for v in ordered) / k
-    return PathStats(ordered[0], ordered[-1], mean, median, math.sqrt(var))
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each row of values (along its last axis), added one term
+    at a time from the first, as Python 3.11's sum() adds a list of floats.
+    np.sum adds pairwise, and Python 3.12's sum() compensates its rounding
+    errors (CPython gh-100425); either may differ in the last bits."""
+    return np.cumsum(values, axis=-1)[..., -1]
+
+
+def summary_rows(values: np.ndarray) -> np.ndarray:
+    """The min, max, mean, median and population standard deviation of each
+    row of values (along its last axis, at least one entry), in a last axis
+    of 5.
+
+    Both sums are row_sums of the sorted row, so each statistic is the one
+    that Python 3.11 computes from sorted(row) with sum(). A deviation is
+    squared by multiplying it by itself, which IEEE 754 rounds correctly on
+    every platform, as C's pow(x, 2.0) need not.
+    """
+    v = np.sort(values)
+    n = v.shape[-1]
+    mean = row_sums(v) / n
+    median = v[..., n // 2] if n % 2 else (v[..., n // 2 - 1] + v[..., n // 2]) / 2
+    dev = v - mean[..., None]
+    dev *= dev
+    return np.stack((v[..., 0], v[..., -1], mean, median, np.sqrt(row_sums(dev) / n)), axis=-1)
+
+
+def path_rows(hops: np.ndarray) -> np.ndarray:
+    """summary_rows of the pair distances of each row of an int64 hop
+    histogram, (rows x 5): hops[i, d - 1] is row i's number of pairs at
+    distance d, and every row has the same number k > 0 of pairs.
+
+    The squared deviations of a row's k distances are expanded in ascending
+    order from its counts, in pieces of at most SWEEP_SLOTS x 24 bytes, the
+    most that a Brandes pass holds: _runs of whole rows, or a row in runs of
+    its distances, each piece's running sum carried into the next.
+    """
+    rows, top = hops.shape
+    ends = np.cumsum(hops, axis=1)
+    k = int(ends[0, -1])
+
+    def nth(i: int) -> np.ndarray:
+        """The i-th smallest distance of each row."""
+        return 1.0 + np.count_nonzero(ends <= i, axis=1)
+
+    mean = (hops @ np.arange(1, top + 1)) / k
+    median = nth(k // 2) if k % 2 else (nth(k // 2 - 1) + nth(k // 2)) / 2
+    squares = np.arange(1.0, top + 1) - mean[:, None]
+    squares *= squares
+    var = np.empty(rows)
+    width = SWEEP_SLOTS * _SLOT_BYTES // 8
+    for a, b in _runs(np.full(rows, k), width):
+        total = np.zeros(b - a)
+        for c in range(0, k, width):
+            e = min(c + width, k)
+            counts = np.diff(np.clip(ends[a:b], c, e), axis=1, prepend=c)
+            piece = np.repeat(squares[a:b].ravel(), counts.ravel()).reshape(b - a, e - c)
+            piece[:, 0] += total
+            total = np.cumsum(piece, axis=1, out=piece)[:, -1].copy()
+            # no two pieces are held at once
+            del piece
+        var[a:b] = total / k
+    return np.column_stack((nth(0), nth(k - 1), mean, median, np.sqrt(var)))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from . import DataError, metrics
 from .graph import Cfg, largest_components
 
@@ -65,15 +67,20 @@ def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
         raise DataError("corpus must contain at least one graph")
     components = largest_components(graphs)
     closeness = metrics.closeness_many((c.indptr, c.indices) for c in components)
+    sizes = np.array([len(scores) for scores in closeness])
+    average = np.empty(len(closeness))
+    for n in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == n)
+        average[members] = metrics.row_sums(np.array([closeness[i] for i in members])) / n
     rows = [
         SampleRow(
             sample_id=g.sample_id,
             node_count=g.node_count,
             edge_count=g.edge_count,
-            avg_closeness=sum(scores) / len(scores),
+            avg_closeness=avg,
             component_count=c.count,
         )
-        for g, scores, c in zip(graphs, closeness, components)
+        for g, avg, c in zip(graphs, average.tolist(), components)
     ]
     cdfs = {
         metric_name: empirical_cdf([float(getattr(r, metric_name)) for r in rows])

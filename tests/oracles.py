@@ -8,24 +8,32 @@ recovery. The exceptions are reference_brandes, a plain queue-based
 Brandes kept as the exact reference for graphs too large to enumerate,
 reference_forest, a random forest that re-sorts at every node,
 reference_predict, which classifies one sample at a time,
-reference_pegasos, which allocates a new weight vector at every step, and
-two parsers that check their input field by field and raise on the first
-offender: reference_parse_feature_table, for the features table, and
+reference_pegasos, which allocates a new weight vector at every step,
+summary_stats and Sweep.path_stats, which summarize one list at a time and
+add its floats one by one with functools.reduce, whose result does not
+depend on the Python version as sum()'s does,
+reference_write_feature_table, which writes every row through csv.writer,
+and two parsers that check their input field by field and raise on the
+first offender: reference_parse_feature_table, for the features table, and
 reference_parse_canonical, for a decoded canonical graph document.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import operator
 import random
 import reprlib
 from collections import deque
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
+from cfgrank import metrics
 from cfgrank.graph import BasicBlock, Cfg, build_cfg
 from cfgrank.features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES,
                               BadValueError, FeatureVector, NonFiniteValueError)
@@ -210,6 +218,92 @@ def reference_brandes(g: Cfg) -> dict[int, float]:
         return {u: 0.0 for u in range(n)}
     norm = (n - 1) * (n - 2)
     return {u: raw[u] / norm for u in range(n)}
+
+
+def add_in_order(values) -> float:
+    """The floats of values added one at a time from the first, as Python
+    3.11's sum() adds them; 3.12's sum() compensates its rounding errors."""
+    return functools.reduce(operator.add, values)
+
+
+@dataclass(frozen=True)
+class PathStats:
+    min: float
+    max: float
+    mean: float
+    median: float
+    std: float
+
+
+def summary_stats(values: list[float]) -> PathStats:
+    """min/max/mean/median/population-std of a non-empty value list; both
+    sums run over the sorted list, and each deviation is squared by
+    multiplying it by itself."""
+    ordered = sorted(values)
+    k = len(ordered)
+    mean = add_in_order(ordered) / k
+    if k % 2:
+        median = ordered[k // 2]
+    else:
+        median = (ordered[k // 2 - 1] + ordered[k // 2]) / 2
+    var = add_in_order((v - mean) * (v - mean) for v in ordered) / k
+    return PathStats(ordered[0], ordered[-1], mean, median, math.sqrt(var))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One graph's share of metrics.sweep_many.
+
+    raw_betweenness counts every pair from both endpoints; hops[d] is the
+    number of unordered node pairs at hop distance d, up to the diameter.
+    """
+    raw_betweenness: list[float]
+    closeness: list[float]
+    hops: list[int]
+
+    def betweenness(self) -> list[float]:
+        """Normalized to [0, 1], endpoints excluded; 0 below three nodes."""
+        n = len(self.raw_betweenness)
+        if n < 3:
+            return [0.0] * n
+        norm = (n - 1) * (n - 2)
+        return [r / norm for r in self.raw_betweenness]
+
+    def path_stats(self) -> PathStats:
+        """summary_stats of the list in which each d occurs hops[d] times,
+        taking every step that summary_stats takes on the sorted list."""
+        hops = self.hops
+        k = sum(hops)
+        if not k:
+            return PathStats(0.0, 0.0, 0.0, 0.0, 0.0)
+        present = [d for d, count in enumerate(hops) if count]
+
+        def nth(i: int) -> float:
+            for d in present:
+                i -= hops[d]
+                if i < 0:
+                    return float(d)
+            raise IndexError(i)
+
+        mean = sum(d * hops[d] for d in present) / k
+        median = nth(k // 2) if k % 2 else (nth(k // 2 - 1) + nth(k // 2)) / 2
+        var = add_in_order(chain.from_iterable(
+            repeat((float(d) - mean) * (float(d) - mean), hops[d]) for d in present)) / k
+        return PathStats(float(present[0]), float(present[-1]), mean, median,
+                         math.sqrt(var))
+
+
+def sweeps(csrs) -> list[Sweep]:
+    """metrics.sweep_many of CSR graphs, cut into one Sweep per graph."""
+    csrs = list(csrs)
+    raw, close, hops = metrics.sweep_many(csrs)
+    out, f = [], 0
+    for indptr, _ in csrs:
+        n = len(indptr) - 1
+        out.append(Sweep(raw[f:f + n].tolist(), close[f:f + n].tolist(),
+                         [0, *np.trim_zeros(hops[f + 1:f + n], "b").tolist()]))
+        f += n
+    return out
 
 
 def reference_recover_cfg(p, sample_id: str = "") -> Cfg:
@@ -422,6 +516,16 @@ def reference_pegasos(X: np.ndarray, y: np.ndarray, hyper: HyperParams,
             if t >= hyper.svm_steps:
                 break
     return w[:-1], float(w[-1])
+
+
+def reference_write_feature_table(rows: list[FeatureVector]) -> bytes:
+    """The features table with every row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_header())
+    for row in rows:
+        writer.writerow([row.sample_id, *(f"{v:.17g}" for v in row.values), row.label or ""])
+    return buf.getvalue().encode("utf-8")
 
 
 def _header() -> list[str]:

@@ -15,8 +15,8 @@ from cfgrank import ingest, learn, metrics, report, sbc
 from cfgrank.cli import main as cli_main
 from cfgrank.graph import largest_component
 from cfgrank.sbc import Opcode, SbcInstruction
-from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
-                     random_cfg, random_connected_cfg, self_loop_nodes)
+from oracles import (PathStats, all_pairs_distances, brute_betweenness, brute_closeness, csr,
+                     random_cfg, random_connected_cfg, self_loop_nodes, summary_stats, sweeps)
 
 
 def ok(criterion, detail=""):
@@ -80,7 +80,7 @@ class TestCriterion2OracleEquivalence:
             g = random_connected_cfg(rng, n, rng.randint(0, 6),
                                      sample_id=f"t{trial}")
             adj = g.undirected_adjacency()
-            [swept] = metrics.sweep_many([csr(adj)])
+            [swept] = sweeps([csr(adj)])
             got_b = swept.betweenness()
             exp_b = brute_betweenness(g)
             got_c = swept.closeness
@@ -88,7 +88,8 @@ class TestCriterion2OracleEquivalence:
             for u in range(n):
                 assert abs(got_b[u] - exp_b[u]) <= 1e-12
                 assert abs(got_c[u] - exp_c[u]) <= 1e-12
-            got_d = metrics.degree_scores(csr(adj)[0], sorted(self_loop_nodes(g)))
+            loop_nodes = np.array(sorted(self_loop_nodes(g)), dtype=np.intp)
+            got_d = metrics.degree_scores([(csr(adj)[0], loop_nodes)]).tolist()
             nbrs = [set() for _ in range(n)]
             for u, v in g.edges:
                 if u != v:
@@ -101,12 +102,12 @@ class TestCriterion2OracleEquivalence:
                 assert abs(got_d[u] - direct) <= 1e-12
             got_s = swept.path_stats()
             if n == 1:
-                assert got_s == metrics.PathStats(0, 0, 0, 0, 0)
+                assert got_s == PathStats(0, 0, 0, 0, 0)
             else:
                 dist = all_pairs_distances(g)
                 values = [float(dist[(u, v)]) for u in range(n)
                           for v in range(u + 1, n)]
-                exp_s = metrics.summary_stats(values)
+                exp_s = summary_stats(values)
                 for f in ("min", "max", "mean", "median", "std"):
                     assert abs(getattr(got_s, f) - getattr(exp_s, f)) <= 1e-12
         elapsed = time.perf_counter() - start

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import cfgrank
 from cfgrank import features as feat
-from cfgrank import DataError, ingest, json_line, learn, metrics, sbc
+from cfgrank import DataError, cli, ingest, json_line, learn, metrics, sbc
 from cfgrank.cli import main
 from cfgrank.graph import BasicBlock, build_cfg
 from oracles import random_cfg
@@ -243,6 +243,26 @@ class TestFeaturesCommand:
         monkeypatch.setattr(metrics, "SWEEP_SLOTS", 1)
         assert run("features", str(tmp_path / "graphs"), "-o", str(tmp_path / "b.csv")) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_graph_dir_lists_what_glob_lists(self, tmp_path, capsys):
+        # dotfiles and a directory match too, names sort as str (upper case
+        # first), and the first offender in that order is the one reported
+        graphs_dir = tmp_path / "graphs"
+        (graphs_dir / "x.graph.json").mkdir(parents=True)
+        for name in ("b.graph.json", ".h.graph.json", ".graph.json", "B.graph.json",
+                     "a b.graph.json", "\u00e9.graph.json", "a.graph.json.bak", "c.txt",
+                     "a.GRAPH.json"):
+            (graphs_dir / name).write_text("{broken")
+        paths = cli._graph_paths(graphs_dir)
+        assert paths == sorted(graphs_dir.glob("*.graph.json"))
+        assert [p.name for p in paths] == [".graph.json", ".h.graph.json", "B.graph.json",
+                                           "a b.graph.json", "b.graph.json", "x.graph.json",
+                                           "\u00e9.graph.json"]
+        assert cli._graph_paths(tmp_path / "missing") == []
+        assert cli._graph_paths(graphs_dir / "c.txt") == []
+        assert run("features", str(graphs_dir), "-o", str(tmp_path / "f.csv")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"cfgrank: input error: {graphs_dir / '.graph.json'}: ")
 
     def test_invalid_graph_exits_2(self, tmp_path):
         graphs_dir = tmp_path / "graphs"

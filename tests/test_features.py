@@ -1,20 +1,23 @@
 import csv
 import io
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfgrank import InputError, features, metrics
+from cfgrank import InputError, features
 from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
                               N_FEATURES, NonFiniteValueError, extract_features,
                               extract_features_many, parse_feature_table,
                               read_labeled_table, write_feature_table)
 from cfgrank.graph import BasicBlock, build_cfg
-from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
-                     largest_component_cfg, random_cfg, reference_parse_feature_table)
+from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
+                     largest_component_cfg, random_cfg, reference_parse_feature_table,
+                     reference_write_feature_table, self_loop_nodes, summary_stats, sweeps,
+                     undirected_neighbors)
 
 
 def idx(name):
@@ -60,7 +63,7 @@ class TestExtractFeatures:
             largest = largest_component_cfg(g)
             for base, oracle in (("betweenness", brute_betweenness),
                                  ("closeness", brute_closeness)):
-                stats = metrics.summary_stats(list(oracle(largest).values()))
+                stats = summary_stats(list(oracle(largest).values()))
                 assert fv.values[idx(f"{base}_min")] == pytest.approx(stats.min, abs=1e-12)
                 assert fv.values[idx(f"{base}_max")] == pytest.approx(stats.max, abs=1e-12)
                 assert fv.values[idx(f"{base}_mean")] == pytest.approx(stats.mean, abs=1e-12)
@@ -70,7 +73,7 @@ class TestExtractFeatures:
                 dist = all_pairs_distances(largest)
                 values = [float(dist[(u, v)]) for u in range(largest.node_count)
                           for v in range(u + 1, largest.node_count)]
-                stats = metrics.summary_stats(values)
+                stats = summary_stats(values)
                 for stat in ("min", "max", "mean", "median", "std"):
                     assert fv.values[idx(f"shortest_path_{stat}")] == getattr(stats, stat)
             assert fv.values[idx("density")] == pytest.approx(
@@ -87,6 +90,27 @@ class TestExtractFeatures:
         assert batch == [extract_features(g) for g in graphs]
         for g, row in zip(graphs, batch):
             assert extract_features_many([g])[0] == row
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    @example([1, 2, 3, 3, 2, 1], 0)
+    def test_statistics_equal_the_oracles(self, sizes, seed):
+        # graphs of mixed sizes in one batch: each size is summarized as one
+        # group, and every statistic is bit for bit the oracle's
+        rng = random.Random(seed)
+        graphs = [random_cfg(rng, n, rng.randint(0, 2 * n), sample_id=f"g{i}")
+                  for i, n in enumerate(sizes)]
+        for g, fv in zip(graphs, extract_features_many(graphs), strict=True):
+            largest = largest_component_cfg(g)
+            n = largest.node_count
+            [swept] = sweeps([csr(largest.undirected_adjacency())])
+            loops = self_loop_nodes(largest)
+            degree = [0.0] if n == 1 else [(len(nbrs) + (u in loops)) / (n - 1)
+                                            for u, nbrs in enumerate(undirected_neighbors(largest))]
+            want = [*astuple(summary_stats(swept.betweenness())),
+                    *astuple(summary_stats(swept.closeness)),
+                    *astuple(summary_stats(degree)), *astuple(swept.path_stats())]
+            assert [v.hex() for v in fv.values[:20]] == [float(v).hex() for v in want]
 
     def test_no_edges_implies_zero_centrality_block(self):
         rng = random.Random(23)
@@ -169,6 +193,21 @@ class TestFeatureTable:
         rows = [FeatureVector(sid, tuple(vals), label)
                 for sid, vals, label in raw_rows]
         assert parse_feature_table(write_feature_table(rows)) == rows
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=6), st.sampled_from([None, "malicious", "benign"])),
+                    max_size=5),
+           st.lists(st.floats(), min_size=23, max_size=23))
+    # an empty id, which csv.writer leaves bare before other fields, and
+    # ids that it quotes or that come close to it
+    @example([("", None), (",", "benign"), ('"', None), ("\r", None), ("\n", "malicious"),
+              (" a", None), ("\u00e9\u2028\x85", None), ("a\r\nb", None)], [0.1] * 23)
+    def test_equals_csv_writer(self, ids, values):
+        rows = [FeatureVector(sample_id, tuple(values[i:] + values[:i]), label)
+                for i, (sample_id, label) in enumerate(ids)]
+        assert write_feature_table(rows) == reference_write_feature_table(rows)
 
 
 def table(*lines: str, end: str = "\n") -> bytes:

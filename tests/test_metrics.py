@@ -1,18 +1,20 @@
 import math
 import random
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
-from cfgrank.metrics import (DisconnectedGraphError, PathStats, Sweep, degree_scores,
-                             density, summary_stats)
-from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
-                     diamond_chain, random_cfg, random_connected_cfg,
-                     reference_brandes, self_loop_nodes, source_dependencies)
+from cfgrank.metrics import DisconnectedGraphError, degree_scores, density
+from oracles import (PathStats, Sweep, all_pairs_distances, brute_betweenness,
+                     brute_closeness, csr, diamond_chain, random_cfg, random_connected_cfg,
+                     reference_brandes, self_loop_nodes, source_dependencies, summary_stats,
+                     sweeps)
 
 
 # the batched kernels take CSR; these tests write their graphs as neighbor
@@ -22,7 +24,7 @@ def closeness_many(adjs):
 
 
 def sweep_many(adjs):
-    return metrics.sweep_many(map(csr, adjs))
+    return sweeps(map(csr, adjs))
 
 
 def path3():
@@ -67,7 +69,8 @@ def assert_oracles(g, swept):
 
 
 def degrees(g):
-    return degree_scores(csr(g.undirected_adjacency())[0], sorted(self_loop_nodes(g)))
+    loops = np.array(sorted(self_loop_nodes(g)), dtype=np.intp)
+    return degree_scores([(csr(g.undirected_adjacency())[0], loops)]).tolist()
 
 
 class TestCloseness:
@@ -156,6 +159,14 @@ class TestDegreeCentrality:
         g = build_cfg("l", [BasicBlock(address=0), BasicBlock(address=4)],
                       [(0, 4), (0, 0)])
         assert degrees(g)[0] == 2.0
+
+    def test_singleton_zero_even_with_a_loop(self):
+        lone = build_cfg("l", [BasicBlock(address=0)], [(0, 0)])
+        assert degrees(lone) == [0.0]
+        graphs = [path3(), lone, singleton()]
+        assert degree_scores([(csr(g.undirected_adjacency())[0],
+                               np.array(sorted(self_loop_nodes(g)), dtype=np.intp))
+                              for g in graphs]).tolist() == [0.5, 1.0, 0.5, 0.0, 0.0]
 
     def test_matches_direct_count(self):
         rng = random.Random(31)
@@ -565,6 +576,81 @@ class TestSweepMany:
         bad = path_adj(3) + [[4], [3]]
         with pytest.raises(DisconnectedGraphError):
             sweep_many(good[:2] + [bad] + good[2:])
+
+
+def bits(values) -> list[str]:
+    """Each float's exact value, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+# ties, and 1e16 beside 1.0, where the order of the additions shows
+STAT_VALUES = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 3.0, 1e16]) | st.floats(0, 1e17)
+
+
+def hop_rows(rows):
+    """The int64 hop histograms, hops[i, d - 1] pairs at distance d, of
+    lists of pair distances."""
+    top = max(map(max, rows))
+    return np.array([np.bincount(r, minlength=top + 1)[1:] for r in rows])
+
+
+class TestStatisticRows:
+    """The array statistics against the oracles, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(STAT_VALUES, min_size=n, max_size=n), min_size=1, max_size=4)))
+    @example([[1e16, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1e16]])
+    @example([[0.0], [2.5]])
+    @example([[1.0, 3.0], [1e16, 1e16 + 2]])
+    @example([[1 / 3] * 3, [0.0, 1e16, 1.0]])
+    def test_summary_rows(self, rows):
+        got = metrics.summary_rows(np.array(rows))
+        assert got.shape == (len(rows), 5)
+        for row, stats in zip(rows, got.tolist()):
+            assert bits(stats) == bits(astuple(summary_stats(row)))
+        # features summarizes (graphs x 3 x n) at once
+        assert metrics.summary_rows(np.array([rows] * 3)).tobytes() == np.array([got] * 3).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda k: st.lists(
+        st.lists(st.integers(1, 12), min_size=k, max_size=k), min_size=1, max_size=5)),
+           st.sampled_from([None, 1, 2, 5]))
+    @example([[1]], None)
+    @example([[1, 1, 2], [1, 2, 2]], 1)
+    def test_path_rows(self, rows, slots):
+        # at 1, 2 and 5 slots a piece holds 3, 6 and 15 distances, so most
+        # rows are summed in several pieces and most runs hold one row
+        hops = hop_rows(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            if slots:
+                mp.setattr(metrics, "SWEEP_SLOTS", slots)
+            got = metrics.path_rows(hops)
+        for row, counts, stats in zip(rows, hops.tolist(), got.tolist()):
+            want = summary_stats([float(d) for d in row])
+            assert bits(stats) == bits(astuple(want))
+            assert Sweep([], [], [0, *counts]).path_stats() == want
+
+    def test_path_rows_hold_one_piece(self, monkeypatch):
+        # 2 x 10**5 distances of one row, summed 3000 at a time: the row
+        # alone would take 1.6 MB
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 1000)
+        hops = np.array([[50_000, 100_000, 49_999, 1]])
+        tracemalloc.start()
+        try:
+            got = metrics.path_rows(hops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 3000 * 8
+        assert bits(got[0]) == bits(astuple(Sweep([], [], [0, *hops[0].tolist()]).path_stats()))
+
+    def test_row_sums_add_in_order(self):
+        # each 1.0 added to 1e16 alone rounds away; np.sum's pairwise sum
+        # and Python 3.12's compensated sum() keep the ones
+        rows = np.array([[1e16] + [1.0] * 16, [1.0] * 16 + [1e16]])
+        assert metrics.row_sums(rows).tolist() == [1e16, 1e16 + 16]
+        assert np.sum(rows, axis=1).tolist() != [1e16, 1e16 + 16]
 
 
 class TestDensity:
