@@ -440,9 +440,12 @@ def path_rows(hops: np.ndarray) -> np.ndarray:
     distance d, and every row has the same number k > 0 of pairs.
 
     The squared deviations of a row's k distances are expanded in ascending
-    order from its counts, in pieces of at most SWEEP_SLOTS x 24 bytes, the
-    most that a Brandes pass holds: _runs of whole rows, or a row in runs of
-    its distances, each piece's running sum carried into the next.
+    order from its counts, in pieces of at most SWEEP_SLOTS distances: _runs
+    of whole rows, or a row in runs of its distances, each piece's running
+    sum carried into the next. At 8 bytes a distance, a piece is a third of
+    what a Brandes pass holds; pieces as large as a pass raised large-cfg's
+    peak RSS by 3.7 MB, since they come after the sweep has freed its passes
+    and the allocator need not hand that memory back.
     """
     rows, top = hops.shape
     ends = np.cumsum(hops, axis=1)
@@ -457,11 +460,10 @@ def path_rows(hops: np.ndarray) -> np.ndarray:
     squares = np.arange(1.0, top + 1) - mean[:, None]
     squares *= squares
     var = np.empty(rows)
-    width = SWEEP_SLOTS * _SLOT_BYTES // 8
-    for a, b in _runs(np.full(rows, k), width):
+    for a, b in _runs(np.full(rows, k), SWEEP_SLOTS):
         total = np.zeros(b - a)
-        for c in range(0, k, width):
-            e = min(c + width, k)
+        for c in range(0, k, SWEEP_SLOTS):
+            e = min(c + SWEEP_SLOTS, k)
             counts = np.diff(np.clip(ends[a:b], c, e), axis=1, prepend=c)
             piece = np.repeat(squares[a:b].ravel(), counts.ravel()).reshape(b - a, e - c)
             piece[:, 0] += total

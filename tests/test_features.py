@@ -88,6 +88,7 @@ class TestExtractFeatures:
                   for i in range(60)]
         batch = extract_features_many(graphs)
         assert batch == [extract_features(g) for g in graphs]
+        assert extract_features_many([]) == []
         for g, row in zip(graphs, batch):
             assert extract_features_many([g])[0] == row
 

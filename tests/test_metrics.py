@@ -619,8 +619,8 @@ class TestStatisticRows:
     @example([[1]], None)
     @example([[1, 1, 2], [1, 2, 2]], 1)
     def test_path_rows(self, rows, slots):
-        # at 1, 2 and 5 slots a piece holds 3, 6 and 15 distances, so most
-        # rows are summed in several pieces and most runs hold one row
+        # a piece holds SWEEP_SLOTS distances, so at 1, 2 and 5 most rows are
+        # summed in several pieces and most runs hold one row
         hops = hop_rows(rows)
         with pytest.MonkeyPatch.context() as mp:
             if slots:
@@ -634,7 +634,7 @@ class TestStatisticRows:
     def test_path_rows_hold_one_piece(self, monkeypatch):
         # 2 x 10**5 distances of one row, summed 3000 at a time: the row
         # alone would take 1.6 MB
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 1000)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 3000)
         hops = np.array([[50_000, 100_000, 49_999, 1]])
         tracemalloc.start()
         try:
