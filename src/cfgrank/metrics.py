@@ -67,6 +67,12 @@ _SLOT_BYTES = 24
 
 _UNSEEN = np.iinfo(np.int32).max
 
+# path_rows sums at most this many distances (96 KiB of float64) in one
+# piece. It runs after the sweep has freed its passes, and larger pieces did
+# not fit the memory that the allocator kept: pieces of 589 824 and 196 608
+# distances raised large-cfg's peak RSS by 3.7 and 1.6 MB
+PIECE_DISTANCES = 3 << 12
+
 
 class DisconnectedGraphError(ValueError):
     """A bug, never bad input: callers pass one component by construction."""
@@ -440,12 +446,9 @@ def path_rows(hops: np.ndarray) -> np.ndarray:
     distance d, and every row has the same number k > 0 of pairs.
 
     The squared deviations of a row's k distances are expanded in ascending
-    order from its counts, in pieces of at most SWEEP_SLOTS distances: _runs
-    of whole rows, or a row in runs of its distances, each piece's running
-    sum carried into the next. At 8 bytes a distance, a piece is a third of
-    what a Brandes pass holds; pieces as large as a pass raised large-cfg's
-    peak RSS by 3.7 MB, since they come after the sweep has freed its passes
-    and the allocator need not hand that memory back.
+    order from its counts, in pieces of at most PIECE_DISTANCES: _runs of
+    whole rows, or a row in runs of its distances, each piece's running sum
+    carried into the next.
     """
     rows, top = hops.shape
     ends = np.cumsum(hops, axis=1)
@@ -460,10 +463,10 @@ def path_rows(hops: np.ndarray) -> np.ndarray:
     squares = np.arange(1.0, top + 1) - mean[:, None]
     squares *= squares
     var = np.empty(rows)
-    for a, b in _runs(np.full(rows, k), SWEEP_SLOTS):
+    for a, b in _runs(np.full(rows, k), PIECE_DISTANCES):
         total = np.zeros(b - a)
-        for c in range(0, k, SWEEP_SLOTS):
-            e = min(c + SWEEP_SLOTS, k)
+        for c in range(0, k, PIECE_DISTANCES):
+            e = min(c + PIECE_DISTANCES, k)
             counts = np.diff(np.clip(ends[a:b], c, e), axis=1, prepend=c)
             piece = np.repeat(squares[a:b].ravel(), counts.ravel()).reshape(b - a, e - c)
             piece[:, 0] += total

@@ -618,13 +618,13 @@ class TestStatisticRows:
            st.sampled_from([None, 1, 2, 5]))
     @example([[1]], None)
     @example([[1, 1, 2], [1, 2, 2]], 1)
-    def test_path_rows(self, rows, slots):
-        # a piece holds SWEEP_SLOTS distances, so at 1, 2 and 5 most rows are
-        # summed in several pieces and most runs hold one row
+    def test_path_rows(self, rows, piece):
+        # in pieces of 1, 2 or 5 distances most rows are summed in several
+        # pieces and most runs hold one row
         hops = hop_rows(rows)
         with pytest.MonkeyPatch.context() as mp:
-            if slots:
-                mp.setattr(metrics, "SWEEP_SLOTS", slots)
+            if piece:
+                mp.setattr(metrics, "PIECE_DISTANCES", piece)
             got = metrics.path_rows(hops)
         for row, counts, stats in zip(rows, hops.tolist(), got.tolist()):
             want = summary_stats([float(d) for d in row])
@@ -634,7 +634,7 @@ class TestStatisticRows:
     def test_path_rows_hold_one_piece(self, monkeypatch):
         # 2 x 10**5 distances of one row, summed 3000 at a time: the row
         # alone would take 1.6 MB
-        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 3000)
+        monkeypatch.setattr(metrics, "PIECE_DISTANCES", 3000)
         hops = np.array([[50_000, 100_000, 49_999, 1]])
         tracemalloc.start()
         try:
