@@ -111,24 +111,24 @@ def _header() -> list[str]:
 
 
 def write_feature_table(rows: list[FeatureVector]) -> bytes:
-    """CSV with the frozen schema; reals carry 17 significant digits. Only a
-    row whose sample_id csv.writer may quote goes through it."""
+    """CSV with the frozen schema; reals carry 17 significant digits. A
+    sample_id that holds a comma, a quote, "\r" or "\n" is quoted and its
+    quotes doubled, as csv.writer with "\r\n" line ends quotes it."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_header())
+    buf.write(",".join(_header()) + "\n")
     for row in rows:
-        values = _VALUES % row.values
-        if _QUOTED.isdisjoint(row.sample_id):
-            buf.write(f"{row.sample_id},{values},{row.label or ''}\n")
-        else:
-            writer.writerow([row.sample_id, *values.split(","), row.label or ""])
+        sample_id = row.sample_id
+        if not _QUOTED.isdisjoint(sample_id):
+            sample_id = '"' + sample_id.replace('"', '""') + '"'
+        buf.write(f"{sample_id},{_VALUES % row.values},{row.label or ''}\n")
     return buf.getvalue().encode("utf-8")
 
 
 # a row's reals, formatted in one step
 _VALUES = ",".join(["%.17g"] * N_FEATURES)
-# csv.writer quotes a field only if it holds the delimiter, the quote or a
-# line end (Python 3.11's writer only the "\n" of lineterminator, not "\r")
+# the characters that make a field quoted; "\r" too, which Python 3.11's
+# csv.writer leaves bare with lineterminator="\n", and csv.reader then
+# refuses outside quotes
 _QUOTED = frozenset(',"\r\n')
 
 

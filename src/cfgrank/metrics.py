@@ -11,7 +11,9 @@ per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
 component (graph.largest_components). Both batched kernels search the
 disjoint union of their graphs that _union builds, and a Brandes pass
 writes each of its outputs (closeness, dependencies and the hop histogram)
-into one array per node of that union, which sweep_many returns.
+into one array per node of that union, which sweep_many returns. A pass
+takes its closeness totals and hop counts once its forward BFS ends, not
+level by level, and adds each level's dependency terms with np.bincount.
 One rule, _runs, cuts all of this work to a budget: consecutive items,
 each run as long as its weights sum to at most the limit, one item at the
 least. It cuts the graphs into groups on sources x (n + 2m) slots, a
@@ -119,10 +121,8 @@ def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]
         if not _brandes_pass(csr, owner, a, b, raw, close, hops, float):
             for c, d in _runs((_EXACT_PAIR_BYTES * owner[1] + kept)[a:b], budget):
                 _brandes_pass(csr, owner, a + c, a + d, raw, close, hops, object)
-    # each pair is counted from both of its ends, and hops[f] counts each
-    # source once, from itself
+    # each pair is counted from both of its ends
     hops //= 2
-    hops[np.cumsum(sizes) - sizes] = 0
     return raw, close, hops
 
 
@@ -177,19 +177,20 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     source's nodes in the order in which a queue-based BFS finds them:
     candidates are listed by (frontier position, neighbor slot), and
     np.minimum.at marks the first candidate of each new pair, using its
-    dist slot as scratch. Each level lists its pairs row by row, so the
-    pairs per row and per distance come from np.searchsorted on the row
-    bounds, with no copy of dist. The forward pass keeps the edges that it
-    found from each level to the next, the predecessor lists of Brandes,
-    and the backward pass pushes the dependency terms back along them,
-    each a correctly rounded quotient of exact counts: sorted on their
-    predecessor and then on their successor's falling position in its
-    level, np.add.at adds them in array order, so each sum is taken in
-    Brandes's order. A level's
-    dependencies are summed in a buffer in level order and stored in their
-    sigma slots once the level is done, so the pass holds 16 bytes a pair
-    (dist, sigma and the level lists) with float64 counts, and 8 bytes a
-    kept edge, at most one per undirected edge and source.
+    dist slot as scratch. Once the forward pass ends, each row's distance
+    total, for closeness, is summed from dist in pieces of rows, and each
+    level, which lists its pairs row by row, gives its pairs per graph from
+    one np.searchsorted on the graphs' bounds. The forward pass keeps the
+    edges that it found from each level to the next, the predecessor lists
+    of Brandes, and the backward pass pushes the dependency terms back
+    along them, each a correctly rounded quotient of exact counts: sorted
+    on their predecessor and then on their successor's falling position in
+    its level, np.bincount adds them in array order, so each sum is taken
+    in Brandes's order. A level's dependencies are summed in a buffer in
+    level order and stored in their sigma slots once the level is done, so
+    the pass holds 16 bytes a pair (dist, sigma and the level lists) with
+    float64 counts, and 8 bytes a kept edge, at most one per undirected
+    edge and source.
     """
     first, width = (x[a:b] for x in owner)
     start = np.cumsum(width) - width
@@ -209,17 +210,8 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         return False
     if sum(map(len, levels)) + len(sources) != size:
         raise DisconnectedGraphError()
-    bounds = np.append(start, size)
-    total = np.zeros(len(start), np.int64)
-    # the first row of each graph's sources
-    seg = np.flatnonzero(np.diff(first, prepend=-1))
-    for d, level in enumerate([sources, *levels]):
-        per_row = np.diff(np.searchsorted(level, bounds))
-        total += d * per_row
-        # a graph of at most d nodes has no pairs at d, and f + d is past its slots
-        deep = width[seg] > d
-        hops[first[seg[deep]] + d] += np.add.reduceat(per_row, seg)[deep]
-    close[a:b] = (width - 1) / np.maximum(total, 1)
+    close[a:b] = (width - 1) / np.maximum(_row_totals(dist, start, width), 1)
+    _count_hops(hops, levels, first, width, start, size)
     _backward(dist, sigma, levels, edges)
     del dist, levels
     sigma[sources] = 0
@@ -227,6 +219,41 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     nodes -= np.repeat(base, width)
     np.add.at(raw, nodes, sigma.astype(float, copy=False))
     return True
+
+
+def _row_totals(dist: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The sum of each row of dist, the rows starting at start and width
+    long, added in _runs of whole rows of at most PIECE_DISTANCES pairs:
+    np.add.reduceat copies what it adds as int64."""
+    total = np.empty(len(start), np.int64)
+    for a, b in _runs(width, PIECE_DISTANCES):
+        lo, hi = start[a], start[b - 1] + width[b - 1]
+        total[a:b] = np.add.reduceat(dist[lo:hi], start[a:b] - lo, dtype=np.int64)
+    return total
+
+
+def _count_hops(hops: np.ndarray, levels: list[np.ndarray], first: np.ndarray,
+                width: np.ndarray, start: np.ndarray, size: int):
+    """Adds the number of pairs of each graph in each level d >= 1 into
+    hops[f + d], f the graph's first node, from one np.searchsorted of the
+    level on the bounds of the graphs' rows. Only a graph of more than d
+    nodes has pairs at distance d; with the graphs by falling size those
+    are a prefix of the bounds, so a graph is searched in at most as many
+    levels as it has nodes."""
+    if not levels:
+        return
+    # the first row of each graph, and its first pair and last pair + 1
+    seg = np.flatnonzero(np.diff(first, prepend=-1))
+    ends = np.append(start[seg[1:]], size)
+    order = np.argsort(-width[seg], kind="stable")
+    bounds = np.column_stack((start[seg], ends))[order].astype(np.int32).ravel()
+    seg = seg[order]
+    deep = np.searchsorted(-width[seg], -np.arange(1, len(levels) + 1))
+    cuts = np.concatenate([np.searchsorted(level, bounds[:2 * k])
+                           for level, k in zip(levels, deep.tolist())])
+    d = np.repeat(np.arange(1, len(levels) + 1), deep)
+    rank = np.arange(len(d)) - np.repeat(np.cumsum(deep) - deep, deep)
+    hops[first[seg][rank] + d] += cuts[1::2] - cuts[0::2]
 
 
 def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
@@ -241,26 +268,30 @@ def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,
     levels, edges = [], []
     while True:
         d = len(levels)
-        new, new_bases, kept = [], [], []
-        for a, b in _chunks(csr, pairs, bases, top):
-            at, found = _expand(csr, pairs[a:b], bases[a:b])
+        nodes = pairs - bases
+        up = sigma[pairs]
+        new, parents, kept = [], [], []
+        for a, b in _chunks(csr[1], nodes, top):
+            at, found = _expand(csr, nodes[a:b], a)
+            found += bases[at]
             # not found before this level; an earlier chunk of this level
             # may have found it already, with distance d + 1
-            fresh = np.flatnonzero(dist[found] > d)
+            fresh = (dist[found] > d).nonzero()[0]
             at, found = at[fresh], found[fresh]
             rank = np.arange(d + 2, d + 2 + len(found), dtype=np.int32)
             np.minimum.at(dist, found, rank)
-            np.add.at(sigma, found, sigma[pairs[a:b]][at])
+            np.add.at(sigma, found, up[at])
             first = dist[found] == rank
-            dist[found] = d + 1
+            # every other candidate is one of these pairs, or was found by
+            # an earlier chunk
             new.append(found[first])
-            new_bases.append(bases[a:b][at[first]])
-            at += a
+            dist[new[-1]] = d + 1
+            parents.append(at[first])
             kept.append((at, found))
         pairs = new[0] if len(new) == 1 else np.concatenate(new)
         if not len(pairs):
             return levels, edges
-        bases = new_bases[0] if len(new_bases) == 1 else np.concatenate(new_bases)
+        bases = bases[parents[0] if len(parents) == 1 else np.concatenate(parents)]
         # the edges out of the sources push into no dependency
         if d:
             edges.append(kept)
@@ -277,77 +308,90 @@ def _backward(dist: np.ndarray, sigma: np.ndarray, levels: list[np.ndarray],
     position i of level d is set to i. A stable argsort of a chunk's edges
     on their position in level d - 1 and then the falling position of
     their pair in level d makes the terms into each pair of level d - 1
-    come in the order of Brandes's walk down level d, which np.add.at
-    keeps. The edges come sorted on their first key already, and each pair
-    of level d - 1 has all its edges in one chunk."""
+    come in the order of Brandes's walk down level d, and np.bincount adds
+    each pair's terms in array order. The edges come sorted on their first
+    key already, and each pair of level d - 1 has all its edges in one
+    chunk."""
     if not levels:
         return
     delta = np.zeros(len(levels[-1]))
+    down = sigma[levels[-1]]
     # level 1 would push only into the sources, whose own dependency is not
     # part of their betweenness
     while len(levels) > 1:
         level = levels.pop()
         below = levels[-1]
         dist[level] = np.arange(len(level), dtype=np.int32)
-        up, down, grow = sigma[level], sigma[below], 1.0 + delta
-        into = np.zeros(len(below))
+        # level d + 1 gathered these counts as its down, and has written
+        # only its own slots since
+        up, down, grow = down, sigma[below], 1.0 + delta
+        into = None
         for at, found in edges.pop():
             pos = dist[found]
-            order = np.argsort(np.multiply(at, len(level), dtype=np.int64) - pos, kind="stable")
-            at, pos = at[order], pos[order]
-            np.add.at(into, at, down[at] / up[pos] * grow[pos])
+            order = (np.multiply(at, len(level), dtype=np.int64) - pos).argsort(kind="stable")
+            terms = (down[at] / up[pos] * grow[pos]).astype(float, copy=False)
+            # at is sorted already, so the order moves only the terms
+            pushed = np.bincount(at, terms[order], len(below))
+            # every other chunk adds 0.0 to the sums of this one's pairs
+            into = pushed if into is None else into + pushed
         sigma[level] = delta
         delta = into
     sigma[levels[0]] = delta
 
 
-def _chunks(csr, pairs: np.ndarray, bases: np.ndarray, top: int) -> list[tuple[int, int]]:
-    """_runs of positions in pairs whose nodes have at most SWEEP_SLOTS
-    neighbor slots together."""
-    if len(pairs) * top <= SWEEP_SLOTS:
-        return [(0, len(pairs))]
-    return _runs(csr[1][pairs - bases], SWEEP_SLOTS)
+def _chunks(deg: np.ndarray, nodes: np.ndarray, top: int) -> list[tuple[int, int]]:
+    """_runs of positions in nodes with at most SWEEP_SLOTS neighbor slots
+    together."""
+    if len(nodes) * top <= SWEEP_SLOTS:
+        return [(0, len(nodes))]
+    return _runs(deg[nodes], SWEEP_SLOTS)
 
 
-def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], pairs: np.ndarray,
-            bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every neighbor slot of each pair's node, in (pair, slot) order: the
-    position in pairs that it comes from, and the neighbor's pair."""
+def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.ndarray,
+            offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every neighbor slot of each of the nodes, in (node, slot) order: the
+    position in nodes that it comes from, plus offset, and the neighbor."""
     indptr, deg, indices = csr
-    nodes = pairs - bases
     counts = deg[nodes]
-    at = np.repeat(np.arange(len(pairs), dtype=np.int32), counts)
-    pos = np.repeat(indptr[nodes] - np.cumsum(counts) + counts, counts)
+    at = np.arange(offset, offset + len(nodes), dtype=np.int32).repeat(counts)
+    pos = (indptr[nodes] - counts.cumsum() + counts).repeat(counts)
     pos += np.arange(len(pos))
-    return at, indices[pos] + bases[at]
+    return at, indices[pos]
 
 
-def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[list[float]]:
-    """Closeness per node of each connected graph, given as CSR (indptr,
-    indices), in input order.
+def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Closeness of every node of connected graphs, given as CSR (indptr,
+    indices), one entry a node of their disjoint union (_union's numbering,
+    graphs in input order); 0 for a graph of one node.
 
     A bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): graphs needing the same number of 64-bit words per
     node are searched together, every node a source. The hop-distance sums
-    are exact integers, so each score is the (n-1)/total that a BFS per
+    are exact integers, and (n-1)/total in float64 is correctly rounded
+    while both stay below 2**53, so each score is the one that a BFS per
     source gives.
     """
     graphs = list(csrs)
-    scores: list[list[float]] = [[0.0] * (len(indptr) - 1) for indptr, _ in graphs]
+    sizes = np.array([len(indptr) - 1 for indptr, _ in graphs], np.int64)
+    first = np.cumsum(sizes) - sizes
+    scores = np.zeros(int(sizes.sum()))
     groups: dict[int, list[int]] = {}
-    for i, row in enumerate(scores):
-        if len(row) > 1:
-            groups.setdefault((len(row) + 63) >> 6, []).append(i)
+    for i, n in enumerate(sizes.tolist()):
+        if n > 1:
+            groups.setdefault((n + 63) >> 6, []).append(i)
     for words, members in groups.items():
-        for a, b in _runs([len(scores[i]) for i in members], BATCH_WORDS // words):
-            totals = iter(_distance_sums([graphs[i] for i in members[a:b]], words))
-            for i in members[a:b]:
-                n = len(scores[i])
-                scores[i] = [(n - 1) / next(totals) for _ in range(n)]
+        for a, b in _runs(sizes[members], BATCH_WORDS // words):
+            run = members[a:b]
+            counts = sizes[run]
+            # each node's place in the whole union, from its place in the run's
+            nodes = np.repeat(first[run] - np.cumsum(counts) + counts, counts)
+            nodes += np.arange(len(nodes))
+            totals = _distance_sums([graphs[i] for i in run], words)
+            scores[nodes] = (np.repeat(counts, counts) - 1) / totals
     return scores
 
 
-def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> list[int]:
+def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> np.ndarray:
     """Each node's hop-distance sum over the disjoint union of CSR graphs
     of more than one node with `words` words per node, nodes in input
     order.
@@ -388,7 +432,7 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> l
     padding = 64 * words - np.repeat(sizes, sizes)[order]
     if (np.bitwise_count(unseen).sum(axis=1) != padding).any():
         raise DisconnectedGraphError()
-    return (missing.sum(axis=1) - levels * padding)[rank].tolist()
+    return (missing.sum(axis=1) - levels * padding)[rank]
 
 
 def degree_scores(graphs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

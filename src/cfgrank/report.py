@@ -67,11 +67,12 @@ def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
         raise DataError("corpus must contain at least one graph")
     components = largest_components(graphs)
     closeness = metrics.closeness_many((c.indptr, c.indices) for c in components)
-    sizes = np.array([len(scores) for scores in closeness])
-    average = np.empty(len(closeness))
+    sizes = np.array([len(c.indptr) - 1 for c in components])
+    first = np.cumsum(sizes) - sizes
+    average = np.empty(len(components))
     for n in set(sizes.tolist()):
         members = np.flatnonzero(sizes == n)
-        average[members] = metrics.row_sums(np.array([closeness[i] for i in members])) / n
+        average[members] = metrics.row_sums(closeness[first[members, None] + np.arange(n)]) / n
     rows = [
         SampleRow(
             sample_id=g.sample_id,

@@ -519,13 +519,17 @@ def reference_pegasos(X: np.ndarray, y: np.ndarray, hyper: HyperParams,
 
 
 def reference_write_feature_table(rows: list[FeatureVector]) -> bytes:
-    """The features table with every row through csv.writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_header())
-    for row in rows:
-        writer.writerow([row.sample_id, *(f"{v:.17g}" for v in row.values), row.label or ""])
-    return buf.getvalue().encode("utf-8")
+    """The features table with every row through csv.writer. The writer
+    quotes a field that holds a character of its lineterminator, so each
+    row is written with "\r\n", which quotes a "\r" as well as a "\n",
+    and ended with "\n" in its place."""
+    lines = []
+    for fields in [_header(), *([row.sample_id, *(f"{v:.17g}" for v in row.values),
+                                 row.label or ""] for row in rows)]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _header() -> list[str]:

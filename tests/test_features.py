@@ -210,6 +210,19 @@ class TestWriter:
                 for i, (sample_id, label) in enumerate(ids)]
         assert write_feature_table(rows) == reference_write_feature_table(rows)
 
+    def test_carriage_returns_read_back(self):
+        # csv.writer with lineterminator="\n" leaves "a\rb" bare on Python
+        # 3.11, and csv.reader refuses a bare "\r"
+        rows = [FeatureVector(sample_id, tuple(float(i + j) for j in range(N_FEATURES)), label)
+                for i, (sample_id, label) in enumerate([("a\rb", "malicious"), ("a\r\nb", "benign"),
+                                                        ('"\r', None)])]
+        data = write_feature_table(rows)
+        assert b'"a\rb",' in data
+        assert parse_feature_table(data) == rows
+        X, y = read_labeled_table(data)
+        assert X.tolist() == [list(row.values) for row in rows[:2]]
+        assert y.tolist() == [1, 0]
+
 
 def table(*lines: str, end: str = "\n") -> bytes:
     """A features table: the header, then lines, each ended by end."""

@@ -20,7 +20,12 @@ from oracles import (PathStats, Sweep, all_pairs_distances, brute_betweenness,
 # the batched kernels take CSR; these tests write their graphs as neighbor
 # lists, converted one at a time as the kernel reads them
 def closeness_many(adjs):
-    return metrics.closeness_many(map(csr, adjs))
+    """metrics.closeness_many of neighbor lists, cut into one list a graph."""
+    adjs = list(adjs)
+    scores = metrics.closeness_many(map(csr, adjs))
+    assert scores.dtype == np.float64 and len(scores) == sum(map(len, adjs))
+    ends = np.cumsum([len(adj) for adj in adjs])
+    return [part.tolist() for part in np.split(scores, ends[:-1])]
 
 
 def sweep_many(adjs):
@@ -530,6 +535,22 @@ class TestSweepMany:
         assert_oracles(g, whole)
         assert held and max(held) <= budget * 24
         assert max(map(len, chunks)) > 1 and max(map(max, chunks)) <= budget
+
+    def test_a_pass_holds_no_pair_sized_temporary(self, blocks):
+        # the 400 sources of a 400-node path sweep in one pass, which holds
+        # 16 bytes a pair and 8 a kept edge, (n - 1)(n - 2) of them; the
+        # arrays of its 400 levels add under 4 bytes a pair, where an int64
+        # copy of the whole pass's dist would add 8
+        n = 400
+        graph = csr(path_adj(n))
+        tracemalloc.start()
+        try:
+            metrics.sweep_many([graph])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == [(0, n)]
+        assert peak < 16 * n * n + 8 * (n - 1) * (n - 2) + 4 * n * n
 
     def test_float_overflow_is_silent(self):
         # 2**1030 paths overflow float64 to inf without a RuntimeWarning
