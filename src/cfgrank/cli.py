@@ -65,9 +65,15 @@ def _read(path: Path) -> bytes:
 
 
 def _write(path: Path, data: bytes):
+    """Write data to path, making its directory at the first write that
+    finds it missing; a failed write is retried after the mkdir, so every
+    error is the one that mkdir, then the write, would raise."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        try:
+            path.write_bytes(data)
+        except OSError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
     except OSError as e:
         raise InputError(f"cannot write {path}: {e.strerror}") from None
 

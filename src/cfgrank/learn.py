@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -223,14 +224,24 @@ def _fit_svm(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int) -> tup
     return w[:-1], float(w[-1])
 
 
-# the row of a sort key, and the bootstrap count of a packed prefix sum
+# the bootstrap count of a packed prefix sum
 _LOW = 0xFFFFFFFF
+# where the low and the high 32 bits of an int64 lie in its two uint32 words
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and the high 32 bits of each int64 of a (C-contiguous last
+    axis) as uint32 views, with no pass over a."""
+    words = a.view(np.uint32)
+    return words[..., _LOW_WORD::2], words[..., 1 - _LOW_WORD::2]
 
 
 def _rank_keys(X: np.ndarray) -> np.ndarray:
     """Features x rows int64: each value's rank in its column, shifted 32
     bits up. Equal values share a rank (-0.0 and 0.0 too), so ranks order
-    the rows as their values do, and so does any slice of the columns."""
+    the rows as their values do, and so does any slice of the columns.
+    _fit_forest ORs each row's number into the low 32 bits."""
     XT = X.T
     order = np.argsort(XT, axis=1)
     xs = np.take_along_axis(XT, order, axis=1)
@@ -249,39 +260,58 @@ def _best_split(
     the sampled features, or None.
 
     rows lists the node's distinct rows, in any order; keys are _rank_keys
-    of XT's columns; counts packs each row's bootstrap multiplicity w in
-    the low 32 bits and w * y above them, so one prefix sum counts both.
-    Each sampled feature sorts rank << 32 | row. A split can only fall
-    where the rank changes, and there the prefix holds exactly the rows
-    whose value is at most that value, however ties were ordered, so the
-    weighted prefix sums equal the per-position counts over the expanded
-    bootstrap sample and the impurities match a sort of that sample bit for
-    bit. Threshold t splits into x <= t / x > t: the midpoint of the two
-    values, or the lower value where the midpoint rounds up to the upper
-    one (adjacent floats). Either lies in [lo, hi), so the children are the
+    of XT's columns with each row's number in the low 32 bits, rank << 32 |
+    row; counts packs each row's bootstrap multiplicity w in the low 32 bits
+    and w * y above them, so one prefix sum counts both. Each sampled
+    feature sorts its keys. A split can only fall where the rank changes,
+    and there the prefix holds exactly the rows whose value is at most that
+    value, however ties were ordered, so the weighted prefix sums equal the
+    per-position counts over the expanded bootstrap sample and the
+    impurities match a sort of that sample bit for bit. Every distinct row
+    weighs at least 1, so at min_leaf 1 every rank change leaves each side
+    a leaf and only rank changes are masked. The score is half the weighted
+    gini, without its two factors 2: doubling scales every rounded step
+    exactly, as no value here overflows or is subnormal, so each score is
+    exactly half the gini and the first minimum lies at the same position.
+    Threshold t splits into x <= t / x > t: the midpoint of the two values,
+    or the lower value where the midpoint rounds up to the upper one
+    (adjacent floats). Either lies in [lo, hi), so the children are the
     chosen feature's sorted prefix and suffix, and the left total is the
     packed prefix sum there.
     """
-    key = np.sort(keys[feature_ids[:, None], rows] | rows, axis=1)
-    sub = key & _LOW
-    rank = key >> 32
-    left = np.cumsum(counts[sub[:, :-1]], axis=1)
-    left_n = left & _LOW
-    ok = (rank[:, 1:] != rank[:, :-1]) & (left_n >= min_leaf) & (left_n <= n - min_leaf)
-    at = np.flatnonzero(ok)
+    key = keys[feature_ids[:, None], rows]
+    key.sort(axis=1)
+    sub, rank = _halves(key)
+    left = counts.take(sub[:, :-1])
+    left.cumsum(axis=1, out=left)
+    ok = rank[:, 1:] != rank[:, :-1]
+    if min_leaf > 1:
+        left_n = left & _LOW
+        ok &= (left_n >= min_leaf) & (left_n <= n - min_leaf)
+    at = ok.ravel().nonzero()[0]
     if not len(at):
         return None
-    left = left.ravel()[at]
-    left_n = (left & _LOW).astype(float)
-    left_pos = left >> 32
-    right_n = n - left_n
-    right_pos = total_pos - left_pos
-    pl = left_pos / left_n
-    pr = right_pos / right_n
-    gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+    left = left.ravel().take(at)
+    left_n, left_pos = _halves(left)
+    # (left_n * pl * (1 - pl) + right_n * pr * (1 - pr)) / n in that order,
+    # with pl = left_pos / left_n and pr = (total_pos - left_pos) / right_n
+    score = left_n.astype(float)
+    pl = left_pos.astype(float)
+    right_n = np.subtract(n, score)
+    pr = np.subtract(total_pos, pl)
+    pl /= score
+    pr /= right_n
+    score *= pl
+    np.subtract(1, pl, out=pl)
+    score *= pl
+    right_n *= pr
+    np.subtract(1, pr, out=pr)
+    right_n *= pr
+    score += right_n
+    score /= n
     # the first minimum in row-major order: the first sampled feature keeps
     # ties, then its first position
-    i = int(np.argmin(gini))
+    i = int(score.argmin())
     best, j = divmod(int(at[i]), ok.shape[1])
     f = int(feature_ids[best])
     lo, hi = float(XT[f, sub[best, j]]), float(XT[f, sub[best, j + 1]])
@@ -319,11 +349,14 @@ def _fit_forest(X: np.ndarray, y: np.ndarray, hyper: HyperParams, seed: int,
 
     A tree's bootstrap sample becomes row weights, and its root holds the
     distinct rows drawn. Each split samples ceil(sqrt(d)) features. keys
-    are X's _rank_keys, or the columns of a superset's that X's rows keep.
+    are X's _rank_keys, or the columns of a superset's that X's rows keep,
+    in an array of the caller's that no one else reads: each row's number
+    is ORed into its keys in place, once per fit, for _best_split.
     """
     n, d = X.shape
     XT = np.ascontiguousarray(X.T)
     keys = _rank_keys(X) if keys is None else keys
+    keys |= np.arange(n)
     k = min(d, math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1))
     trees = []
     for ti in range(hyper.rf_trees):

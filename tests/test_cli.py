@@ -550,6 +550,53 @@ class TestUnwritableOutput:
         assert "Traceback" not in done.stderr
 
 
+class TestWrite:
+    """cli._write makes a directory only when a write finds it missing,
+    and fails with the message of a mkdir before every write."""
+
+    @staticmethod
+    def mkdir_then_write(path: Path, data: bytes) -> str:
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        except OSError as e:
+            return f"cannot write {path}: {e.strerror}"
+        return ""
+
+    @staticmethod
+    def write(path: Path, data: bytes) -> str:
+        try:
+            cli._write(path, data)
+        except cfgrank.InputError as e:
+            return str(e)
+        return ""
+
+    @pytest.mark.parametrize("target", ["new/dirs/a.json", "file/a.json", "file/sub/a.json",
+                                        "dir", "dir/a.json"])
+    def test_same_outcome_as_mkdir_then_write(self, tmp_path, target):
+        outcomes = {}
+        for side, write in (("old", self.mkdir_then_write), ("new", self.write)):
+            root = tmp_path / side
+            (root / "dir").mkdir(parents=True)
+            (root / "file").write_text("")
+            message = write(root / target, b"x\n").replace(str(root), "ROOT")
+            outcomes[side] = message, sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+        assert outcomes["old"] == outcomes["new"]
+
+    def test_a_second_write_finds_the_directory(self, tmp_path, monkeypatch):
+        made, mkdir = [], Path.mkdir
+
+        def spy(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", spy)
+        for name in ("a.json", "b.json"):
+            cli._write(tmp_path / "out" / name, b"x\n")
+        assert made == [tmp_path / "out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["a.json", "b.json"]
+
+
 class TestDeeplyNestedJson:
     """JSON nested past the interpreter's recursion limit is an input error."""
 

@@ -698,19 +698,23 @@ class TestForest:
         assert model_to_json(ModelParams(kind="rf", trees=trees)) == \
             model_to_json(ModelParams(kind="rf", trees=reference))
 
-    @pytest.mark.parametrize("values", ["ties", "rounded", "continuous"])
-    def test_split_ignores_row_order(self, values):
+    # min_leaf 2 also bounds the children's counts; 1 masks only rank changes
+    @pytest.mark.parametrize("values, min_leaf", [
+        pytest.param(values, min_leaf, id=values if min_leaf == 2 else f"{values}-min_leaf_1")
+        for min_leaf in (2, 1) for values in ("ties", "rounded", "continuous")])
+    def test_split_ignores_row_order(self, values, min_leaf):
         rng = np.random.default_rng(5)
         X, y = forest_table(rng, 80, 23, values)
         w = np.bincount(rng.integers(0, 80, size=80), minlength=80)
         XT, wy, rows = np.ascontiguousarray(X.T), w * y, np.flatnonzero(w)
-        keys, counts = _rank_keys(X), w | wy << 32
+        # the keys as _fit_forest hands them over: each row's number in the low bits
+        keys, counts = _rank_keys(X) | np.arange(80), w | wy << 32
         for _ in range(5):
             feature_ids = rng.choice(23, size=5, replace=False)
             splits = set()
             for order in [rows] + [rng.permutation(rows) for _ in range(4)]:
                 f, t, left, right, left_total = _best_split(
-                    XT, keys, counts, order, feature_ids, 80, float(wy.sum()), 2)
+                    XT, keys, counts, order, feature_ids, 80, float(wy.sum()), min_leaf)
                 # the children are the rows on either side of the threshold
                 assert sorted(left.tolist()) == sorted(order[XT[f, order] <= t].tolist())
                 assert sorted(right.tolist()) == sorted(order[XT[f, order] > t].tolist())
@@ -718,6 +722,32 @@ class TestForest:
                 splits.add((f, t, frozenset(left.tolist()), frozenset(right.tolist()),
                             left_total))
             assert len(splits) == 1
+
+    def test_fold_keys_never_alias_the_ranking(self, monkeypatch):
+        # each fit ORs its row numbers into its keys in place: a fold's keys
+        # must be its own copy, or its rows would leak into the next fold's
+        rng = np.random.default_rng(8)
+        X, y = forest_table(rng, 120, 23, "ties")
+        rankings, fold_keys = [], []
+
+        def rank_keys(X):
+            keys = _rank_keys(X)
+            rankings.append((keys, keys.copy()))
+            return keys
+
+        def fit_forest(X, y, hyper, seed, keys=None):
+            fold_keys.append(keys)
+            return _fit_forest(X, y, hyper, seed, keys)
+
+        monkeypatch.setattr(learn, "_rank_keys", rank_keys)
+        monkeypatch.setattr(learn, "_fit_forest", fit_forest)
+        cross_validate("rf", LabeledDataset.from_arrays(X, y), HyperParams(rf_trees=2),
+                       k=5, seed=1)
+        [(ranking, before)] = rankings
+        assert len(fold_keys) == 5
+        for keys in fold_keys:
+            assert keys is not None and not np.shares_memory(keys, ranking)
+        assert np.array_equal(ranking, before)
 
     def test_cross_validate_and_train_equal_reference(self, monkeypatch):
         rng = np.random.default_rng(3)
