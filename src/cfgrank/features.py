@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import InputError, metrics
-from .graph import Cfg, Component, largest_component, largest_components
+from .graph import Cfg, Components, largest_component, largest_components
 
 _STATS = ("min", "max", "mean", "median", "std")
 _FAMILIES = ("betweenness", "closeness", "degree", "shortest_path")
@@ -69,7 +69,7 @@ def extract_features(g: Cfg, stats: Sequence[float] | None = None) -> FeatureVec
     already has them.
     """
     if stats is None:
-        [stats] = _statistics([largest_component(g)])
+        [stats] = _statistics(largest_component(g))
     return FeatureVector(g.sample_id, (*stats, metrics.density(g), float(g.node_count),
                                        float(g.edge_count)))
 
@@ -77,23 +77,21 @@ def extract_features(g: Cfg, stats: Sequence[float] | None = None) -> FeatureVec
 def extract_features_many(graphs: Sequence[Cfg]) -> list[FeatureVector]:
     """extract_features of each CFG, in input order, from one
     largest_components call over the corpus."""
-    if not graphs:
-        return []
     return [extract_features(g, stats)
             for g, stats in zip(graphs, _statistics(largest_components(graphs)))]
 
 
-def _statistics(components: list[Component]) -> list[list[float]]:
+def _statistics(components: Components) -> list[list[float]]:
     """The 20 centrality and path statistics of each component, in
-    FEATURE_NAMES order, from one metrics.sweep_many call over their CSRs;
+    FEATURE_NAMES order, from one metrics.sweep_many call over their union;
     all 0 for a component of one node. The components of each size n are
     summarized together, one row a component: a (components x 3 x n) array
     of betweenness, closeness and degree scores, and the hop histograms."""
-    raw, closeness, hops = metrics.sweep_many((c.indptr, c.indices) for c in components)
-    degree = metrics.degree_scores((c.indptr, c.loops) for c in components)
-    sizes = np.array([len(c.indptr) - 1 for c in components])
+    raw, closeness, hops = metrics.sweep_many(components)
+    degree = metrics.degree_scores(components)
+    sizes = components.sizes
     first = np.cumsum(sizes) - sizes
-    stats = np.zeros((len(components), 20))
+    stats = np.zeros((len(sizes), 20))
     for n in sorted(set(sizes.tolist()) - {1}):
         members = np.flatnonzero(sizes == n)
         nodes = first[members, None] + np.arange(n)

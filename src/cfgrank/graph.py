@@ -86,26 +86,31 @@ def build_cfg(
     return Cfg(sample_id=sample_id, blocks=ordered, edges=tuple(sorted(edge_set)))
 
 
-class Component(NamedTuple):
-    """A graph's largest weak component and its number of weak components.
+class Components(NamedTuple):
+    """The largest weak component of each of a list of graphs, as the
+    undirected subgraph that they induce together.
 
-    The component is the undirected subgraph it induces as int32 CSR, its
-    nodes renumbered densely in id order: node u's neighbors are
+    The components' nodes are numbered one component after another, in
+    input order, each one's densely in id order: sizes[j] is the number of
+    nodes of graph j's component, which come after those of components
+    0..j-1, and counts[j] graph j's number of weak components. The union is
+    CSR, intp indptr and int32 indices: node u's neighbors are
     indices[indptr[u]:indptr[u + 1]], sorted, self-loops excluded; loops
-    holds its self-loop nodes in ascending order.
+    holds the self-loop nodes in ascending order, int32.
     """
     indptr: np.ndarray
     indices: np.ndarray
     loops: np.ndarray
-    count: int
+    sizes: np.ndarray
+    counts: np.ndarray
 
 
-def largest_component(g: Cfg) -> Component:
+def largest_component(g: Cfg) -> Components:
     """largest_components of one graph."""
-    return largest_components([g])[0]
+    return largest_components([g])
 
 
-def largest_components(graphs: Sequence[Cfg]) -> list[Component]:
+def largest_components(graphs: Sequence[Cfg]) -> Components:
     """The largest weak component of each graph, in input order, from one
     labeling of all graphs' nodes together.
 
@@ -117,12 +122,10 @@ def largest_components(graphs: Sequence[Cfg]) -> list[Component]:
     node, and of equal-size components the one holding the lowest node id
     is the largest. Every graph needs a node, as build_cfg ensures.
     """
-    if not graphs:
-        return []
     sizes = np.fromiter((len(g.blocks) for g in graphs), np.intp, len(graphs))
     ecounts = np.fromiter((len(g.edges) for g in graphs), np.intp, len(graphs))
     first = np.cumsum(sizes) - sizes
-    total = int(first[-1] + sizes[-1])
+    total = int(sizes.sum())
     ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
                        np.intp, 2 * int(ecounts.sum())).reshape(-1, 2)
     ends += np.repeat(first, ecounts)[:, None]
@@ -147,35 +150,19 @@ def largest_components(graphs: Sequence[Cfg]) -> list[Component]:
 
     graph_of = np.repeat(np.arange(len(graphs)), sizes)
     is_root = label == np.arange(total)
-    counts = np.add.reduceat(is_root, first).tolist()
     size = np.bincount(label, minlength=total)
     # the first root of each graph whose component has the graph's largest size
     best = np.flatnonzero(is_root & (size == np.maximum.reduceat(size, first)[graph_of]))
     best = best[np.diff(graph_of[best], prepend=-1) != 0]
     keep = label == best[graph_of]
-    # kept nodes are numbered one graph after another: graph j's component
-    # is kept[j]..kept[j + 1], and new_id is a node's number within it
-    kept_size = size[best]
-    kept = np.concatenate(([0], np.cumsum(kept_size)))
-    number = np.cumsum(keep) - 1
-    new_id = (number - kept[:-1][graph_of]).astype(np.int32)
+    kept = size[best]
+    # a kept node's number in the union
+    number = (np.cumsum(keep) - 1).astype(np.int32)
     # both directions of each undirected edge once, sorted by (u, v)
     pairs = np.concatenate((src, dst)) * total + np.concatenate((dst, src))
     pairs = np.sort(pairs[keep[pairs // total]])
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(number[pairs // total],
-                                                        minlength=int(kept[-1])))))
-    indices = new_id[pairs % total]
-    # graph j's indptr, indptr[kept[j]:kept[j + 1] + 1] less its first
-    # entry, at kept[j] + j..kept[j + 1] + j
-    at = np.arange(int(kept[-1]) + len(graphs)) - np.repeat(np.arange(len(graphs)),
-                                                            kept_size + 1)
-    local_ptr = (indptr[at] - np.repeat(indptr[kept[:-1]], kept_size + 1)).astype(np.int32)
-    loop_nodes = np.flatnonzero(has_loop & keep)
-    loops = new_id[loop_nodes]
-    loop_ends = np.searchsorted(graph_of[loop_nodes], np.arange(len(graphs) + 1)).tolist()
-    ptr_ends = indptr[kept].tolist()
-    kept = kept.tolist()
-    return [Component(local_ptr[a + j:b + j + 1], indices[pa:pb], loops[la:lb], count)
-            for j, (a, b, pa, pb, la, lb, count) in enumerate(zip(
-                kept, kept[1:], ptr_ends, ptr_ends[1:], loop_ends, loop_ends[1:], counts))]
+                                                        minlength=int(kept.sum())))))
+    return Components(indptr, number[pairs % total], number[has_loop & keep], kept,
+                      np.add.reduceat(is_root, first))

@@ -377,7 +377,8 @@ def _warn_constant(columns) -> None:
 def train(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
           seed: int = 42) -> ModelParams:
     """Fit one classifier; deterministic given (data order, hyper, seed).
-    Logs the feature columns that are constant in data, once."""
+    A logreg or svm fit logs the feature columns that are constant in data,
+    once; a forest's model keeps no constant_features, so rf logs none."""
     model = _fit(kind, data, hyper, seed)
     _warn_constant(model.constant_features)
     return model
@@ -459,8 +460,9 @@ def stratified_kfold(data: LabeledDataset, k: int = 10, seed: int = 42,
 def cross_validate(kind: str, data: LabeledDataset, hyper: HyperParams | None = None,
                    k: int = 10, seed: int = 42) -> tuple[ConfusionMatrix, MetricReport]:
     """k-fold CV; returns the fold-averaged confusion matrix and the rates
-    computed from the summed (pre-averaging) counts. Logs the feature
-    columns that are constant in any fold's training set, once."""
+    computed from the summed (pre-averaging) counts. For logreg and svm,
+    logs the feature columns that are constant in any fold's training set,
+    once; a forest's model keeps no constant_features, so rf logs none."""
     if not len(data):
         raise EmptyDatasetError()
     hyper = hyper or HyperParams()

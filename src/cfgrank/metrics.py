@@ -7,11 +7,12 @@ is defined on the full directed graph.
 
 Betweenness, closeness and the path statistics all come from one Brandes
 pass per source: sweep_many() runs it for many graphs at once, many sources
-per numpy pass, on the int32 CSR (indptr, indices) of each graph's largest
-component (graph.largest_components). Both batched kernels search the
-disjoint union of their graphs that _union builds, and a Brandes pass
-writes each of its outputs (closeness, dependencies and the hop histogram)
-into one array per node of that union, which sweep_many returns. A pass
+per numpy pass. Every kernel takes the graph.Components of a corpus, the
+largest components of its graphs as one CSR of their disjoint union, and
+searches that union in its own numbering, with no copy of it. A Brandes
+pass writes each of its outputs (closeness, dependencies and the hop
+histogram) into one array per node of that union, which sweep_many
+returns. A pass
 takes its closeness totals and hop counts once its forward BFS ends, not
 level by level, and adds each level's dependency terms with np.bincount.
 One rule, _runs, cuts all of this work to a budget: consecutive items,
@@ -34,11 +35,9 @@ statistic is the one that Python 3.11's sum() gives on any Python.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from .graph import Cfg
+from .graph import Cfg, Components
 
 
 # closeness_many searches at most this many 64-bit words per state array
@@ -82,70 +81,45 @@ class DisconnectedGraphError(ValueError):
         super().__init__("centrality requires a connected graph; pass one component")
 
 
-def sweep_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw betweenness, closeness and hop histogram of connected graphs,
-    given as CSR (indptr, indices), one entry a node of their disjoint
-    union (_union's numbering, graphs in input order): every source's
-    Brandes pass, with exact path counts and each dependency sum taken in
+def sweep_many(c: Components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw betweenness, closeness and hop histogram of the connected
+    graphs of c, one entry a node of their union: every source's Brandes
+    pass, with exact path counts and each dependency sum taken in
     Brandes's order. Raw betweenness counts every pair from both endpoints;
     hops[f + d] is the number of unordered node pairs at hop distance d of
     the graph whose first node is f, 0 at d = 0.
 
     Source-batched Brandes (McLaughlin & Bader, SC 2014): _runs cuts the
-    graphs into groups of at most SWEEP_SLOTS slots, and each group is
-    searched one BFS level at a time for many sources together.
+    graphs into groups of at most SWEEP_SLOTS slots, and a group's sources
+    into passes whose bytes it cuts to SWEEP_SLOTS x 24: 16 a (source,
+    node) pair and 8 a kept edge. Each pass searches one BFS level at a
+    time for its sources together. A float64 pass whose counts reach 2**53
+    is counted again with Python ints, in runs of its sources cut to the
+    same bytes; the runs add into raw in source order, as one pass would.
     """
-    graphs = list(csrs)
-    slots = [(len(indptr) - 1) * (len(indptr) - 1 + len(indices)) for indptr, indices in graphs]
-    groups = [_sweep_group(graphs[a:b]) for a, b in _runs(slots, SWEEP_SLOTS)]
-    return tuple(map(np.concatenate, zip(*groups)))
-
-
-def _sweep_group(graphs: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sweep_many of CSR graphs that fit SWEEP_SLOTS together, or of one graph
-    that does not, in passes of sources whose bytes _runs cuts to
-    SWEEP_SLOTS x 24: 16 a (source, node) pair and 8 a kept edge. A float64
-    pass whose counts reach 2**53 is counted again with Python ints, in
-    runs of its sources cut to the same bytes; the runs add into raw in
-    source order, as one pass would."""
-    csr, sizes, first = _union(graphs)
-    owner = (first, np.repeat(sizes, sizes))
-    raw, close, hops = np.zeros(len(first)), np.zeros(len(first)), np.zeros(len(first), np.int64)
+    indptr, sizes = c.indptr, c.sizes
+    csr = (indptr, np.diff(indptr), c.indices)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    owner = (np.repeat(starts, sizes), np.repeat(sizes, sizes))
+    nodes = len(csr[1])
+    raw, close, hops = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes, np.int64)
+    nbrs = indptr[ends] - indptr[starts]
     # a source keeps at most one edge per undirected edge, which is two of
     # its graph's neighbor slots
-    kept = np.repeat([len(indices) * _EDGE_BYTES // 2 for _, indices in graphs], sizes)
+    kept = np.repeat(nbrs * _EDGE_BYTES // 2, sizes)
     budget = SWEEP_SLOTS * _SLOT_BYTES
-    for a, b in _runs(_PAIR_BYTES * owner[1] + kept, budget):
-        if not _brandes_pass(csr, owner, a, b, raw, close, hops, float):
-            for c, d in _runs((_EXACT_PAIR_BYTES * owner[1] + kept)[a:b], budget):
-                _brandes_pass(csr, owner, a + c, a + d, raw, close, hops, object)
+    for ga, gb in _runs(sizes * (sizes + nbrs), SWEEP_SLOTS):
+        lo, hi = int(starts[ga]), int(ends[gb - 1])
+        top = int(csr[1][lo:hi].max(initial=0))
+        for a, b in _runs(_PAIR_BYTES * owner[1][lo:hi] + kept[lo:hi], budget):
+            a, b = lo + a, lo + b
+            if not _brandes_pass(csr, owner, a, b, top, raw, close, hops, float):
+                for c, d in _runs(_EXACT_PAIR_BYTES * owner[1][a:b] + kept[a:b], budget):
+                    _brandes_pass(csr, owner, a + c, a + d, top, raw, close, hops, object)
     # each pair is counted from both of its ends
     hops //= 2
     return raw, close, hops
-
-
-def _union(graphs: list[tuple[np.ndarray, np.ndarray]]
-           ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """The disjoint union of CSR graphs (indptr, indices) in one node
-    numbering, graph j's nodes after those of graphs 0..j-1: its CSR as
-    (indptr, deg, indices) with int32 indices, the graph sizes, and each
-    node's first node of its graph."""
-    sizes = np.array([len(indptr) - 1 for indptr, _ in graphs])
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    deg = _degrees([indptr for indptr, _ in graphs])
-    indices = np.concatenate([nbrs for _, nbrs in graphs])
-    indices += np.repeat(first, deg)
-    return (np.concatenate(([0], np.cumsum(deg))), deg, indices), sizes, first
-
-
-def _degrees(indptrs: list[np.ndarray]) -> np.ndarray:
-    """The neighbor count of every node of CSR graphs, given by their
-    indptrs, in _union's numbering."""
-    ends = np.cumsum([len(indptr) for indptr in indptrs])
-    # the differences across the boundary of two graphs' indptrs
-    return np.delete(np.diff(np.concatenate(indptrs)), ends[:-1] - 1)
 
 
 def _runs(weights, limit: int) -> list[tuple[int, int]]:
@@ -161,11 +135,12 @@ def _runs(weights, limit: int) -> list[tuple[int, int]]:
 
 
 def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  owner: tuple[np.ndarray, np.ndarray], a: int, b: int, raw: np.ndarray,
-                  close: np.ndarray, hops: np.ndarray, dtype) -> bool:
+                  owner: tuple[np.ndarray, np.ndarray], a: int, b: int, top: int,
+                  raw: np.ndarray, close: np.ndarray, hops: np.ndarray, dtype) -> bool:
     """One level-synchronous Brandes pass from the sources a <= s < b of
     csr's node numbering, where owner gives each node's first node of its
-    graph and that graph's size, with path counts of dtype. Every output is
+    graph and that graph's size, with path counts of dtype; top is at least
+    the degree of every node that the pass reaches. Every output is
     per node of that numbering: it writes the sources' closeness into
     close, adds their dependencies into raw and adds the number of their
     pairs at distance d into hops[f + d], f their graph's first node; a
@@ -197,7 +172,6 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     base = (start - first).astype(np.int32)
     sources = start + np.arange(a, b) - first
     size = int(start[-1] + width[-1])
-    top = int(csr[1].max(initial=0))
     dist = np.full(size, _UNSEEN, np.int32)
     sigma = np.zeros(size, dtype)
     dist[sources] = 0
@@ -359,10 +333,9 @@ def _expand(csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.ndarray,
     return at, indices[pos]
 
 
-def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Closeness of every node of connected graphs, given as CSR (indptr,
-    indices), one entry a node of their disjoint union (_union's numbering,
-    graphs in input order); 0 for a graph of one node.
+def closeness_many(c: Components) -> np.ndarray:
+    """Closeness of every node of the connected graphs of c, one entry a
+    node of their union; 0 for a graph of one node.
 
     A bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): graphs needing the same number of 64-bit words per
@@ -371,10 +344,10 @@ def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     while both stay below 2**53, so each score is the one that a BFS per
     source gives.
     """
-    graphs = list(csrs)
-    sizes = np.array([len(indptr) - 1 for indptr, _ in graphs], np.int64)
+    sizes = c.sizes
     first = np.cumsum(sizes) - sizes
-    scores = np.zeros(int(sizes.sum()))
+    csr = (c.indptr, np.diff(c.indptr), c.indices)
+    scores = np.zeros(len(csr[1]))
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(sizes.tolist()):
         if n > 1:
@@ -383,19 +356,22 @@ def closeness_many(csrs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         for a, b in _runs(sizes[members], BATCH_WORDS // words):
             run = members[a:b]
             counts = sizes[run]
-            # each node's place in the whole union, from its place in the run's
+            # each node's place in the union, from its place in the run's
             nodes = np.repeat(first[run] - np.cumsum(counts) + counts, counts)
             nodes += np.arange(len(nodes))
-            totals = _distance_sums([graphs[i] for i in run], words)
+            totals = _distance_sums(csr, nodes, counts, words)
             scores[nodes] = (np.repeat(counts, counts) - 1) / totals
     return scores
 
 
-def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> np.ndarray:
-    """Each node's hop-distance sum over the disjoint union of CSR graphs
-    of more than one node with `words` words per node, nodes in input
-    order.
+def _distance_sums(csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.ndarray,
+                   sizes: np.ndarray, words: int) -> np.ndarray:
+    """The hop-distance sum of each of the nodes, which list whole graphs
+    of csr one after another, graphs of the given sizes, each of more than
+    one node with `words` words per node.
 
+    Their rows are gathered into a union of their own, each node numbered
+    by its place in nodes, so each neighbor moves as far as its node moves.
     Bit s of row v is set once source s of v's graph has reached v. A
     source at distance k from v is still missing from v's row after each
     of the levels 0..k-1, so v's distance sum is the number of missing
@@ -403,11 +379,14 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> n
     Rows are renumbered by falling degree, so the nodes with more than k
     neighbors are a prefix and each level ORs in one gather per slot k.
     """
-    (indptr, deg, indices), sizes, first = _union(graphs)
+    at, indices = _expand(csr, nodes, 0)
+    indices -= (nodes - np.arange(len(nodes)))[at]
+    deg = csr[1][nodes]
     if not deg.all():
         raise DisconnectedGraphError()
     rows = len(deg)
-    local = (np.arange(rows) - first).astype(np.uint64)
+    indptr = np.cumsum(deg) - deg
+    local = (np.arange(rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)).astype(np.uint64)
     order = np.argsort(-deg, kind="stable")
     rank = np.empty(rows, np.intp)
     rank[order] = np.arange(rows)
@@ -435,17 +414,14 @@ def _distance_sums(graphs: list[tuple[np.ndarray, np.ndarray]], words: int) -> n
     return (missing.sum(axis=1) - levels * padding)[rank]
 
 
-def degree_scores(graphs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Undirected degree over n - 1 of every node of CSR graphs, given as
-    (indptr, loops), one entry a node of their disjoint union (_union's
-    numbering); each node in loops (its graph's self-loop nodes, none
-    twice) adds 1 to its degree, and a graph of one node scores 0."""
-    indptrs, loops = zip(*graphs)
-    sizes = np.array([len(indptr) - 1 for indptr in indptrs])
-    first = np.cumsum(sizes) - sizes
-    deg = _degrees(indptrs)
-    deg[np.concatenate(loops) + np.repeat(first, [len(nodes) for nodes in loops])] += 1
-    deg[first[sizes == 1]] = 0
+def degree_scores(c: Components) -> np.ndarray:
+    """Undirected degree over n - 1 of every node of the graphs of c, one
+    entry a node of their union; each node in loops adds 1 to its degree,
+    and a graph of one node scores 0."""
+    sizes = c.sizes
+    deg = np.diff(c.indptr)
+    deg[c.loops] += 1
+    deg[(np.cumsum(sizes) - sizes)[sizes == 1]] = 0
     return deg / np.repeat(np.maximum(sizes - 1, 1), sizes)
 
 

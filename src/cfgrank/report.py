@@ -66,10 +66,10 @@ def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
     if not graphs:
         raise DataError("corpus must contain at least one graph")
     components = largest_components(graphs)
-    closeness = metrics.closeness_many((c.indptr, c.indices) for c in components)
-    sizes = np.array([len(c.indptr) - 1 for c in components])
+    closeness = metrics.closeness_many(components)
+    sizes = components.sizes
     first = np.cumsum(sizes) - sizes
-    average = np.empty(len(components))
+    average = np.empty(len(sizes))
     for n in set(sizes.tolist()):
         members = np.flatnonzero(sizes == n)
         average[members] = metrics.row_sums(closeness[first[members, None] + np.arange(n)]) / n
@@ -79,9 +79,9 @@ def corpus_stats(graphs: list[Cfg], name: str) -> CorpusStats:
             node_count=g.node_count,
             edge_count=g.edge_count,
             avg_closeness=avg,
-            component_count=c.count,
+            component_count=count,
         )
-        for g, avg, c in zip(graphs, average.tolist(), components)
+        for g, avg, count in zip(graphs, average.tolist(), components.counts.tolist())
     ]
     cdfs = {
         metric_name: empirical_cdf([float(getattr(r, metric_name)) for r in rows])

@@ -34,7 +34,7 @@ from itertools import chain, combinations, repeat
 import numpy as np
 
 from cfgrank import metrics
-from cfgrank.graph import BasicBlock, Cfg, build_cfg
+from cfgrank.graph import BasicBlock, Cfg, Components, build_cfg
 from cfgrank.features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES,
                               BadValueError, FeatureVector, NonFiniteValueError)
 from cfgrank import DataError, InputError
@@ -76,19 +76,29 @@ def largest_component_cfg(g: Cfg) -> Cfg:
     return Cfg(g.sample_id, tuple(g.blocks[u] for u in kept), tuple(edges))
 
 
-def csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor lists as int32 CSR (indptr, indices), the metric kernels'
-    input."""
-    indptr = np.cumsum([0, *map(len, adj)]).astype(np.int32)
-    return indptr, np.array([v for nbrs in adj for v in nbrs], np.int32)
+def components(adjs, loops=None) -> Components:
+    """Graphs given as neighbor lists, and each one's self-loop nodes, as
+    the metric kernels' input: the graph.Components of their disjoint union,
+    each graph whole and numbered after the ones before it."""
+    adjs = [list(adj) for adj in adjs]
+    sizes = np.array([len(adj) for adj in adjs], np.intp)
+    first = (np.cumsum(sizes) - sizes).tolist()
+    indptr = np.cumsum([0, *(len(nbrs) for adj in adjs for nbrs in adj)])
+    indices = [v + f for adj, f in zip(adjs, first) for nbrs in adj for v in nbrs]
+    loops = [u + f for nodes, f in zip(loops or [()] * len(adjs), first) for u in sorted(nodes)]
+    return Components(indptr.astype(np.intp), np.array(indices, np.int32),
+                      np.array(loops, np.int32), sizes, np.ones(len(adjs), np.intp))
 
 
-def component_lists(component) -> tuple[list[list[int]], set[int], int]:
-    """A graph.Component as (neighbor lists, self-loop set, count)."""
-    ends = component.indptr.tolist()
-    flat = component.indices.tolist()
-    return ([flat[a:b] for a, b in zip(ends, ends[1:])], set(component.loops.tolist()),
-            component.count)
+def component_lists(union: Components, j: int = 0) -> tuple[list[list[int]], set[int], int]:
+    """Graph j's share of a graph.Components as (neighbor lists, self-loop
+    set, count), in the graph's own node numbering."""
+    f = int(union.sizes[:j].sum())
+    n = int(union.sizes[j])
+    ends = union.indptr[f:f + n + 1].tolist()
+    flat = (union.indices - f).tolist()
+    return ([flat[a:b] for a, b in zip(ends, ends[1:])],
+            {u - f for u in union.loops.tolist() if f <= u < f + n}, int(union.counts[j]))
 
 
 def self_loop_nodes(g: Cfg) -> set[int]:
@@ -293,13 +303,13 @@ class Sweep:
                          math.sqrt(var))
 
 
-def sweeps(csrs) -> list[Sweep]:
-    """metrics.sweep_many of CSR graphs, cut into one Sweep per graph."""
-    csrs = list(csrs)
-    raw, close, hops = metrics.sweep_many(csrs)
+def sweeps(adjs) -> list[Sweep]:
+    """metrics.sweep_many of graphs given as neighbor lists, cut into one
+    Sweep per graph."""
+    union = components(adjs)
+    raw, close, hops = metrics.sweep_many(union)
     out, f = [], 0
-    for indptr, _ in csrs:
-        n = len(indptr) - 1
+    for n in union.sizes.tolist():
         out.append(Sweep(raw[f:f + n].tolist(), close[f:f + n].tolist(),
                          [0, *np.trim_zeros(hops[f + 1:f + n], "b").tolist()]))
         f += n
@@ -367,6 +377,29 @@ def diamond_chain(diamonds: int, sample_id: str = "diamonds", ways: int = 2) -> 
         for arm in range(top + 1, join):
             edges += [(4 * top, 4 * arm), (4 * arm, 4 * join)]
     return build_cfg(sample_id, blocks, edges)
+
+
+def mixed_corpus() -> list[Cfg]:
+    """Graphs of several kinds, in sample-id order: largest components of
+    one, two and three 64-bit words (40 to 140 nodes) after smaller pieces,
+    a singleton, a singleton with a self-loop, and diamond_chain(72), whose
+    2**72 shortest paths are counted again as Python ints. No two graphs of
+    one word width are next to each other."""
+    rng = random.Random(24)
+
+    def pieces(sample_id: str, n: int) -> Cfg:
+        # a 3-node path with a self-loop and two isolated nodes, then a
+        # random connected piece of n nodes
+        edges = [(0, 1), (1, 2), (2, 2)]
+        edges += [(5 + rng.randrange(v), 5 + v) for v in range(1, n)]
+        edges += [(5 + rng.randrange(n), 5 + rng.randrange(n)) for _ in range(n // 4)]
+        return build_cfg(sample_id, [BasicBlock(address=4 * i) for i in range(n + 5)],
+                         [(4 * u, 4 * v) for u, v in edges])
+
+    lone = [BasicBlock(address=0)]
+    return [pieces("m0", 40), pieces("m1", 70), build_cfg("m2", lone, []),
+            pieces("m3", 140), pieces("m4", 45), build_cfg("m5", lone, [(0, 0)]),
+            diamond_chain(72, "m6"), pieces("m7", 70), pieces("m8", 130)]
 
 
 def random_connected_cfg(rng: random.Random, n: int, extra_edges: int = 0,

@@ -15,7 +15,7 @@ from cfgrank import ingest, learn, metrics, report, sbc
 from cfgrank.cli import main as cli_main
 from cfgrank.graph import largest_component
 from cfgrank.sbc import Opcode, SbcInstruction
-from oracles import (PathStats, all_pairs_distances, brute_betweenness, brute_closeness, csr,
+from oracles import (PathStats, all_pairs_distances, brute_betweenness, brute_closeness, components,
                      random_cfg, random_connected_cfg, self_loop_nodes, summary_stats, sweeps)
 
 
@@ -80,7 +80,7 @@ class TestCriterion2OracleEquivalence:
             g = random_connected_cfg(rng, n, rng.randint(0, 6),
                                      sample_id=f"t{trial}")
             adj = g.undirected_adjacency()
-            [swept] = sweeps([csr(adj)])
+            [swept] = sweeps([adj])
             got_b = swept.betweenness()
             exp_b = brute_betweenness(g)
             got_c = swept.closeness
@@ -88,8 +88,7 @@ class TestCriterion2OracleEquivalence:
             for u in range(n):
                 assert abs(got_b[u] - exp_b[u]) <= 1e-12
                 assert abs(got_c[u] - exp_c[u]) <= 1e-12
-            loop_nodes = np.array(sorted(self_loop_nodes(g)), dtype=np.intp)
-            got_d = metrics.degree_scores([(csr(adj)[0], loop_nodes)]).tolist()
+            got_d = metrics.degree_scores(components([adj], [self_loop_nodes(g)])).tolist()
             nbrs = [set() for _ in range(n)]
             for u, v in g.edges:
                 if u != v:
@@ -122,8 +121,8 @@ class TestCriterion3ComponentPhenomenon:
                 for i, p in enumerate(sbc.generate_corpus(100, "fragmented", 71))]
         enm = [sbc.recover_cfg(p, f"e{i}")
                for i, p in enumerate(sbc.generate_corpus(100, "enmeshed", 71))]
-        assert all(largest_component(g).count >= 2 for g in frag)
-        assert all(largest_component(g).count == 1 for g in enm)
+        assert all(largest_component(g).counts[0] >= 2 for g in frag)
+        assert all(largest_component(g).counts[0] == 1 for g in enm)
         stats_f = report.corpus_stats(frag, "fragmented")
         stats_e = report.corpus_stats(enm, "enmeshed")
         summary = report.compare(stats_e, stats_f, 0.2)
@@ -250,7 +249,7 @@ class TestCriterion7SbcHandTraces:
             [(0, 1), (1, 2), (3, 1), (4, 1)]
         assert set(g.edges) == {(0, 2), (0, 1), (1, 3), (2, 3)}
         assert (g.node_count, g.edge_count) == (4, 4)
-        assert largest_component(g).count == 1
+        assert largest_component(g).counts[0] == 1
 
     def test_dead_code_program(self):
         p = (
@@ -261,7 +260,7 @@ class TestCriterion7SbcHandTraces:
         g = sbc.recover_cfg(p)
         assert [(b.address, b.instr_count) for b in g.blocks] == [(0, 1), (1, 2)]
         assert g.edges == ()
-        assert largest_component(g).count == 2
+        assert largest_component(g).counts[0] == 2
 
     def test_minimal_program(self):
         g = sbc.recover_cfg((SbcInstruction(Opcode.RET),))

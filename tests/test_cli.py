@@ -196,7 +196,7 @@ class TestGenCommand:
         sbc_files = list(out.glob("*.sbc"))
         assert len(sbc_files) == 1
         g = sbc.recover_cfg(sbc.decode(sbc_files[0].read_bytes()))
-        assert largest_component(g).count >= 2
+        assert largest_component(g).counts[0] >= 2
 
     def test_zero_count_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

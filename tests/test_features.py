@@ -14,8 +14,9 @@ from cfgrank.features import (FEATURE_NAMES, BadValueError, FeatureVector,
                               extract_features_many, parse_feature_table,
                               read_labeled_table, write_feature_table)
 from cfgrank.graph import BasicBlock, build_cfg
-from oracles import (all_pairs_distances, brute_betweenness, brute_closeness, csr,
-                     largest_component_cfg, random_cfg, reference_parse_feature_table,
+from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
+                     largest_component_cfg, mixed_corpus, random_cfg,
+                     reference_parse_feature_table,
                      reference_write_feature_table, self_loop_nodes, summary_stats, sweeps,
                      undirected_neighbors)
 
@@ -84,8 +85,8 @@ class TestExtractFeatures:
 
     def test_batch_equals_one_graph_at_a_time(self):
         rng = random.Random(29)
-        graphs = [random_cfg(rng, rng.randint(1, 30), rng.randint(0, 40), sample_id=f"g{i}")
-                  for i in range(60)]
+        graphs = [random_cfg(rng, rng.randint(1, 30), rng.randint(0, 40), sample_id=f"g{i:02}")
+                  for i in range(60)] + mixed_corpus()
         batch = extract_features_many(graphs)
         assert batch == [extract_features(g) for g in graphs]
         assert extract_features_many([]) == []
@@ -104,7 +105,7 @@ class TestExtractFeatures:
         for g, fv in zip(graphs, extract_features_many(graphs), strict=True):
             largest = largest_component_cfg(g)
             n = largest.node_count
-            [swept] = sweeps([csr(largest.undirected_adjacency())])
+            [swept] = sweeps([largest.undirected_adjacency()])
             loops = self_loop_nodes(largest)
             degree = [0.0] if n == 1 else [(len(nbrs) + (u in loops)) / (n - 1)
                                             for u, nbrs in enumerate(undirected_neighbors(largest))]

@@ -168,20 +168,28 @@ class TestLargestComponents:
         for _ in range(250):
             corpus = random_corpus(rng)
             together = largest_components(corpus)
-            assert len(together) == len(corpus)
-            for g, got in zip(corpus, together):
-                alone = largest_component(g)
-                for c in (got, alone):
-                    assert [a.dtype for a in c[:3]] == [np.int32] * 3
-                    assert c.loops.tolist() == sorted(c.loops.tolist())
-                expected = oracle_component(g)
-                assert component_lists(got) == component_lists(alone) == expected
-                sizes = sorted(map(len, union_find_components(
+            assert [a.dtype for a in together] == [np.intp, np.int32, np.int32, np.intp, np.intp]
+            indptr, indices, loops, sizes, counts = together
+            assert len(sizes) == len(counts) == len(corpus)
+            # the invariants the metric kernels rely on: one CSR over
+            # sizes.sum() nodes, every neighbor and loop within its graph
+            assert indptr[0] == 0 and indptr[-1] == len(indices)
+            assert sizes.sum() == len(indptr) - 1
+            graph_of = np.repeat(np.arange(len(corpus)), sizes)
+            assert (graph_of[indices] == np.repeat(graph_of, np.diff(indptr))).all()
+            assert loops.tolist() == sorted(set(loops.tolist()))
+            assert ((0 <= loops) & (loops < len(graph_of))).all()
+            for j, g in enumerate(corpus):
+                assert component_lists(together, j) == component_lists(largest_component(g)) \
+                    == oracle_component(g)
+                pieces = sorted(map(len, union_find_components(
                     g.node_count, [(u, v) for u, v in g.edges if u != v])))
-                ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
+                ties += len(pieces) > 1 and pieces[-1] == pieces[-2]
                 singletons += g.node_count == 1
                 big += g.node_count == 1000
         assert ties >= 100 and singletons >= 50 and big >= 10
 
     def test_empty_corpus(self):
-        assert largest_components([]) == []
+        indptr, indices, loops, sizes, counts = largest_components([])
+        assert indptr.tolist() == [0]
+        assert not (len(indices) or len(loops) or len(sizes) or len(counts))

@@ -100,7 +100,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert (g.node_count, g.edge_count) == (3, 1)
-        assert largest_component(g).count == 2
+        assert largest_component(g).counts[0] == 2
 
     def test_call_edge_merges_components(self):
         doc = parse_cfg_json(doc_bytes(functions=[
@@ -109,7 +109,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert g.edge_count == 2
-        assert largest_component(g).count == 1
+        assert largest_component(g).counts[0] == 1
 
     def test_call_edges_can_be_disabled(self):
         doc = parse_cfg_json(doc_bytes(functions=[

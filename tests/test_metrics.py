@@ -12,24 +12,22 @@ from cfgrank import metrics
 from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.metrics import DisconnectedGraphError, degree_scores, density
 from oracles import (PathStats, Sweep, all_pairs_distances, brute_betweenness,
-                     brute_closeness, csr, diamond_chain, random_cfg, random_connected_cfg,
+                     brute_closeness, components, diamond_chain, random_cfg, random_connected_cfg,
                      reference_brandes, self_loop_nodes, source_dependencies, summary_stats,
                      sweeps)
 
 
-# the batched kernels take CSR; these tests write their graphs as neighbor
-# lists, converted one at a time as the kernel reads them
+# the batched kernels take a graph.Components; these tests write their
+# graphs as neighbor lists, which oracles.components joins into one
 def closeness_many(adjs):
     """metrics.closeness_many of neighbor lists, cut into one list a graph."""
-    adjs = list(adjs)
-    scores = metrics.closeness_many(map(csr, adjs))
-    assert scores.dtype == np.float64 and len(scores) == sum(map(len, adjs))
-    ends = np.cumsum([len(adj) for adj in adjs])
-    return [part.tolist() for part in np.split(scores, ends[:-1])]
+    union = components(adjs)
+    scores = metrics.closeness_many(union)
+    assert scores.dtype == np.float64 and len(scores) == union.sizes.sum()
+    return [part.tolist() for part in np.split(scores, np.cumsum(union.sizes)[:-1])]
 
 
-def sweep_many(adjs):
-    return sweeps(map(csr, adjs))
+sweep_many = sweeps
 
 
 def path3():
@@ -74,8 +72,7 @@ def assert_oracles(g, swept):
 
 
 def degrees(g):
-    loops = np.array(sorted(self_loop_nodes(g)), dtype=np.intp)
-    return degree_scores([(csr(g.undirected_adjacency())[0], loops)]).tolist()
+    return degree_scores(components([g.undirected_adjacency()], [self_loop_nodes(g)])).tolist()
 
 
 class TestCloseness:
@@ -169,9 +166,9 @@ class TestDegreeCentrality:
         lone = build_cfg("l", [BasicBlock(address=0)], [(0, 0)])
         assert degrees(lone) == [0.0]
         graphs = [path3(), lone, singleton()]
-        assert degree_scores([(csr(g.undirected_adjacency())[0],
-                               np.array(sorted(self_loop_nodes(g)), dtype=np.intp))
-                              for g in graphs]).tolist() == [0.5, 1.0, 0.5, 0.0, 0.0]
+        assert degree_scores(components([g.undirected_adjacency() for g in graphs],
+                                        [self_loop_nodes(g) for g in graphs])
+                             ).tolist() == [0.5, 1.0, 0.5, 0.0, 0.0]
 
     def test_matches_direct_count(self):
         rng = random.Random(31)
@@ -343,15 +340,15 @@ def complete_bipartite(a, b):
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Records the slice (a, b) of its group's sources that every float64
-    pass sweeps."""
+    """Records the sources a <= s < b of the union that every float64 pass
+    sweeps."""
     seen = []
     kernel = metrics._brandes_pass
 
-    def spy(csr, owner, a, b, raw, close, hops, dtype):
+    def spy(csr, owner, a, b, top, raw, close, hops, dtype):
         if dtype is float:
             seen.append((a, b))
-        return kernel(csr, owner, a, b, raw, close, hops, dtype)
+        return kernel(csr, owner, a, b, top, raw, close, hops, dtype)
 
     monkeypatch.setattr(metrics, "_brandes_pass", spy)
     return seen
@@ -416,7 +413,7 @@ class TestSweepMany:
         assert got[0] == got[1]
         assert_oracles(g, got[0])
         n = len(adj)
-        assert blocks == [(0, n), (0, n)]
+        assert blocks == [(0, n), (n, 2 * n)]
         # a graph swept alone counts only the bytes of its sources, 16 a
         # (source, node) pair and 8 a kept edge: 10 x (16 x 10 + 8 x 12) =
         # 2560, which 107 slots of 24 bytes hold and 106 do not
@@ -448,7 +445,8 @@ class TestSweepMany:
         for g, swept in zip(graphs, got, strict=True):
             assert_oracles(g, swept)
         if budget == 1 << 18:
-            assert blocks == [(0, sum(map(len, adjs[:3]))), (0, len(adjs[3]))]
+            n = sum(map(len, adjs[:3]))
+            assert blocks == [(0, n), (n, n + len(adjs[3]))]
 
     def test_exact_recount_in_runs_of_sources(self, monkeypatch):
         # one float pass of all 217 sources reaches 2**72 paths; the Python
@@ -462,9 +460,9 @@ class TestSweepMany:
         passes = []
         kernel = metrics._brandes_pass
 
-        def spy(csr, owner, a, b, raw, close, hops, dtype):
+        def spy(csr, owner, a, b, top, raw, close, hops, dtype):
             passes.append((dtype, (a, b)))
-            return kernel(csr, owner, a, b, raw, close, hops, dtype)
+            return kernel(csr, owner, a, b, top, raw, close, hops, dtype)
 
         monkeypatch.setattr(metrics, "_brandes_pass", spy)
         [got] = sweep_many([adj])
@@ -542,10 +540,10 @@ class TestSweepMany:
         # arrays of its 400 levels add under 4 bytes a pair, where an int64
         # copy of the whole pass's dist would add 8
         n = 400
-        graph = csr(path_adj(n))
+        graph = components([path_adj(n)])
         tracemalloc.start()
         try:
-            metrics.sweep_many([graph])
+            metrics.sweep_many(graph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -557,14 +555,15 @@ class TestSweepMany:
         # (an error in this suite); the Python-int recount gives the exact
         # dependencies of source 0
         g = diamond_chain(1030)
-        indptr, indices = csr(g.undirected_adjacency())
+        indptr, indices = components([g.undirected_adjacency()])[:2]
         n = g.node_count
         raw, close, hops = np.zeros(n), np.zeros(n), np.zeros(n, np.int64)
         owner = (np.zeros(n, int), np.full(n, n))
         union = (indptr, np.diff(indptr), indices)
-        assert not metrics._brandes_pass(union, owner, 0, 1, raw, close, hops, float)
+        top = int(union[1].max())
+        assert not metrics._brandes_pass(union, owner, 0, 1, top, raw, close, hops, float)
         assert not raw.any() and not close.any() and not hops.any()
-        assert metrics._brandes_pass(union, owner, 0, 1, raw, close, hops, object)
+        assert metrics._brandes_pass(union, owner, 0, 1, top, raw, close, hops, object)
         assert raw.tolist() == source_dependencies(g, 0)
 
     @pytest.mark.parametrize("last", [False, True])

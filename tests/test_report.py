@@ -11,7 +11,7 @@ from cfgrank.graph import BasicBlock, build_cfg
 from cfgrank.report import (ComparisonSummary, CorpusStats, SampleRow,
                             compare, corpus_stats, empirical_cdf, payload)
 from cfgrank.sbc import generate_corpus, recover_cfg
-from oracles import (add_in_order, brute_closeness, largest_component_cfg,
+from oracles import (add_in_order, brute_closeness, largest_component_cfg, mixed_corpus,
                      union_find_components)
 
 
@@ -85,13 +85,14 @@ class TestCorpusStats:
         assert multi == len(stats.samples)
 
     def test_avg_closeness_is_mean_sweep_closeness(self):
-        graphs = [recover_cfg(p, f"{profile}-{i}")
+        graphs = [recover_cfg(p, f"{profile}-{i:03}")
                   for profile in ("enmeshed", "fragmented")
-                  for i, p in enumerate(generate_corpus(400, profile, 11))]
+                  for i, p in enumerate(generate_corpus(400, profile, 11))] + mixed_corpus()
         stats = corpus_stats(graphs, "both")
-        for g, row in zip(graphs, stats.samples):
+        for g, row in zip(graphs, stats.samples, strict=True):
             scores = list(brute_closeness(largest_component_cfg(g)).values())
             assert row.avg_closeness == add_in_order(scores) / len(scores)
+            assert corpus_stats([g], "one").samples == (row,)
 
 
 class TestCompare:
