@@ -12,9 +12,10 @@ largest components of its graphs as one CSR of their disjoint union, and
 searches that union in its own numbering, with no copy of it. A Brandes
 pass writes each of its outputs (closeness, dependencies and the hop
 histogram) into one array per node of that union, which sweep_many
-returns. A pass
-takes its closeness totals and hop counts once its forward BFS ends, not
-level by level, and adds each level's dependency terms with np.bincount.
+returns. Once its forward BFS ends, a pass walks its distances once, in
+pieces of whole rows of at most PIECE_DISTANCES pairs, and takes both its
+closeness totals and its hop histogram from each piece; it adds each
+level's dependency terms with np.bincount.
 One rule, _runs, cuts all of this work to a budget: consecutive items,
 each run as long as its weights sum to at most the limit, one item at the
 least. It cuts the graphs into groups on sources x (n + 2m) slots, a
@@ -68,10 +69,11 @@ _SLOT_BYTES = 24
 
 _UNSEEN = np.iinfo(np.int32).max
 
-# path_rows sums at most this many distances (96 KiB of float64) in one
-# piece. It runs after the sweep has freed its passes, and larger pieces did
-# not fit the memory that the allocator kept: pieces of 589 824 and 196 608
-# distances raised large-cfg's peak RSS by 3.7 and 1.6 MB
+# a Brandes pass walks, and path_rows sums, at most this many distances
+# (96 KiB of float64) in one piece. path_rows runs after the sweep has freed
+# its passes, and larger pieces did not fit the memory that the allocator
+# kept: pieces of 589 824 and 196 608 distances raised large-cfg's peak RSS
+# by 3.7 and 1.6 MB
 PIECE_DISTANCES = 3 << 12
 
 
@@ -117,8 +119,9 @@ def sweep_many(c: Components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if not _brandes_pass(csr, owner, a, b, top, raw, close, hops, float):
                 for c, d in _runs(_EXACT_PAIR_BYTES * owner[1][a:b] + kept[a:b], budget):
                     _brandes_pass(csr, owner, a + c, a + d, top, raw, close, hops, object)
-    # each pair is counted from both of its ends
+    # each pair is counted from both of its ends, and each source at d = 0
     hops //= 2
+    hops[starts] = 0
     return raw, close, hops
 
 
@@ -143,29 +146,29 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     the degree of every node that the pass reaches. Every output is
     per node of that numbering: it writes the sources' closeness into
     close, adds their dependencies into raw and adds the number of their
-    pairs at distance d into hops[f + d], f their graph's first node; a
-    graph's distances are below its size, so its histogram fits in its own
-    slots. False, with nothing written, if float64 counts reach 2**53.
+    pairs at distance d into hops[f + d], f their graph's first node, each
+    source paired with itself at d = 0; a graph's distances are below its
+    size, so its histogram fits in its own slots. False, with nothing
+    written, if float64 counts reach 2**53.
 
     Each (source, node) pair is one slot of flat arrays, row by row, so a
     pair is its row's base plus the node's number. A BFS level keeps each
     source's nodes in the order in which a queue-based BFS finds them:
     candidates are listed by (frontier position, neighbor slot), and
     np.minimum.at marks the first candidate of each new pair, using its
-    dist slot as scratch. Once the forward pass ends, each row's distance
-    total, for closeness, is summed from dist in pieces of rows, and each
-    level, which lists its pairs row by row, gives its pairs per graph from
-    one np.searchsorted on the graphs' bounds. The forward pass keeps the
-    edges that it found from each level to the next, the predecessor lists
-    of Brandes, and the backward pass pushes the dependency terms back
-    along them, each a correctly rounded quotient of exact counts: sorted
-    on their predecessor and then on their successor's falling position in
-    its level, np.bincount adds them in array order, so each sum is taken
-    in Brandes's order. A level's dependencies are summed in a buffer in
-    level order and stored in their sigma slots once the level is done, so
-    the pass holds 16 bytes a pair (dist, sigma and the level lists) with
-    float64 counts, and 8 bytes a kept edge, at most one per undirected
-    edge and source.
+    dist slot as scratch. Once the forward pass ends, one walk over dist in
+    pieces of whole rows sums each row's distances, for closeness, and
+    counts each graph's pairs at each distance, for hops. The forward pass
+    keeps the edges that it found from each level to the next, the
+    predecessor lists of Brandes, and the backward pass pushes the
+    dependency terms back along them, each a correctly rounded quotient of
+    exact counts: sorted on their predecessor and then on their successor's
+    falling position in its level, np.bincount adds them in array order, so
+    each sum is taken in Brandes's order. A level's dependencies are summed
+    in a buffer in level order and stored in their sigma slots once the
+    level is done, so the pass holds 16 bytes a pair (dist, sigma and the
+    level lists) with float64 counts, and 8 bytes a kept edge, at most one
+    per undirected edge and source.
     """
     first, width = (x[a:b] for x in owner)
     start = np.cumsum(width) - width
@@ -184,8 +187,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
         return False
     if sum(map(len, levels)) + len(sources) != size:
         raise DisconnectedGraphError()
-    close[a:b] = (width - 1) / np.maximum(_row_totals(dist, start, width), 1)
-    _count_hops(hops, levels, first, width, start, size)
+    close[a:b] = (width - 1) / np.maximum(_row_totals(dist, start, width, first, hops), 1)
     _backward(dist, sigma, levels, edges)
     del dist, levels
     sigma[sources] = 0
@@ -195,39 +197,25 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     return True
 
 
-def _row_totals(dist: np.ndarray, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+def _row_totals(dist: np.ndarray, start: np.ndarray, width: np.ndarray,
+                first: np.ndarray, hops: np.ndarray) -> np.ndarray:
     """The sum of each row of dist, the rows starting at start and width
     long, added in _runs of whole rows of at most PIECE_DISTANCES pairs:
-    np.add.reduceat copies what it adds as int64."""
+    np.add.reduceat copies what it adds as int64. Each piece also adds its
+    pairs at distance d into hops[f + d], f = first[r] the first node of
+    row r's graph, with one np.bincount over the slots of the piece's
+    graphs, which are no more than its pairs."""
     total = np.empty(len(start), np.int64)
     for a, b in _runs(width, PIECE_DISTANCES):
         lo, hi = start[a], start[b - 1] + width[b - 1]
-        total[a:b] = np.add.reduceat(dist[lo:hi], start[a:b] - lo, dtype=np.int64)
+        piece = dist[lo:hi]
+        total[a:b] = np.add.reduceat(piece, start[a:b] - lo, dtype=np.int64)
+        f = first[a]
+        span = first[b - 1] + width[b - 1] - f
+        at = np.repeat(first[a:b] - f, width[a:b])
+        at += piece
+        hops[f:f + span] += np.bincount(at, minlength=span)
     return total
-
-
-def _count_hops(hops: np.ndarray, levels: list[np.ndarray], first: np.ndarray,
-                width: np.ndarray, start: np.ndarray, size: int):
-    """Adds the number of pairs of each graph in each level d >= 1 into
-    hops[f + d], f the graph's first node, from one np.searchsorted of the
-    level on the bounds of the graphs' rows. Only a graph of more than d
-    nodes has pairs at distance d; with the graphs by falling size those
-    are a prefix of the bounds, so a graph is searched in at most as many
-    levels as it has nodes."""
-    if not levels:
-        return
-    # the first row of each graph, and its first pair and last pair + 1
-    seg = np.flatnonzero(np.diff(first, prepend=-1))
-    ends = np.append(start[seg[1:]], size)
-    order = np.argsort(-width[seg], kind="stable")
-    bounds = np.column_stack((start[seg], ends))[order].astype(np.int32).ravel()
-    seg = seg[order]
-    deep = np.searchsorted(-width[seg], -np.arange(1, len(levels) + 1))
-    cuts = np.concatenate([np.searchsorted(level, bounds[:2 * k])
-                           for level, k in zip(levels, deep.tolist())])
-    d = np.repeat(np.arange(1, len(levels) + 1), deep)
-    rank = np.arange(len(d)) - np.repeat(np.cumsum(deep) - deep, deep)
-    hops[first[seg][rank] + d] += cuts[1::2] - cuts[0::2]
 
 
 def _forward(csr, dist: np.ndarray, sigma: np.ndarray, pairs: np.ndarray,

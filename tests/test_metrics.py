@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfgrank import metrics
-from cfgrank.graph import BasicBlock, build_cfg
+from cfgrank.graph import BasicBlock, build_cfg, largest_components
 from cfgrank.metrics import DisconnectedGraphError, degree_scores, density
 from oracles import (PathStats, Sweep, all_pairs_distances, brute_betweenness,
-                     brute_closeness, components, diamond_chain, random_cfg, random_connected_cfg,
-                     reference_brandes, self_loop_nodes, source_dependencies, summary_stats,
-                     sweeps)
+                     brute_closeness, components, diamond_chain, mixed_corpus, random_cfg,
+                     random_connected_cfg, reference_brandes, self_loop_nodes,
+                     source_dependencies, summary_stats, sweeps)
 
 
 # the batched kernels take a graph.Components; these tests write their
@@ -293,6 +293,7 @@ class TestClosenessMany:
     def test_singleton_in_a_batch(self):
         assert closeness_many([path_adj(3), [[]], path_adj(2)]) == [
             [2 / 3, 1.0, 2 / 3], [0.0], [1.0, 1.0]]
+        assert closeness_many([path_adj(1), path_adj(3)]) == [[0.0], [2 / 3, 1.0, 2 / 3]]
 
     def test_batches_of_a_word_group_agree(self, monkeypatch):
         rng = random.Random(2003)
@@ -303,9 +304,6 @@ class TestClosenessMany:
         monkeypatch.setattr(metrics, "BATCH_WORDS", 100)
         assert closeness_many(adjs) == whole
         assert whole == [alone(adj).closeness for adj in adjs]
-
-    def test_accepts_a_generator(self):
-        assert closeness_many(path_adj(n) for n in (1, 3)) == [[0.0], [2 / 3, 1.0, 2 / 3]]
 
     @pytest.mark.parametrize("adj", [
         [[], [2], [1]],  # isolated node first
@@ -590,6 +588,25 @@ class TestSweepMany:
         assert sweep_many([path_adj(3), [[]], path_adj(2)]) == [
             Sweep([0.0, 2.0, 0.0], [2 / 3, 1.0, 2 / 3], [0, 2, 1]), lone,
             Sweep([0.0, 0.0], [1.0, 1.0], [0, 1])]
+
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    def test_any_piece_gives_the_same_sweep(self, monkeypatch, piece):
+        # a pass walks its distances in pieces of whole rows: one row a
+        # piece, a few rows of the small graphs or of one large graph, and
+        # pieces that end inside a graph's rows and start inside the next's
+        rng = random.Random(2025)
+        graphs = mixed_corpus() + [random_cfg(rng, rng.randint(1, 30), rng.randint(0, 40))
+                                   for _ in range(60)]
+        union = largest_components(graphs)
+        whole = metrics.sweep_many(union)
+        monkeypatch.setattr(metrics, "PIECE_DISTANCES", piece)
+        got = metrics.sweep_many(union)
+        for want, array in zip(whole, got, strict=True):
+            assert array.dtype == want.dtype and np.array_equal(array, want)
+        # no pair is at distance 0, in a singleton or a larger graph
+        first = np.cumsum(union.sizes) - union.sizes
+        assert (union.sizes == 1).any() and (union.sizes > 1).any()
+        assert not got[2][first].any()
 
     def test_one_bad_graph_in_a_batch(self):
         good = [path_adj(n) for n in (2, 5, 30)]
