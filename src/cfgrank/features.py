@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import InputError, metrics
-from .graph import Cfg, Components, largest_component, largest_components
+from .graph import Cfg, Components, largest_components
 
 _STATS = ("min", "max", "mean", "median", "std")
 _FAMILIES = ("betweenness", "closeness", "degree", "shortest_path")
@@ -69,7 +69,7 @@ def extract_features(g: Cfg, stats: Sequence[float] | None = None) -> FeatureVec
     already has them.
     """
     if stats is None:
-        [stats] = _statistics(largest_component(g))
+        [stats] = _statistics(largest_components([g]))
     return FeatureVector(g.sample_id, (*stats, metrics.density(g), float(g.node_count),
                                        float(g.edge_count)))
 

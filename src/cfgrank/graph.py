@@ -105,11 +105,6 @@ class Components(NamedTuple):
     counts: np.ndarray
 
 
-def largest_component(g: Cfg) -> Components:
-    """largest_components of one graph."""
-    return largest_components([g])
-
-
 def largest_components(graphs: Sequence[Cfg]) -> Components:
     """The largest weak component of each graph, in input order, from one
     labeling of all graphs' nodes together.

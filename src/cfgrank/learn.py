@@ -174,17 +174,6 @@ def _logreg_grad(
     return X.T @ r / len(r) + l2 * w, float(np.add.reduce(r) / len(r))
 
 
-def logreg_loss_and_grad(
-    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean L2-regularized log loss with its gradient (bias unregularized)."""
-    z = X @ w + b
-    grad_w, grad_b = _logreg_grad(w, b, X, y.astype(float), l2, np.empty(len(y)))
-    # stable log(1 + e^-|z|) formulation
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w @ w)
-    return loss, grad_w, grad_b
-
-
 def _fit_logreg(X: np.ndarray, y: np.ndarray, hyper: HyperParams) -> tuple[np.ndarray, float]:
     """Full-batch gradient descent; no epoch computes the loss."""
     w = np.zeros(X.shape[1])

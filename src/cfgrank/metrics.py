@@ -26,8 +26,9 @@ chunks on neighbor slots, all against SWEEP_SLOTS. Path counts are float64
 while they stay below 2**53 and Python ints past that, counted again in
 runs of sources of the same bytes, so they are always exact.
 closeness_many() gives the same closeness from a bit-parallel BFS with no
-path counts, its graphs cut into passes on rows x words against
-BATCH_WORDS, and degree_scores() degree centrality from the same CSR.
+path counts, its graphs cut by _runs into passes on their bytes against the
+same SWEEP_SLOTS x 24 bytes as a Brandes pass, and degree_scores() degree
+centrality from the same CSR.
 
 summary_rows() and path_rows() summarize many graphs of one size at once,
 one row a graph, and row_sums() adds each row one term at a time, so every
@@ -41,17 +42,12 @@ import numpy as np
 from .graph import Cfg, Components
 
 
-# closeness_many searches at most this many 64-bit words per state array
-# (16 MiB) in one pass, unless a single graph needs more; a corpus of large
-# graphs takes several passes instead of gigabytes
-BATCH_WORDS = 1 << 21
-
-# the limit _runs cuts sweep_many's work to: graphs share a group while their
-# sources x (n + 2m) slots sum to at most this, one per (source, node) pair
-# and one per (source, edge end); a group's sources are swept in passes of at
-# most 24 bytes a slot, at 16 bytes a (source, node) pair and 8 a kept BFS
-# edge; and a BFS level in chunks of nodes with at most this many neighbor
-# slots together
+# the limit _runs cuts every kernel's work to: graphs share a group while
+# their sources x (n + 2m) slots sum to at most this, one per (source, node)
+# pair and one per (source, edge end); a group's sources are swept in passes
+# of at most 24 bytes a slot, at 16 bytes a (source, node) pair and 8 a kept
+# BFS edge, and closeness_many's passes hold as many bytes; and a BFS level
+# goes in chunks of nodes with at most this many neighbor slots together
 SWEEP_SLOTS = 3 << 16
 
 # float64 counts shortest paths exactly below this; a pass with more counts
@@ -66,6 +62,17 @@ _PAIR_BYTES = 16
 _EXACT_PAIR_BYTES = 49
 _EDGE_BYTES = 8
 _SLOT_BYTES = 24
+
+# the bytes that a closeness_many pass holds at most per row, per (row,
+# 64-bit word) and per neighbor slot of its graphs. Tracemalloc peaks of
+# whole calls, less their output, fit about 66 a row, 40 a (row, word) and
+# 19 a slot on sbc corpora, complete graphs and CFGs of 964 and 2964 nodes
+# (16 and 47 words); rounded up until every pass of several graphs held
+# 0.59-0.94 of its budget on random sparse and complete graphs at 2**12,
+# 2**14 and 3 x 2**16 slots
+_ROW_BYTES = 80
+_WORD_BYTES = 40
+_NEIGHBOR_BYTES = 32
 
 _UNSEEN = np.iinfo(np.int32).max
 
@@ -103,22 +110,25 @@ def sweep_many(c: Components) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     csr = (indptr, np.diff(indptr), c.indices)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    owner = (np.repeat(starts, sizes), np.repeat(sizes, sizes))
     nodes = len(csr[1])
     raw, close, hops = np.zeros(nodes), np.zeros(nodes), np.zeros(nodes, np.int64)
     nbrs = indptr[ends] - indptr[starts]
-    # a source keeps at most one edge per undirected edge, which is two of
-    # its graph's neighbor slots
-    kept = np.repeat(nbrs * _EDGE_BYTES // 2, sizes)
     budget = SWEEP_SLOTS * _SLOT_BYTES
     for ga, gb in _runs(sizes * (sizes + nbrs), SWEEP_SLOTS):
-        lo, hi = int(starts[ga]), int(ends[gb - 1])
-        top = int(csr[1][lo:hi].max(initial=0))
-        for a, b in _runs(_PAIR_BYTES * owner[1][lo:hi] + kept[lo:hi], budget):
-            a, b = lo + a, lo + b
-            if not _brandes_pass(csr, owner, a, b, top, raw, close, hops, float):
-                for c, d in _runs(_EXACT_PAIR_BYTES * owner[1][a:b] + kept[a:b], budget):
-                    _brandes_pass(csr, owner, a + c, a + d, top, raw, close, hops, object)
+        # each of the group's sources: its graph's first node and size, and
+        # the bytes of the edges it keeps, at most one per undirected edge,
+        # which is two of its graph's neighbor slots
+        counts = sizes[ga:gb]
+        first, width = np.repeat(starts[ga:gb], counts), np.repeat(counts, counts)
+        kept = np.repeat(nbrs[ga:gb] * _EDGE_BYTES // 2, counts)
+        lo = int(starts[ga])
+        top = int(csr[1][lo:lo + len(first)].max(initial=0))
+        for a, b in _runs(_PAIR_BYTES * width + kept, budget):
+            if not _brandes_pass(csr, first[a:b], width[a:b], lo + a, top,
+                                 raw, close, hops, float):
+                for e, f in _runs(_EXACT_PAIR_BYTES * width[a:b] + kept[a:b], budget):
+                    _brandes_pass(csr, first[a + e:a + f], width[a + e:a + f], lo + a + e,
+                                  top, raw, close, hops, object)
     # each pair is counted from both of its ends, and each source at d = 0
     hops //= 2
     hops[starts] = 0
@@ -137,19 +147,19 @@ def _runs(weights, limit: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  owner: tuple[np.ndarray, np.ndarray], a: int, b: int, top: int,
-                  raw: np.ndarray, close: np.ndarray, hops: np.ndarray, dtype) -> bool:
-    """One level-synchronous Brandes pass from the sources a <= s < b of
-    csr's node numbering, where owner gives each node's first node of its
-    graph and that graph's size, with path counts of dtype; top is at least
-    the degree of every node that the pass reaches. Every output is
-    per node of that numbering: it writes the sources' closeness into
-    close, adds their dependencies into raw and adds the number of their
-    pairs at distance d into hops[f + d], f their graph's first node, each
-    source paired with itself at d = 0; a graph's distances are below its
-    size, so its histogram fits in its own slots. False, with nothing
-    written, if float64 counts reach 2**53.
+def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray], first: np.ndarray,
+                  width: np.ndarray, a: int, top: int, raw: np.ndarray, close: np.ndarray,
+                  hops: np.ndarray, dtype) -> bool:
+    """One level-synchronous Brandes pass from the sources a, a + 1, ... of
+    csr's node numbering, one for each entry of first and width, which give
+    the first node of each source's graph and that graph's size, with path
+    counts of dtype; top is at least the degree of every node that the
+    pass reaches. Every output is per node of that numbering: it writes the
+    sources' closeness into close, adds their dependencies into raw and
+    adds the number of their pairs at distance d into hops[f + d], f their
+    graph's first node, each source paired with itself at d = 0; a graph's
+    distances are below its size, so its histogram fits in its own slots.
+    False, with nothing written, if float64 counts reach 2**53.
 
     Each (source, node) pair is one slot of flat arrays, row by row, so a
     pair is its row's base plus the node's number. A BFS level keeps each
@@ -170,7 +180,7 @@ def _brandes_pass(csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     level lists) with float64 counts, and 8 bytes a kept edge, at most one
     per undirected edge and source.
     """
-    first, width = (x[a:b] for x in owner)
+    b = a + len(first)
     start = np.cumsum(width) - width
     base = (start - first).astype(np.int32)
     sources = start + np.arange(a, b) - first
@@ -327,39 +337,46 @@ def closeness_many(c: Components) -> np.ndarray:
 
     A bit-parallel multi-source BFS (Then et al., "The More the Merrier",
     PVLDB 8(4), 2014): graphs needing the same number of 64-bit words per
-    node are searched together, every node a source. The hop-distance sums
-    are exact integers, and (n-1)/total in float64 is correctly rounded
-    while both stay below 2**53, so each score is the one that a BFS per
-    source gives.
+    node are searched together, every node a source, in _runs of graphs
+    whose bytes, _ROW_BYTES a row, _WORD_BYTES a (row, word) and
+    _NEIGHBOR_BYTES a neighbor slot, sum to at most SWEEP_SLOTS x 24, as a
+    Brandes pass's do; a graph that needs more is searched alone. The
+    hop-distance sums are exact integers, and (n-1)/total in float64 is
+    correctly rounded while both stay below 2**53, so each score is the one
+    that a BFS per source gives.
     """
     sizes = c.sizes
     first = np.cumsum(sizes) - sizes
-    csr = (c.indptr, np.diff(c.indptr), c.indices)
-    scores = np.zeros(len(csr[1]))
-    groups: dict[int, list[int]] = {}
-    for i, n in enumerate(sizes.tolist()):
-        if n > 1:
-            groups.setdefault((n + 63) >> 6, []).append(i)
-    for words, members in groups.items():
-        for a, b in _runs(sizes[members], BATCH_WORDS // words):
+    scores = np.zeros(len(c.indptr) - 1)
+    nbrs = c.indptr[first + sizes] - c.indptr[first]
+    # each graph's words per node, 0 for a graph of one node; the word
+    # groups go in the order of their first graph (in ascending order of
+    # words, large-cfg's analyze peaked 0.25 MB higher in RSS)
+    words = np.where(sizes > 1, (sizes + 63) >> 6, 0)
+    for w in dict.fromkeys(words[words > 0].tolist()):
+        members = np.flatnonzero(words == w)
+        held = sizes[members] * (_ROW_BYTES + _WORD_BYTES * w) + nbrs[members] * _NEIGHBOR_BYTES
+        for a, b in _runs(held, SWEEP_SLOTS * _SLOT_BYTES):
             run = members[a:b]
             counts = sizes[run]
             # each node's place in the union, from its place in the run's
             nodes = np.repeat(first[run] - np.cumsum(counts) + counts, counts)
             nodes += np.arange(len(nodes))
-            totals = _distance_sums(csr, nodes, counts, words)
+            totals = _distance_sums(c, nodes, counts, w)
             scores[nodes] = (np.repeat(counts, counts) - 1) / totals
     return scores
 
 
-def _distance_sums(csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.ndarray,
-                   sizes: np.ndarray, words: int) -> np.ndarray:
+def _distance_sums(c: Components, nodes: np.ndarray, sizes: np.ndarray,
+                   words: int) -> np.ndarray:
     """The hop-distance sum of each of the nodes, which list whole graphs
-    of csr one after another, graphs of the given sizes, each of more than
+    of c one after another, graphs of the given sizes, each of more than
     one node with `words` words per node.
 
     Their rows are gathered into a union of their own, each node numbered
-    by its place in nodes, so each neighbor moves as far as its node moves.
+    by its place in nodes, so each neighbor moves as far as its node moves;
+    their degrees are read from c.indptr, so no array of the pass is as
+    long as c's union.
     Bit s of row v is set once source s of v's graph has reached v. A
     source at distance k from v is still missing from v's row after each
     of the levels 0..k-1, so v's distance sum is the number of missing
@@ -367,12 +384,13 @@ def _distance_sums(csr: tuple[np.ndarray, np.ndarray, np.ndarray], nodes: np.nda
     Rows are renumbered by falling degree, so the nodes with more than k
     neighbors are a prefix and each level ORs in one gather per slot k.
     """
-    at, indices = _expand(csr, nodes, 0)
-    indices -= (nodes - np.arange(len(nodes)))[at]
-    deg = csr[1][nodes]
+    start = c.indptr[nodes]
+    deg = c.indptr[nodes + 1] - start
     if not deg.all():
         raise DisconnectedGraphError()
     rows = len(deg)
+    at, indices = _expand((start, deg, c.indices), np.arange(rows), 0)
+    indices -= (nodes - np.arange(rows))[at]
     indptr = np.cumsum(deg) - deg
     local = (np.arange(rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)).astype(np.uint64)
     order = np.argsort(-deg, kind="stable")

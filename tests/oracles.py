@@ -9,6 +9,7 @@ Brandes kept as the exact reference for graphs too large to enumerate,
 reference_forest, a random forest that re-sorts at every node,
 reference_predict, which classifies one sample at a time,
 reference_pegasos, which allocates a new weight vector at every step,
+logreg_loss_and_grad, the log loss beside the gradient that training uses,
 summary_stats and Sweep.path_stats, which summarize one list at a time and
 add its floats one by one with functools.reduce, whose result does not
 depend on the Python version as sum()'s does,
@@ -33,7 +34,7 @@ from itertools import chain, combinations, repeat
 
 import numpy as np
 
-from cfgrank import metrics
+from cfgrank import learn, metrics
 from cfgrank.graph import BasicBlock, Cfg, Components, build_cfg
 from cfgrank.features import (FEATURE_NAMES, LABEL_BENIGN, LABEL_MALICIOUS, N_FEATURES,
                               BadValueError, FeatureVector, NonFiniteValueError)
@@ -549,6 +550,18 @@ def reference_pegasos(X: np.ndarray, y: np.ndarray, hyper: HyperParams,
             if t >= hyper.svm_steps:
                 break
     return w[:-1], float(w[-1])
+
+
+def logreg_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
+                         l2: float) -> tuple[float, np.ndarray, float]:
+    """Mean L2-regularized log loss (bias unregularized) with the gradient
+    that training steps along, learn._logreg_grad's, so a finite difference
+    of the loss checks that gradient."""
+    z = X @ w + b
+    grad_w, grad_b = learn._logreg_grad(w, b, X, y.astype(float), l2, np.empty(len(y)))
+    # stable log(1 + e^-|z|) formulation
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * w @ w)
+    return loss, grad_w, grad_b
 
 
 def reference_write_feature_table(rows: list[FeatureVector]) -> bytes:

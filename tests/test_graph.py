@@ -5,7 +5,7 @@ import pytest
 
 from cfgrank import InputError
 from cfgrank.graph import (BasicBlock, DanglingEdgeError,
-                           build_cfg, largest_component, largest_components)
+                           build_cfg, largest_components)
 from oracles import (component_lists, largest_component_cfg, random_cfg, self_loop_nodes,
                      union_find_components)
 
@@ -79,25 +79,25 @@ def random_pieces_cfg(rng):
 
 
 class TestWeakComponents:
-    """largest_component against hand values and the union-find oracle."""
+    """largest_components of one graph against hand values and the union-find oracle."""
 
     def test_edge_plus_isolated(self):
         g = build_cfg("s", blocks_at(0, 4, 8), [(0, 4)])
-        assert component_lists(largest_component(g)) == ([[1], [0]], set(), 2)
+        assert component_lists(largest_components([g])) == ([[1], [0]], set(), 2)
 
     def test_singleton(self):
         g = build_cfg("s", blocks_at(0), [(0, 0)])
-        assert component_lists(largest_component(g)) == ([[]], {0}, 1)
+        assert component_lists(largest_components([g])) == ([[]], {0}, 1)
 
     def test_tie_goes_to_lowest_id(self):
         # a path 0-3-4 and a star 5-{1, 2}: equal size, the path holds node 0
         g = build_cfg("s", blocks_at(*range(0, 24, 4)),
                       [(0, 12), (12, 16), (4, 20), (8, 20), (8, 8)])
-        assert component_lists(largest_component(g)) == ([[1], [0, 2], [1]], set(), 2)
+        assert component_lists(largest_components([g])) == ([[1], [0, 2], [1]], set(), 2)
         # without node 0's piece the star wins, its loop renumbered
         g = build_cfg("s", blocks_at(*range(4, 24, 4)),
                       [(12, 16), (4, 20), (8, 20), (8, 8)])
-        assert component_lists(largest_component(g)) == ([[2], [2], [0, 1]], {1}, 2)
+        assert component_lists(largest_components([g])) == ([[2], [2], [0, 1]], {1}, 2)
 
     def test_matches_union_find(self):
         rng = random.Random(11)
@@ -105,7 +105,7 @@ class TestWeakComponents:
         graphs += [random_cfg(rng, rng.randint(1, 10), rng.randint(0, 12)) for _ in range(50)]
         ties = 0
         for g in graphs:
-            adj, loops, count = component_lists(largest_component(g))
+            adj, loops, count = component_lists(largest_components([g]))
             comps = union_find_components(
                 g.node_count, [(u, v) for u, v in g.edges if u != v])
             sizes = sorted(map(len, comps))
@@ -122,7 +122,7 @@ class TestWeakComponents:
         rng = random.Random(5)
         for _ in range(30):
             g = random_cfg(rng, rng.randint(1, 12), rng.randint(0, 15))
-            adj, loops, count = component_lists(largest_component(g))
+            adj, loops, count = component_lists(largest_components([g]))
             n = len(adj)
             # count components of at most n nodes cover the graph
             assert 1 <= count <= g.node_count <= count * n
@@ -180,7 +180,7 @@ class TestLargestComponents:
             assert loops.tolist() == sorted(set(loops.tolist()))
             assert ((0 <= loops) & (loops < len(graph_of))).all()
             for j, g in enumerate(corpus):
-                assert component_lists(together, j) == component_lists(largest_component(g)) \
+                assert component_lists(together, j) == component_lists(largest_components([g])) \
                     == oracle_component(g)
                 pieces = sorted(map(len, union_find_components(
                     g.node_count, [(u, v) for u, v in g.edges if u != v])))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cfgrank import InputError
 from cfgrank.cli import main
-from cfgrank.graph import largest_component
+from cfgrank.graph import largest_components
 from cfgrank.ingest import (DuplicateAddressError, EdgeListError,
                             JsonSyntaxError, SchemaError, document_to_cfg,
                             parse_canonical, parse_cfg_json, parse_edge_list,
@@ -100,7 +100,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert (g.node_count, g.edge_count) == (3, 1)
-        assert largest_component(g).counts[0] == 2
+        assert largest_components([g]).counts[0] == 2
 
     def test_call_edge_merges_components(self):
         doc = parse_cfg_json(doc_bytes(functions=[
@@ -109,7 +109,7 @@ class TestDocumentToCfg:
         ]))
         g = document_to_cfg(doc, include_call_edges=True)
         assert g.edge_count == 2
-        assert largest_component(g).counts[0] == 1
+        assert largest_components([g]).counts[0] == 1
 
     def test_call_edges_can_be_disabled(self):
         doc = parse_cfg_json(doc_bytes(functions=[

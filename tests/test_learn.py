@@ -15,11 +15,11 @@ from cfgrank.learn import (AllZeroMatrixError, ClassTooSmallError,
                            NonFiniteModelError, SingleClassError, _best_split,
                            _fit_forest, _fit_logreg, _fit_svm, _rank_keys,
                            compute_metrics, cross_validate,
-                           logreg_loss_and_grad, model_from_json,
+                           model_from_json,
                            model_to_json, predict, predict_many,
                            stratified_kfold, train)
-from oracles import (reference_forest, reference_pegasos, reference_predict,
-                     reference_tree_prob)
+from oracles import (logreg_loss_and_grad, reference_forest, reference_pegasos,
+                     reference_predict, reference_tree_prob)
 
 
 def vec(values, label, sid="s"):

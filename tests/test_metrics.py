@@ -258,6 +258,20 @@ def path_adj(n):
     return [[v for v in (u - 1, u + 1) if 0 <= v < n] for u in range(n)]
 
 
+def spy_passes(monkeypatch):
+    """The graph sizes of every pass that closeness_many searches, one
+    list a pass, in the order of the passes."""
+    passes = []
+    kernel = metrics._distance_sums
+
+    def spy(c, nodes, sizes, words):
+        passes.append(sizes.tolist())
+        return kernel(c, nodes, sizes, words)
+
+    monkeypatch.setattr(metrics, "_distance_sums", spy)
+    return passes
+
+
 class TestClosenessMany:
     """The bit-parallel kernel against the Brandes kernel and brute force,
     compared with ==."""
@@ -300,10 +314,52 @@ class TestClosenessMany:
         graphs = [random_connected_cfg(rng, n, n) for n in rng.choices(range(2, 150), k=40)]
         adjs = [g.undirected_adjacency() for g in graphs]
         whole = closeness_many(adjs)
-        # a few small graphs per pass, every graph of 65 nodes or more alone
-        monkeypatch.setattr(metrics, "BATCH_WORDS", 100)
+        # some small graphs share a pass, and every graph of 65 nodes or
+        # more is alone: its rows alone, 65 x (80 + 40 x 2) bytes, are more
+        # than 430 slots of 24 bytes
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 430)
+        passes = spy_passes(monkeypatch)
         assert closeness_many(adjs) == whole
         assert whole == [alone(adj).closeness for adj in adjs]
+        assert sorted(n for sizes in passes for n in sizes) == sorted(map(len, adjs))
+        assert all(len(sizes) == 1 for sizes in passes if max(sizes) >= 65)
+        assert max(map(len, passes)) > 1, passes
+
+    def test_passes_hold_the_sweep_budget(self, monkeypatch):
+        # 2000 graphs of 2 to 40 nodes, about 42 000 rows, took one pass of
+        # about 7 MB when closeness_many had a budget of its own. At 2**12
+        # slots each pass holds at most 24 x 2**12 bytes (96 KiB), and the
+        # call adds its output, 8 bytes a node, and arrays of 8 bytes a
+        # graph, fewer than 16 at once
+        rng = random.Random(2026)
+        graphs = [random_connected_cfg(rng, n, n // 2) for n in rng.choices(range(2, 41), k=2000)]
+        union = components([g.undirected_adjacency() for g in graphs])
+        whole = metrics.closeness_many(union)
+        monkeypatch.setattr(metrics, "SWEEP_SLOTS", 1 << 12)
+        budget = 24 * metrics.SWEEP_SLOTS
+        # the call's peak so far as each pass starts, and what each pass
+        # holds above the memory at its start
+        peaks, held = [], []
+        kernel = metrics._distance_sums
+
+        def spy(c, nodes, sizes, words):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            totals = kernel(c, nodes, sizes, words)
+            held.append(tracemalloc.get_traced_memory()[1] - current)
+            return totals
+
+        monkeypatch.setattr(metrics, "_distance_sums", spy)
+        tracemalloc.start()
+        try:
+            got = metrics.closeness_many(union)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, whole)
+        assert len(held) > 50 and max(held) <= budget
+        assert max(peaks) < 8 * len(got) + 16 * 8 * len(graphs) + budget
 
     @pytest.mark.parametrize("adj", [
         [[], [2], [1]],  # isolated node first
@@ -343,10 +399,10 @@ def blocks(monkeypatch):
     seen = []
     kernel = metrics._brandes_pass
 
-    def spy(csr, owner, a, b, top, raw, close, hops, dtype):
+    def spy(csr, first, width, a, top, raw, close, hops, dtype):
         if dtype is float:
-            seen.append((a, b))
-        return kernel(csr, owner, a, b, top, raw, close, hops, dtype)
+            seen.append((a, a + len(first)))
+        return kernel(csr, first, width, a, top, raw, close, hops, dtype)
 
     monkeypatch.setattr(metrics, "_brandes_pass", spy)
     return seen
@@ -458,9 +514,9 @@ class TestSweepMany:
         passes = []
         kernel = metrics._brandes_pass
 
-        def spy(csr, owner, a, b, top, raw, close, hops, dtype):
-            passes.append((dtype, (a, b)))
-            return kernel(csr, owner, a, b, top, raw, close, hops, dtype)
+        def spy(csr, first, width, a, top, raw, close, hops, dtype):
+            passes.append((dtype, (a, a + len(first))))
+            return kernel(csr, first, width, a, top, raw, close, hops, dtype)
 
         monkeypatch.setattr(metrics, "_brandes_pass", spy)
         [got] = sweep_many([adj])
@@ -556,12 +612,13 @@ class TestSweepMany:
         indptr, indices = components([g.undirected_adjacency()])[:2]
         n = g.node_count
         raw, close, hops = np.zeros(n), np.zeros(n), np.zeros(n, np.int64)
-        owner = (np.zeros(n, int), np.full(n, n))
+        # source 0 alone, its graph's first node 0 and size n
+        first, width = np.zeros(1, int), np.full(1, n)
         union = (indptr, np.diff(indptr), indices)
         top = int(union[1].max())
-        assert not metrics._brandes_pass(union, owner, 0, 1, top, raw, close, hops, float)
+        assert not metrics._brandes_pass(union, first, width, 0, top, raw, close, hops, float)
         assert not raw.any() and not close.any() and not hops.any()
-        assert metrics._brandes_pass(union, owner, 0, 1, top, raw, close, hops, object)
+        assert metrics._brandes_pass(union, first, width, 0, top, raw, close, hops, object)
         assert raw.tolist() == source_dependencies(g, 0)
 
     @pytest.mark.parametrize("last", [False, True])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfgrank import InputError
-from cfgrank.graph import largest_component
+from cfgrank.graph import largest_components
 from cfgrank.sbc import (BadLengthError, Opcode, SbcInstruction,
                          TargetOutOfBoundsError, UnknownOpcodeError, decode,
                          encode, generate_corpus, recover_cfg)
@@ -114,7 +114,7 @@ class TestRecoverCfg:
         assert [b.size for b in g.blocks] == [4, 8, 4, 4]
         # B0->B2 (target 3), B0->B1 (fall-through), B1->B3 (jmp 4), B2->B3
         assert set(g.edges) == {(0, 2), (0, 1), (1, 3), (2, 3)}
-        assert largest_component(g).counts[0] == 1
+        assert largest_components([g]).counts[0] == 1
 
     def test_hand_trace_dead_code(self):
         # 0:HALT, 1:OP, 2:RET
@@ -123,7 +123,7 @@ class TestRecoverCfg:
         assert [b.address for b in g.blocks] == [0, 1]
         assert [b.instr_count for b in g.blocks] == [1, 2]
         assert g.edge_count == 0
-        assert largest_component(g).counts[0] == 2
+        assert largest_components([g]).counts[0] == 2
 
     def test_hand_trace_minimal(self):
         g = recover_cfg(prog((Opcode.RET, None)))
@@ -166,16 +166,16 @@ class TestGenerateCorpus:
 
     def test_fragmented_multi_component(self):
         for p in generate_corpus(50, "fragmented", 7):
-            assert largest_component(recover_cfg(p)).counts[0] >= 2
+            assert largest_components([recover_cfg(p)]).counts[0] >= 2
 
     def test_enmeshed_single_component(self):
         for p in generate_corpus(50, "enmeshed", 7):
-            assert largest_component(recover_cfg(p)).counts[0] == 1
+            assert largest_components([recover_cfg(p)]).counts[0] == 1
 
     def test_component_distributions_disjointly_shifted(self):
-        frag = [largest_component(recover_cfg(p)).counts[0]
+        frag = [largest_components([recover_cfg(p)]).counts[0]
                 for p in generate_corpus(40, "fragmented", 3)]
-        enm = [largest_component(recover_cfg(p)).counts[0]
+        enm = [largest_components([recover_cfg(p)]).counts[0]
                for p in generate_corpus(40, "enmeshed", 3)]
         assert min(frag) > max(enm)
 
